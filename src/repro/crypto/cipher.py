@@ -14,24 +14,36 @@ and defenses rely on are:
 :class:`BlockCipher` provides both, using a PRF keystream XOR (deterministic
 CTR with an all-zero nonce) over padded plaintext. AES itself is not
 available offline; see DESIGN.md §2.
+
+Both directions apply one keystream — forked-state BLAKE2b blocks
+(:func:`~repro.crypto.primitives.prf_stream`) XORed on as one wide integer
+(:func:`~repro.crypto.primitives.xor_bytes`) — around :func:`pad`/:func:`unpad`.
 """
 
 from __future__ import annotations
 
 from repro.common.errors import ConfigurationError, IntegrityError
-from repro.crypto.primitives import prf_stream
+from repro.crypto.primitives import prf_stream, xor_bytes
 
 BLOCK_SIZE = 16
 
 
+def _check_block_size(block_size: int) -> None:
+    # PKCS#7 stores the pad length in one byte.
+    if not 1 <= block_size <= 255:
+        raise ConfigurationError("block_size must be between 1 and 255")
+
+
 def pad(data: bytes, block_size: int = BLOCK_SIZE) -> bytes:
     """PKCS#7 padding: always appends between 1 and ``block_size`` bytes."""
+    _check_block_size(block_size)
     pad_len = block_size - (len(data) % block_size)
     return data + bytes([pad_len]) * pad_len
 
 
 def unpad(data: bytes, block_size: int = BLOCK_SIZE) -> bytes:
     """Inverse of :func:`pad`; raises :class:`IntegrityError` on bad padding."""
+    _check_block_size(block_size)
     if not data or len(data) % block_size:
         raise IntegrityError("ciphertext length is not a multiple of block size")
     pad_len = data[-1]
@@ -57,22 +69,19 @@ class BlockCipher:
     """Deterministic symmetric encryption with 16-byte block granularity."""
 
     def __init__(self, block_size: int = BLOCK_SIZE):
-        if block_size <= 0:
-            raise ConfigurationError("block_size must be positive")
+        _check_block_size(block_size)
         self.block_size = block_size
+
+    @staticmethod
+    def _apply_keystream(key: bytes, data: bytes) -> bytes:
+        if not key:
+            raise ConfigurationError("empty encryption key")
+        return xor_bytes(data, prf_stream(key, b"freqdedup-cipher", len(data)))
 
     def encrypt(self, key: bytes, plaintext: bytes) -> bytes:
         """Encrypt ``plaintext`` under ``key`` (deterministic)."""
-        if not key:
-            raise ConfigurationError("empty encryption key")
-        padded = pad(plaintext, self.block_size)
-        stream = prf_stream(key, b"freqdedup-cipher", len(padded))
-        return bytes(p ^ s for p, s in zip(padded, stream))
+        return self._apply_keystream(key, pad(plaintext, self.block_size))
 
     def decrypt(self, key: bytes, ciphertext: bytes) -> bytes:
         """Invert :meth:`encrypt`; raises on malformed ciphertext."""
-        if not key:
-            raise ConfigurationError("empty encryption key")
-        stream = prf_stream(key, b"freqdedup-cipher", len(ciphertext))
-        padded = bytes(c ^ s for c, s in zip(ciphertext, stream))
-        return unpad(padded, self.block_size)
+        return unpad(self._apply_keystream(key, ciphertext), self.block_size)

@@ -5,6 +5,9 @@ constructed from :mod:`hashlib`/:mod:`hmac`. The constructions are standard
 (HMAC, HKDF-expand, counter-mode PRF keystream); their purpose in this
 reproduction is behavioural fidelity — determinism, key separation, and
 length preservation — not resistance review.
+
+:func:`prf_stream` and :func:`xor_bytes` are the content path's kernels;
+the known-answer vectors in ``tests/unit/test_crypto.py`` pin their output.
 """
 
 from __future__ import annotations
@@ -27,8 +30,10 @@ def hkdf_expand(key: bytes, info: bytes, length: int = 32) -> bytes:
     """HKDF-expand (RFC 5869) with SHA-256, without the extract step.
 
     Used for deriving purpose-separated subkeys, e.g. a cipher key and a tag
-    key from one MLE key.
+    key from one MLE key. At most 255 blocks (8160 bytes) can be derived.
     """
+    if length > 255 * 32:
+        raise ValueError("hkdf_expand length too large")
     output = b""
     block = b""
     counter = 1
@@ -36,8 +41,6 @@ def hkdf_expand(key: bytes, info: bytes, length: int = 32) -> bytes:
         block = hmac_digest(key, block + info + bytes([counter]))
         output += block
         counter += 1
-        if counter > 255:
-            raise ValueError("hkdf_expand length too large")
     return output[:length]
 
 
@@ -47,19 +50,25 @@ def prf_stream(key: bytes, nonce: bytes, length: int) -> bytes:
     Counter mode over keyed BLAKE2b: block *i* is
     ``BLAKE2b(key=key, data=nonce || i)``. Distinct (key, nonce) pairs give
     independent streams; identical inputs always give identical streams,
-    which is exactly the determinism MLE requires (§2.2).
+    which is exactly the determinism MLE requires (§2.2). The key block and
+    nonce are absorbed once and that state is forked per counter, so a
+    64-byte block costs one compression, not two.
     """
     if length < 0:
         raise ValueError("length must be non-negative")
-    blocks: list[bytes] = []
-    produced = 0
-    counter = 0
     key = hashlib.blake2b(key, digest_size=32).digest()  # clamp to valid key size
-    while produced < length:
-        block = hashlib.blake2b(
-            nonce + counter.to_bytes(8, "big"), key=key, digest_size=64
-        ).digest()
-        blocks.append(block)
-        produced += len(block)
-        counter += 1
+    base = hashlib.blake2b(nonce, key=key, digest_size=64)
+    blocks: list[bytes] = []
+    for counter in range(-(-length // 64)):
+        block = base.copy()
+        block.update(counter.to_bytes(8, "big"))
+        blocks.append(block.digest())
     return b"".join(blocks)[:length]
+
+
+def xor_bytes(a: bytes, b: bytes) -> bytes:
+    """XOR two equal-length byte strings as one wide-integer operation."""
+    if len(a) != len(b):
+        raise ValueError("xor_bytes operands differ in length")
+    word = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    return word.to_bytes(len(a), "big")

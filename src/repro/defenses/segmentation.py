@@ -91,6 +91,9 @@ def segment_stream(
         raise ConfigurationError("fingerprints and sizes must align")
     if not fingerprints:
         return []
+    if not any(sizes):
+        # Only empty chunks (an empty file): no boundary rule can fire.
+        return [Segment(0, len(fingerprints))]
     if divisor is None:
         mean_chunk = sum(sizes) / len(sizes)
         divisor = spec.divisor_for(mean_chunk)

@@ -48,6 +48,8 @@ class EncryptedDedupSystem:
         use_minhash: derive keys per segment (MinHash encryption, §6.1)
             instead of per chunk (deterministic MLE).
         use_scramble: scramble the upload order within segments (§6.2).
+            Scramble-only (without ``use_minhash``) is supported for
+            ablations: it still segments, but keeps per-chunk keys.
         segmentation: segment bounds for the defenses.
         scramble_seed: determinises scrambling.
         cache_budget_bytes / bloom_capacity / container_size: DDFS engine
@@ -76,10 +78,6 @@ class EncryptedDedupSystem:
         index_backend=None,
         index_path=None,
     ):
-        if use_scramble and not use_minhash:
-            # Scramble-only is supported for ablations, but it still needs
-            # segmentation; MinHash-off just keeps per-chunk keys.
-            pass
         self.scheme = scheme
         self.chunker = chunker or GearChunker()
         self.use_minhash = use_minhash
@@ -119,8 +117,8 @@ class EncryptedDedupSystem:
             file. The server never sees either.
         """
         plaintext_chunks = [chunk.data for chunk in self.chunker.split(data)]
-        if not plaintext_chunks:
-            plaintext_chunks = [b""] if data == b"" else plaintext_chunks
+        if not plaintext_chunks:  # an empty file is stored as one empty chunk
+            plaintext_chunks = [b""]
 
         ciphertexts, keys = self._encrypt(plaintext_chunks)
 

@@ -51,11 +51,8 @@ class TestRouters:
         for node in (0, 1):
             previous = None
             for nodes in (2, 3, 4, 8, 16):
-                shard = {
-                    key
-                    for key in keys
-                    if open_router("ring", nodes).node_of(key) == node
-                }
+                router = open_router("ring", nodes)
+                shard = {key for key in keys if router.node_of(key) == node}
                 if previous is not None:
                     assert shard <= previous
                 previous = shard

@@ -1,4 +1,13 @@
-"""Tests for repro.crypto: primitives, cipher, key manager, MLE schemes."""
+"""Tests for repro.crypto: primitives, cipher, key manager, MLE schemes.
+
+The known-answer vectors in :class:`TestKnownAnswers` were computed on the
+commit *before* the word-wide cipher kernel (PR 12) and pin ciphertext
+identity; the ``_oracle_*`` helpers are that commit's per-block keystream
+and per-byte XOR, kept here as the differential oracle for the kernel.
+"""
+
+import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +32,43 @@ from repro.crypto.mle import (
     KeyRecipe,
     ServerAidedMLE,
 )
-from repro.crypto.primitives import hkdf_expand, hmac_digest, prf_stream
+from repro.crypto.primitives import hkdf_expand, hmac_digest, prf_stream, xor_bytes
+from repro.storage.recipes import FileRecipe
 
 KEY = b"k" * 32
+KAT_KEY = bytes(range(32))
+KAT_NONCE = b"kat-nonce"
+CIPHER_NONCE = b"freqdedup-cipher"
+
+
+def sha256_hex(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def kat_pattern(size: int) -> bytes:
+    return bytes((i * 7 + 3) % 256 for i in range(size))
+
+
+def _oracle_prf_stream(key: bytes, nonce: bytes, length: int) -> bytes:
+    """The pre-PR 12 keystream: one keyed BLAKE2b constructor per block."""
+    key = hashlib.blake2b(key, digest_size=32).digest()
+    blocks = [
+        hashlib.blake2b(
+            nonce + counter.to_bytes(8, "big"), key=key, digest_size=64
+        ).digest()
+        for counter in range(-(-length // 64))
+    ]
+    return b"".join(blocks)[:length]
+
+
+def _oracle_xor(a: bytes, b: bytes) -> bytes:
+    """The pre-PR 12 XOR: one Python-level operation per byte."""
+    return bytes(x ^ y for x, y in zip(a, b))
+
+
+def _oracle_encrypt(key: bytes, plaintext: bytes) -> bytes:
+    padded = pad(plaintext)
+    return _oracle_xor(padded, _oracle_prf_stream(key, CIPHER_NONCE, len(padded)))
 
 
 class TestPrimitives:
@@ -57,8 +100,26 @@ class TestPrimitives:
         assert a != b
         assert hkdf_expand(KEY, b"purpose-a", 64)[:32] == a
 
+    def test_hkdf_expand_length_limit(self):
+        # RFC 5869 allows exactly 255 blocks of HashLen bytes.
+        longest = hkdf_expand(KEY, b"limit", 255 * 32)
+        assert len(longest) == 255 * 32
+        assert longest[: 254 * 32] == hkdf_expand(KEY, b"limit", 254 * 32)
+        assert longest[:32] == hkdf_expand(KEY, b"limit")
+        with pytest.raises(ValueError):
+            hkdf_expand(KEY, b"limit", 255 * 32 + 1)
+        assert hkdf_expand(KEY, b"limit", 0) == b""
+
     def test_hmac_digest_deterministic(self):
         assert hmac_digest(KEY, b"m") == hmac_digest(KEY, b"m")
+
+    def test_xor_bytes(self):
+        assert xor_bytes(b"", b"") == b""
+        assert xor_bytes(b"\x00\xff\x0f", b"\x00\xff\xf0") == b"\x00\x00\xff"
+        # Leading zero bytes survive the trip through an integer.
+        assert xor_bytes(b"\x00" * 8, b"\x00" * 8) == b"\x00" * 8
+        with pytest.raises(ValueError):
+            xor_bytes(b"ab", b"abc")
 
 
 class TestPadding:
@@ -79,6 +140,25 @@ class TestPadding:
         padded[-1] = 200  # invalid pad length byte
         with pytest.raises(IntegrityError):
             unpad(bytes(padded))
+
+    @pytest.mark.parametrize("block_size", [0, -1, 256, 4096])
+    def test_block_size_outside_one_pad_byte_rejected(self, block_size):
+        # The pad length is stored in one byte, so 255 is the widest block.
+        with pytest.raises(ConfigurationError):
+            BlockCipher(block_size)
+        with pytest.raises(ConfigurationError):
+            pad(b"data", block_size)
+        with pytest.raises(ConfigurationError):
+            unpad(b"data", block_size)
+
+    @pytest.mark.parametrize("block_size", [1, 8, 255])
+    def test_block_size_limits_roundtrip(self, block_size):
+        cipher = BlockCipher(block_size)
+        for size in (0, 1, block_size - 1, block_size, block_size + 1, 600):
+            plaintext = kat_pattern(size)
+            ciphertext = cipher.encrypt(KEY, plaintext)
+            assert len(ciphertext) == (size // block_size + 1) * block_size
+            assert cipher.decrypt(KEY, ciphertext) == plaintext
 
     def test_ciphertext_blocks(self):
         assert ciphertext_blocks(0) == 1
@@ -117,10 +197,23 @@ class TestBlockCipher:
         except IntegrityError:
             pass  # padding check caught it — also fine
 
+    def test_wrong_key_decrypt_differs(self):
+        # pyikev2 pattern: the same ciphertext under two keys must not
+        # decrypt to the same bytes. Compared below the padding check,
+        # which a wrong key usually (not always) trips first.
+        cipher = BlockCipher()
+        plaintext = kat_pattern(4096)
+        ciphertext = cipher.encrypt(KAT_KEY, plaintext)
+        assert cipher.decrypt(KAT_KEY, ciphertext) == plaintext
+        wrong = _oracle_xor(ciphertext, prf_stream(KEY, CIPHER_NONCE, len(ciphertext)))
+        assert wrong[: len(plaintext)] != plaintext
+
     def test_empty_key_rejected(self):
         cipher = BlockCipher()
         with pytest.raises(ConfigurationError):
             cipher.encrypt(b"", b"data")
+        with pytest.raises(ConfigurationError):
+            cipher.decrypt(b"", b"\x00" * 16)
 
 
 class TestRateLimiter:
@@ -270,3 +363,195 @@ class TestKeyRecipe:
         assert len(recipe) == 0
         recipe.add(b"k")
         assert len(recipe) == 1
+
+
+class TestKnownAnswers:
+    """Byte-exact vectors computed on the pre-PR 12 commit.
+
+    Chunk tags, dedup decisions and every sealed recipe on disk depend on
+    these bytes; a kernel change must reproduce them untouched. Long
+    outputs are pinned by their SHA-256.
+    """
+
+    PRF_STREAM = {
+        0: "",
+        1: "f7",
+        63: (
+            "f708835f153e8883cb6de17b9283face382c58846d8c4311e82671a649acd6a0"
+            "70a83c0a5c13211ccf877619a9649bb453324bf8ef5952017f54c83872dcf7"
+        ),
+        64: (
+            "f708835f153e8883cb6de17b9283face382c58846d8c4311e82671a649acd6a0"
+            "70a83c0a5c13211ccf877619a9649bb453324bf8ef5952017f54c83872dcf71b"
+        ),
+        65: (
+            "f708835f153e8883cb6de17b9283face382c58846d8c4311e82671a649acd6a0"
+            "70a83c0a5c13211ccf877619a9649bb453324bf8ef5952017f54c83872dcf71b"
+            "9d"
+        ),
+    }
+    CIPHERTEXT = {
+        0: "3c1c3dd67376697270d981379d8ca221",
+        15: "2f063cde7c4054565b8bd877dac2d730",
+        16: "2f063cde7c4054565b8bd877dac2d75d348ca50f2bfd395372ce2fb23fcbd9cc",
+        17: "2f063cde7c4054565b8bd877dac2d75d5793ba1034e2264c6dd130ad20d4c6d3",
+    }
+
+    @pytest.mark.parametrize("length", sorted(PRF_STREAM))
+    def test_prf_stream(self, length):
+        assert prf_stream(KAT_KEY, KAT_NONCE, length).hex() == self.PRF_STREAM[length]
+
+    def test_prf_stream_chunk_sized(self):
+        # 8208 = an 8 KiB chunk plus its padding block: 128.25 counter blocks.
+        assert sha256_hex(prf_stream(KAT_KEY, KAT_NONCE, 8208)) == (
+            "bf657ee4da7e9ef4c64df5f4b61d8b64e819ccc0533608388f3c7e31df825b6c"
+        )
+
+    def test_hkdf_expand_rfc5869_case_1(self):
+        # RFC 5869 A.1, expand step only (PRK -> OKM).
+        prk = bytes.fromhex(
+            "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5"
+        )
+        okm = hkdf_expand(prk, bytes.fromhex("f0f1f2f3f4f5f6f7f8f9"), 42)
+        assert okm.hex() == (
+            "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
+            "34007208d5b887185865"
+        )
+
+    def test_hkdf_expand(self):
+        assert hkdf_expand(KAT_KEY, b"purpose-a").hex() == (
+            "f17b39e42700e8daa99c1d9cf9d4f5e2f3ed40855cc6e1c7fdb6e570903c100c"
+        )
+        assert hkdf_expand(KAT_KEY, b"chunk-cipher", 80).hex() == (
+            "8be5e1e836e6c079f1d58ab21a3a4bf65e027aa5cc0f50fbf418aec59e74fdd0"
+            "8d4051a349cc48f3dd2dd05c53b2a599fbe33cf2d309b13849900e915ad92a1c"
+            "a298719bd15d32346ec07cca13ea5821"
+        )
+        assert hkdf_expand(KAT_KEY, b"", 1).hex() == "9b"
+        assert sha256_hex(hkdf_expand(KAT_KEY, b"kat", 254 * 32)) == (
+            "dc19ddbf744269cb580ae8825590a32c9e4b49704267e515b3f28d36bfb781ac"
+        )
+
+    @pytest.mark.parametrize("size", sorted(CIPHERTEXT))
+    def test_block_cipher(self, size):
+        cipher = BlockCipher()
+        ciphertext = cipher.encrypt(KAT_KEY, kat_pattern(size))
+        assert ciphertext.hex() == self.CIPHERTEXT[size]
+        assert cipher.decrypt(KAT_KEY, ciphertext) == kat_pattern(size)
+
+    def test_block_cipher_chunk_sized(self):
+        cipher = BlockCipher()
+        ciphertext = cipher.encrypt(KAT_KEY, kat_pattern(8192))
+        assert len(ciphertext) == 8208
+        assert sha256_hex(ciphertext) == (
+            "3f80f2a4c82aedc1609e307b995a7fc4a1cfa44d91c6e1f7b364a346cbf8463c"
+        )
+        assert cipher.decrypt(KAT_KEY, ciphertext) == kat_pattern(8192)
+
+    def test_block_cipher_short_key_and_narrow_block(self):
+        assert BlockCipher().encrypt(b"k", b"short key").hex() == (
+            "2abb8eb4e9cbe8fd2deb68341744b8da"
+        )
+        assert BlockCipher(8).encrypt(KAT_KEY, kat_pattern(11)).hex() == (
+            "2f063cde7c4054565b8bd8228899b734"
+        )
+
+    def test_convergent_encryption(self):
+        scheme = ConvergentEncryption()
+        chunk, key = scheme.encrypt_chunk(kat_pattern(8192))
+        assert key.hex() == (
+            "fc0e7582fcdfd29c4df1df8f11da2a9aa22bf4fca7a2b99247be5d355ca64ab8"
+        )
+        assert chunk.size == 8208
+        # The default fingerprinter tags a chunk with SHA-256 of its ciphertext.
+        assert chunk.tag.hex() == sha256_hex(chunk.data) == (
+            "ebeee3e31bae40b5f3d6e63fdddc05cdc851a322d45191b0d210e4f44702f4a9"
+        )
+        assert scheme.decrypt_chunk(chunk, key) == kat_pattern(8192)
+
+    def test_convergent_encryption_empty_chunk(self):
+        chunk, key = ConvergentEncryption().encrypt_chunk(b"")
+        assert key.hex() == (
+            "c2d88a5a1a652c05e5701abb618d42110909c4a23fe85b12530ed84903ba0a16"
+        )
+        assert chunk.data.hex() == "6875b7b7b1544bfada71d2a5770e0579"
+        assert chunk.tag.hex() == (
+            "5545991d6e0ffc13921dd2a5481a5d43ac30c48b5294c1e1f110839fb6fe11de"
+        )
+
+    def test_server_aided_mle(self):
+        scheme = ServerAidedMLE(KeyManager(b"kat-system-secret-0123456789abcdef"))
+        chunk, key = scheme.encrypt_chunk(kat_pattern(8192))
+        assert key.hex() == (
+            "d66c1a1989e001a6b11d93859e19578cd6aef883ffc1ff3ed6d5c160b8f41b1f"
+        )
+        assert chunk.size == 8208
+        # The default fingerprinter tags a chunk with SHA-256 of its ciphertext.
+        assert chunk.tag.hex() == sha256_hex(chunk.data) == (
+            "2411453f4e4741b89e553c5a4188e5b48fac2cf659e89f1a1bc0b35e7f129b61"
+        )
+        assert scheme.decrypt_chunk(chunk, key) == kat_pattern(8192)
+
+    def test_sealed_key_recipe(self):
+        recipe = KeyRecipe(keys=[bytes([i]) * 32 for i in range(5)])
+        sealed = recipe.seal(b"kat-user-secret")
+        assert len(sealed) == 352
+        assert sha256_hex(sealed) == (
+            "0c1afa43939369fe957859dfdbc02fa13dc199af75d9bd68fff4d1d0ff432e9e"
+        )
+        assert KeyRecipe.unseal(sealed, b"kat-user-secret").keys == recipe.keys
+
+    def test_sealed_file_recipe(self):
+        recipe = FileRecipe(filename="kat/file.bin")
+        for i in range(5):
+            recipe.add(bytes([0xA0 + i]) * 32, 4096 + i)
+        sealed = recipe.seal(b"kat-user-secret")
+        assert len(sealed) == 432
+        assert sha256_hex(sealed) == (
+            "c7b97c74391948270db8b0bbfbb5e266d07e6fdd5b2387008f9abdc2bc67a4ec"
+        )
+        assert FileRecipe.unseal(sealed, b"kat-user-secret").chunks == recipe.chunks
+
+
+DIFFERENTIAL_LENGTHS = [
+    *range(0, 131),
+    *range(4095, 4098),
+    *range(65535, 65554),
+    1 << 20,
+]
+
+
+class TestKernelAgainstOracle:
+    """The word-wide kernel equals the per-byte/per-block one it replaced."""
+
+    def test_prf_stream_matches_oracle(self):
+        rng = random.Random(12)
+        for length in DIFFERENTIAL_LENGTHS:
+            key = rng.randbytes(rng.choice((1, 16, 32, 64, 100)))
+            nonce = rng.randbytes(rng.randrange(0, 40))
+            assert prf_stream(key, nonce, length) == _oracle_prf_stream(
+                key, nonce, length
+            ), length
+
+    def test_xor_bytes_matches_oracle(self):
+        rng = random.Random(13)
+        for length in DIFFERENTIAL_LENGTHS:
+            a, b = rng.randbytes(length), rng.randbytes(length)
+            assert xor_bytes(a, b) == _oracle_xor(a, b), length
+
+    def test_block_cipher_matches_oracle(self):
+        rng = random.Random(14)
+        cipher = BlockCipher()
+        for length in DIFFERENTIAL_LENGTHS:
+            key = rng.randbytes(32)
+            plaintext = rng.randbytes(length)
+            ciphertext = cipher.encrypt(key, plaintext)
+            assert ciphertext == _oracle_encrypt(key, plaintext), length
+            assert cipher.decrypt(key, ciphertext) == plaintext, length
+            # Any pad byte with the top bit set is out of range for a
+            # 16-byte block, whatever the original padding length was.
+            corrupt = ciphertext[:-1] + bytes([ciphertext[-1] ^ 0x80])
+            with pytest.raises(IntegrityError):
+                cipher.decrypt(key, corrupt)
+            with pytest.raises(IntegrityError):
+                cipher.decrypt(key, ciphertext[:-1])

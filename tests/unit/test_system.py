@@ -16,6 +16,12 @@ SMALL_SEGMENTS = SegmentationSpec(
 )
 
 
+all_defense_combinations = pytest.mark.parametrize(
+    "use_minhash,use_scramble",
+    [(False, False), (True, False), (False, True), (True, True)],
+)
+
+
 def make_system(use_minhash=False, use_scramble=False, scheme=None):
     return EncryptedDedupSystem(
         scheme=scheme or ConvergentEncryption(),
@@ -27,16 +33,23 @@ def make_system(use_minhash=False, use_scramble=False, scheme=None):
     )
 
 
-@pytest.mark.parametrize(
-    "use_minhash,use_scramble",
-    [(False, False), (True, False), (False, True), (True, True)],
-)
+@all_defense_combinations
 def test_put_get_roundtrip_all_schemes(use_minhash, use_scramble):
     system = make_system(use_minhash, use_scramble)
     data = deterministic_bytes(1, "file", 150_000)
     stored = system.put_file("f.bin", data)
     system.flush()
     assert system.get_file(stored) == data
+
+
+@all_defense_combinations
+def test_empty_file_roundtrip(use_minhash, use_scramble):
+    # An empty file is stored as one empty chunk (one padding block).
+    system = make_system(use_minhash, use_scramble)
+    stored = system.put_file("empty.bin", b"")
+    system.flush()
+    assert len(stored.recipe) == len(stored.keys) == 1
+    assert system.get_file(stored) == b""
 
 
 def test_server_aided_backend():
