@@ -8,7 +8,8 @@
 * :class:`KVStore` — an embedded, ordered key-value store with optional
   write-ahead-log persistence; also satisfies :class:`KVBackend`.
 * :class:`BloomFilter` — the in-memory filter of the DDFS prototype
-  (§7.4.1), parameterised by capacity and target false-positive rate.
+  (§7.4.1), parameterised by capacity and target false-positive rate;
+  ``add`` is a test-and-set (one digest per key for DDFS step S2).
 * :class:`LRUCache` / :class:`FingerprintCache` — the byte-budgeted
   fingerprint cache of the DDFS prototype.
 """

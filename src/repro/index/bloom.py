@@ -11,12 +11,21 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 
 from repro.common.errors import ConfigurationError
+
+_HALVES = struct.Struct(">QQ").unpack
+_BIT = tuple(1 << shift for shift in range(8))
 
 
 class BloomFilter:
     """Standard Bloom filter over byte keys.
+
+    :meth:`add` is a test-and-set: it reports whether the key was already
+    (possibly) present, so a caller that inserts on "absent" — DDFS step
+    S2 — hashes each key once instead of once for ``in`` and once for
+    ``add``. ``inserted`` counts ``add`` calls.
 
     Args:
         capacity: expected number of distinct inserted keys.
@@ -36,24 +45,43 @@ class BloomFilter:
         self._bits = bytearray((self.num_bits + 7) // 8)
         self.inserted = 0
 
-    def _positions(self, key: bytes) -> list[int]:
-        # Kirsch–Mitzenmacher double hashing from one 128-bit digest.
-        digest = hashlib.blake2b(key, digest_size=16).digest()
-        h1 = int.from_bytes(digest[:8], "big")
-        h2 = int.from_bytes(digest[8:], "big") | 1
-        return [
-            (h1 + i * h2) % self.num_bits for i in range(self.num_hashes)
-        ]
+    def _walk(self, key: bytes) -> tuple[int, int]:
+        # Kirsch–Mitzenmacher double hashing from one 128-bit digest:
+        # probe i sits at (h1 + i·h2) mod m, walked incrementally as
+        # pos += step with one conditional subtract (pos, step < m).
+        h1, h2 = _HALVES(hashlib.blake2b(key, digest_size=16).digest())
+        return h1 % self.num_bits, (h2 | 1) % self.num_bits
 
-    def add(self, key: bytes) -> None:
-        for pos in self._positions(key):
-            self._bits[pos >> 3] |= 1 << (pos & 7)
+    def add(self, key: bytes) -> bool:
+        """Insert ``key``; returns whether every one of its bits was
+        already set — i.e. what ``key in self`` said just before (one
+        digest and one walk for the test *and* the set)."""
+        num_bits, bits = self.num_bits, self._bits
+        pos, step = self._walk(key)
+        present = True
+        for _ in range(self.num_hashes):
+            index = pos >> 3
+            byte = bits[index]
+            mask = _BIT[pos & 7]
+            if not byte & mask:
+                bits[index] = byte | mask
+                present = False
+            pos += step
+            if pos >= num_bits:
+                pos -= num_bits
         self.inserted += 1
+        return present
 
     def __contains__(self, key: bytes) -> bool:
-        return all(
-            self._bits[pos >> 3] & (1 << (pos & 7)) for pos in self._positions(key)
-        )
+        num_bits, bits = self.num_bits, self._bits
+        pos, step = self._walk(key)
+        for _ in range(self.num_hashes):
+            if not bits[pos >> 3] & _BIT[pos & 7]:
+                return False
+            pos += step
+            if pos >= num_bits:
+                pos -= num_bits
+        return True
 
     @property
     def size_bytes(self) -> int:

@@ -13,7 +13,7 @@ fingerprint entry, 32 B in the evaluation) plus hit/miss accounting.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Generic, Hashable, Iterator, TypeVar
+from typing import Generic, Hashable, Iterable, Iterator, TypeVar
 
 from repro.common.errors import ConfigurationError
 
@@ -49,6 +49,16 @@ class LRUCache(Generic[K, V]):
         while len(self._entries) > self.capacity:
             evicted.append(self._entries.popitem(last=False))
         return evicted
+
+    def put_many(self, keys: Iterable[K], value: V) -> None:
+        """``put(key, value)`` for each key in order, evictions dropped."""
+        entries, capacity = self._entries, self.capacity
+        for key in keys:
+            if key in entries:
+                entries.move_to_end(key)
+            entries[key] = value
+            if len(entries) > capacity:
+                entries.popitem(last=False)
 
     def __contains__(self, key: K) -> bool:
         return key in self._entries
@@ -104,6 +114,10 @@ class FingerprintCache:
     def insert(self, fingerprint: bytes, container_id: int) -> int:
         """Cache a mapping; returns how many entries were evicted."""
         return len(self._lru.put(fingerprint, container_id))
+
+    def insert_many(self, fingerprints: Iterable[bytes], container_id: int) -> None:
+        """Cache one container's fingerprints (step S4's prefetch)."""
+        self._lru.put_many(fingerprints, container_id)
 
     def __contains__(self, fingerprint: bytes) -> bool:
         return fingerprint in self._lru

@@ -51,20 +51,21 @@ class KVStore:
         return self._data.get(key, default)
 
     def put(self, key: bytes, value: bytes) -> None:
-        if not isinstance(key, bytes) or not isinstance(value, bytes):
-            raise StorageError("KVStore keys and values must be bytes")
-        self._data[key] = value
-        self._append_record(_VALUE, key, value)
+        self.put_batch(((key, value),))
 
     def put_batch(self, items) -> None:
-        """Insert many pairs; equivalent to sequential :meth:`put` calls.
+        """Insert many pairs in order, as one bound loop over the memtable
+        and the buffered log file.
 
-        Part of the :class:`~repro.index.backends.KVBackend` protocol; the
-        memtable absorbs each write directly, so there is no extra batching
-        benefit here beyond the buffered log file.
+        Part of the :class:`~repro.index.backends.KVBackend` protocol.
         """
+        data, logged = self._data, self._log is not None
         for key, value in items:
-            self.put(key, value)
+            if not isinstance(key, bytes) or not isinstance(value, bytes):
+                raise StorageError("KVStore keys and values must be bytes")
+            data[key] = value
+            if logged:
+                self._append_record(_VALUE, key, value)
 
     def delete(self, key: bytes) -> bool:
         """Remove ``key``; returns whether it existed."""

@@ -12,14 +12,14 @@ ciphertext bytes; the trace-driven prototype stores metadata only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.common.errors import ConfigurationError, StorageError
 from repro.common.units import MiB
 
 
-@dataclass(frozen=True)
-class ContainerEntry:
+class ContainerEntry(NamedTuple):
     """One chunk stored in a container."""
 
     fingerprint: bytes
@@ -29,32 +29,34 @@ class ContainerEntry:
 
 @dataclass
 class Container:
-    """A sealed container: entries plus optional payload bytes."""
+    """A sealed (immutable) container: entries plus optional payload bytes.
+
+    ``data_bytes`` and the fingerprint → entry map are recorded once, by
+    the store that sealed it; a fingerprint occurs once per container.
+    """
 
     container_id: int
-    entries: list[ContainerEntry] = field(default_factory=list)
-    payload: bytes = b""
+    entries: list[ContainerEntry]
+    payload: bytes
+    data_bytes: int
+    by_fingerprint: dict[bytes, ContainerEntry]
 
     @property
     def num_chunks(self) -> int:
         return len(self.entries)
-
-    @property
-    def data_bytes(self) -> int:
-        return sum(entry.size for entry in self.entries)
 
     def fingerprints(self) -> list[bytes]:
         return [entry.fingerprint for entry in self.entries]
 
     def read_chunk(self, fingerprint: bytes) -> bytes:
         """Payload bytes for ``fingerprint`` (content-level containers)."""
-        for entry in self.entries:
-            if entry.fingerprint == fingerprint:
-                data = self.payload[entry.offset : entry.offset + entry.size]
-                if len(data) != entry.size:
-                    raise StorageError("container payload truncated")
-                return data
-        raise StorageError(f"chunk {fingerprint.hex()} not in container")
+        entry = self.by_fingerprint.get(fingerprint)
+        if entry is None:
+            raise StorageError(f"chunk {fingerprint.hex()} not in container")
+        data = self.payload[entry.offset : entry.offset + entry.size]
+        if len(data) != entry.size:
+            raise StorageError("container payload truncated")
+        return data
 
 
 class ContainerStore:
@@ -70,7 +72,7 @@ class ContainerStore:
         self._open_entries: list[ContainerEntry] = []
         self._open_payload: list[bytes] = []
         self._open_bytes = 0
-        self._open_index: dict[bytes, int] = {}
+        self._open_index: dict[bytes, ContainerEntry] = {}
 
     # -- writing -------------------------------------------------------------
 
@@ -82,13 +84,10 @@ class ContainerStore:
                 raise StorageError("payload-keeping store requires chunk data")
             if len(data) != size:
                 raise StorageError("chunk data length disagrees with size")
-        entry = ContainerEntry(
-            fingerprint=fingerprint, size=size, offset=self._open_bytes
-        )
+            self._open_payload.append(data)
+        entry = ContainerEntry(fingerprint, size, self._open_bytes)
         self._open_entries.append(entry)
-        if self.keep_payload:
-            self._open_payload.append(data if data is not None else b"")
-        self._open_index[fingerprint] = size
+        self._open_index[fingerprint] = entry
         self._open_bytes += size
         if self._open_bytes >= self.container_size:
             return self.flush()
@@ -101,7 +100,9 @@ class ContainerStore:
         container = Container(
             container_id=self._next_id,
             entries=self._open_entries,
-            payload=b"".join(self._open_payload) if self.keep_payload else b"",
+            payload=b"".join(self._open_payload),
+            data_bytes=self._open_bytes,
+            by_fingerprint=self._open_index,
         )
         self.containers[container.container_id] = container
         self._next_id += 1
@@ -135,5 +136,6 @@ class ContainerStore:
         return len(self._open_entries)
 
     def stored_bytes(self) -> int:
+        """Sealed plus buffered chunk bytes; O(containers)."""
         sealed = sum(c.data_bytes for c in self.containers.values())
         return sealed + self._open_bytes

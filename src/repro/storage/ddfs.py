@@ -4,15 +4,24 @@ Implements the paper's four-step deduplication workflow for each incoming
 (ciphertext) chunk:
 
 * **S1** — check the in-memory fingerprint cache; a hit means duplicate.
-* **S2** — if the Bloom filter does not contain the fingerprint, the chunk
-  is definitely unique: update the filter, buffer the chunk into the open
-  container, and, when the container fills, seal it and write its metadata
-  to the on-disk fingerprint index (update access).
-* **S3** — a Bloom hit may be a false positive, so query the on-disk index
-  (index access); a miss routes back to S2.
+* **S2** — one Bloom-filter test-and-set
+  (:meth:`~repro.index.bloom.BloomFilter.add`): if any of the
+  fingerprint's bits was unset, the chunk is definitely unique — its bits
+  are now set — so buffer it into the open container and, when the
+  container fills, seal it and write its metadata to the on-disk
+  fingerprint index (update access).
+* **S3** — all bits already set may be a false positive, so query the
+  on-disk index (index access); a miss stores the chunk as in S2.
 * **S4** — an index hit confirms a duplicate: load the fingerprints of the
   whole container holding the chunk into the cache (loading access),
   banking on chunk locality to turn the following chunks into S1 hits.
+
+There is one chunk path: :meth:`DDFSEngine.process_backup`,
+:meth:`DDFSEngine.process_chunk` (the content path's entry) and
+:meth:`DDFSEngine.ingest_unique_batch` (the service's transfer path) are
+shells over the same bound loop, and every container seal — the loop's,
+a backup boundary's, garbage collection's — writes the index through the
+same method.
 
 The engine processes whole backups and emits one
 :class:`~repro.storage.metrics.BackupWriteReport` per backup — exactly the
@@ -20,6 +29,8 @@ series Figures 13/14 plot for MLE vs the combined defense.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import MiB
@@ -69,13 +80,96 @@ class DDFSEngine:
         self.index = OnDiskFingerprintIndex(
             entry_bytes, store=index_backend, path=index_path
         )
-        self._pending_container_fingerprints: list[bytes] = []
         # Engine-lifetime bloom false positives (per-backup reports reset
         # their own counter; the service path has no report, so telemetry
         # reads this running total instead).
         self.bloom_false_positives = 0
 
     # -- chunk path -----------------------------------------------------------
+
+    def _dedup(
+        self,
+        fingerprints,
+        sizes,
+        payloads=None,
+        report: BackupWriteReport | None = None,
+        resolved: bool = False,
+    ) -> int:
+        """The one S1–S4 body: deduplicate a run of chunks in a single
+        bound loop, tallies written to ``report`` once; returns how many
+        chunks were stored.
+
+        ``resolved`` is the service's transfer path: a front-end already
+        ran S1 and S3 and found every chunk unique, so S1 is skipped and a
+        Bloom hit charges its (known-negative) index probe instead of
+        making it.
+        """
+        lookup = self.cache.lookup
+        buffered = self.containers.in_open_buffer
+        test_and_set = self.bloom.add
+        append = self.containers.append
+        index = self.index
+        hits = false_positives = 0
+        stored = stored_bytes = logical_bytes = sealed = 0
+        if payloads is None:
+            payloads = repeat(None)
+        for fingerprint, size, data in zip(fingerprints, sizes, payloads):
+            logical_bytes += size
+            if not resolved:
+                # S1: in-memory fingerprint cache (plus the open container
+                # buffer, so duplicates of not-yet-sealed chunks are not
+                # double-stored).
+                if lookup(fingerprint) is not None:
+                    hits += 1
+                    continue
+                if buffered(fingerprint):
+                    continue
+            # S2: one Bloom test-and-set; unset bits mean definitely unique.
+            if test_and_set(fingerprint):
+                if not resolved:
+                    # S3: possible duplicate — confirm against the on-disk
+                    # index.
+                    container_id = index.lookup(fingerprint)
+                    if container_id is not None:
+                        # S4: confirmed duplicate — prefetch the whole
+                        # container's fingerprints into the cache (chunk
+                        # locality). The test-and-set changed no bit and
+                        # is not an insertion.
+                        self.bloom.inserted -= 1
+                        self._load_container(container_id)
+                        continue
+                false_positives += 1
+            stored += 1
+            stored_bytes += size
+            if self._index_sealed(append(fingerprint, size, data)):
+                sealed += 1
+        if resolved and false_positives:
+            # S3 would confirm "not a duplicate"; the probes are still
+            # metered even though their outcome is known.
+            index.charge_index_probes(false_positives)
+        self.bloom_false_positives += false_positives
+        if report is not None:
+            chunks = len(fingerprints)
+            report.total_chunks += chunks
+            report.logical_bytes += logical_bytes
+            report.unique_chunks += stored
+            report.duplicate_chunks += chunks - stored
+            report.stored_bytes += stored_bytes
+            report.containers_written += sealed
+            report.bloom_false_positives += false_positives
+            if not resolved:
+                report.cache_hits += hits
+                report.cache_misses += chunks - hits
+        return stored
+
+    def _index_sealed(self, container_id: int | None) -> bool:
+        """Write a just-sealed container's fingerprints to the on-disk
+        index (update access); ``None`` means nothing was sealed."""
+        if container_id is None:
+            return False
+        container = self.containers.get(container_id)
+        self.index.update_batch(container.fingerprints(), container_id)
+        return True
 
     def process_chunk(
         self,
@@ -85,63 +179,7 @@ class DDFSEngine:
         report: BackupWriteReport | None = None,
     ) -> bool:
         """Deduplicate one chunk; returns True if it was stored (unique)."""
-        if report is not None:
-            report.total_chunks += 1
-            report.logical_bytes += size
-
-        # S1: in-memory fingerprint cache (plus the open container buffer,
-        # so duplicates of not-yet-sealed chunks are not double-stored).
-        if self.cache.lookup(fingerprint) is not None:
-            if report is not None:
-                report.duplicate_chunks += 1
-                report.cache_hits += 1
-            return False
-        if report is not None:
-            report.cache_misses += 1
-        if self.containers.in_open_buffer(fingerprint):
-            if report is not None:
-                report.duplicate_chunks += 1
-            return False
-
-        # S2: definite-unique fast path via the Bloom filter.
-        if fingerprint not in self.bloom:
-            self._store_unique(fingerprint, size, data, report)
-            return True
-
-        # S3: possible duplicate — confirm against the on-disk index.
-        container_id = self.index.lookup(fingerprint)
-        if container_id is None:
-            self.bloom_false_positives += 1
-            if report is not None:
-                report.bloom_false_positives += 1
-            self._store_unique(fingerprint, size, data, report)
-            return True
-
-        # S4: confirmed duplicate — prefetch the whole container's
-        # fingerprints into the cache (chunk locality).
-        self._load_container(container_id)
-        if report is not None:
-            report.duplicate_chunks += 1
-        return False
-
-    def _store_unique(
-        self,
-        fingerprint: bytes,
-        size: int,
-        data: bytes | None,
-        report: BackupWriteReport | None,
-    ) -> None:
-        self.bloom.add(fingerprint)
-        self._pending_container_fingerprints.append(fingerprint)
-        sealed = self.containers.append(fingerprint, size, data)
-        if report is not None:
-            report.unique_chunks += 1
-            report.stored_bytes += size
-        if sealed is not None:
-            self.index.update_batch(self._pending_container_fingerprints, sealed)
-            self._pending_container_fingerprints = []
-            if report is not None:
-                report.containers_written += 1
+        return bool(self._dedup((fingerprint,), (size,), (data,), report))
 
     def ingest_unique_batch(
         self,
@@ -157,50 +195,17 @@ class DDFSEngine:
         feeding each chunk through :meth:`process_chunk`: every chunk is
         definitely stored, a bloom false positive still charges one
         (batched) index probe, and container seals flush index updates
-        at the same points — but the whole batch runs one bound loop
-        instead of a full S1–S4 method chain per chunk. The S1 cache is
-        *not* consulted (the dedup response already probed it while
-        resolving the needed-set), so the engine's cache hit/miss
-        counters — and a report's ``cache_misses`` — advance only on the
-        per-chunk path.
+        at the same points. The S1 cache is *not* consulted (the dedup
+        response already probed it while resolving the needed-set), so
+        the engine's cache hit/miss counters — and a report's
+        ``cache_misses`` — advance only on the per-chunk path.
         """
-        bloom = self.bloom
-        bloom_add = bloom.add
-        containers_append = self.containers.append
-        pending = self._pending_container_fingerprints
-        probes = 0
-        sealed_containers = 0
-        stored_bytes = 0
-        for fingerprint, size in zip(fingerprints, sizes):
-            if fingerprint in bloom:
-                # S3 would confirm "not a duplicate" against the on-disk
-                # index; the probe is still metered even though its
-                # outcome is known.
-                probes += 1
-            bloom_add(fingerprint)
-            pending.append(fingerprint)
-            sealed = containers_append(fingerprint, size, None)
-            stored_bytes += size
-            if sealed is not None:
-                self.index.update_batch(pending, sealed)
-                pending = self._pending_container_fingerprints = []
-                sealed_containers += 1
-        if probes:
-            self.index.charge_index_probes(probes)
-            self.bloom_false_positives += probes
-        if report is not None:
-            report.total_chunks += len(fingerprints)
-            report.logical_bytes += stored_bytes
-            report.unique_chunks += len(fingerprints)
-            report.stored_bytes += stored_bytes
-            report.bloom_false_positives += probes
-            report.containers_written += sealed_containers
+        self._dedup(fingerprints, sizes, report=report, resolved=True)
 
     def _load_container(self, container_id: int) -> None:
         container = self.containers.get(container_id)
         self.index.charge_loading(container.num_chunks)
-        for entry in container.entries:
-            self.cache.insert(entry.fingerprint, container_id)
+        self.cache.insert_many(container.fingerprints(), container_id)
 
     def prefetch_container(self, container_id: int) -> None:
         """Step S4 for front-ends that confirm duplicates themselves (the
@@ -212,24 +217,15 @@ class DDFSEngine:
 
     def finish_backup(self, report: BackupWriteReport | None = None) -> None:
         """Seal the open container at a backup boundary."""
-        sealed = self.containers.flush()
-        if sealed is not None:
-            self.index.update_batch(self._pending_container_fingerprints, sealed)
-            self._pending_container_fingerprints = []
-            if report is not None:
-                report.containers_written += 1
+        if self._index_sealed(self.containers.flush()) and report is not None:
+            report.containers_written += 1
 
     def process_backup(self, backup: Backup) -> BackupWriteReport:
         """Deduplicate a whole backup stream and report metadata access."""
         report = BackupWriteReport(label=backup.label)
-        hits_before = self.cache.hits
-        misses_before = self.cache.misses
-        for fingerprint, size in zip(backup.fingerprints, backup.sizes):
-            self.process_chunk(fingerprint, size, report=report)
+        self._dedup(backup.fingerprints, backup.sizes, report=report)
         self.finish_backup(report)
         report.metadata = self.index.take_stats()
-        report.cache_hits = self.cache.hits - hits_before
-        report.cache_misses = self.cache.misses - misses_before
         return report
 
     def process_series(self, backups: list[Backup]) -> list[BackupWriteReport]:

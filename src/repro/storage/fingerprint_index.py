@@ -11,6 +11,7 @@ paper's configuration), which is the quantity Figures 13/14 report.
 from __future__ import annotations
 
 import struct
+from itertools import repeat
 
 from repro.common.errors import ConfigurationError
 from repro.index.backends import KVBackend, open_backend
@@ -87,7 +88,7 @@ class OnDiskFingerprintIndex:
     def update_batch(self, fingerprints: list[bytes], container_id: int) -> None:
         """Record a sealed container's chunks (update access, steps S2/S3)."""
         packed = _CONTAINER_ID.pack(container_id)
-        self._store.put_batch((fp, packed) for fp in fingerprints)
+        self._store.put_batch(zip(fingerprints, repeat(packed)))
         self.stats.update_bytes += self.entry_bytes * len(fingerprints)
 
     def container_of(self, fingerprint: bytes) -> int | None:

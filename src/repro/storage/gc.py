@@ -122,13 +122,7 @@ def collect_garbage(
                 if store.keep_payload
                 else None
             )
-            engine._pending_container_fingerprints.append(entry.fingerprint)
-            sealed = store.append(entry.fingerprint, entry.size, data)
-            if sealed is not None:
-                engine.index.update_batch(
-                    engine._pending_container_fingerprints, sealed
-                )
-                engine._pending_container_fingerprints = []
+            engine._index_sealed(store.append(entry.fingerprint, entry.size, data))
             report.chunks_copied_forward += 1
             report.bytes_copied_forward += entry.size
         del store.containers[container_id]
@@ -136,10 +130,5 @@ def collect_garbage(
         report.chunks_dead += dead_entries
         report.bytes_reclaimed += total_bytes - live_bytes
     # Seal whatever copy-forward left open so the index stays complete.
-    sealed = store.flush()
-    if sealed is not None:
-        engine.index.update_batch(
-            engine._pending_container_fingerprints, sealed
-        )
-        engine._pending_container_fingerprints = []
+    engine._index_sealed(store.flush())
     return report

@@ -11,6 +11,39 @@ import pytest
 from repro.datasets.fsl import FSLConfig, FSLDatasetGenerator
 
 
+# Longest call phase any single tier-1 test may take under
+# ``--duration-budget`` (CI's tier-1 step). The slowest test of a full
+# run takes 2.8-4.1 s depending on the host; 8 s leaves a slow runner 2x
+# headroom and still fails a test that rebuilds a fixture per key (the
+# one such case measured took 21 s).
+CALL_BUDGET_S = 8.0
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--duration-budget",
+        action="store_true",
+        help=f"fail any test whose call phase exceeds {CALL_BUDGET_S:g} s",
+    )
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    outcome = yield
+    report = outcome.get_result()
+    if (
+        report.when == "call"
+        and report.passed
+        and report.duration > CALL_BUDGET_S
+        and item.config.getoption("--duration-budget")
+    ):
+        report.outcome = "failed"
+        report.longrepr = (
+            f"{item.nodeid} took {report.duration:.1f} s; the tier-1 budget "
+            f"is {CALL_BUDGET_S:g} s per test (tests/conftest.py)"
+        )
+
+
 def pytest_configure(config):
     # No pytest.ini/pyproject table exists, so markers register here.
     config.addinivalue_line(

@@ -39,8 +39,8 @@ class TestRouters:
         assert first == second
 
     def test_ring_uses_every_node(self):
-        keys = pinned_keys(5000)
-        owners = Counter(open_router("ring", 8).node_of(key) for key in keys)
+        router = open_router("ring", 8)
+        owners = Counter(router.node_of(key) for key in pinned_keys(5000))
         assert sorted(owners) == list(range(8))
 
     def test_ring_shards_nest_as_cluster_grows(self):

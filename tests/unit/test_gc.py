@@ -115,6 +115,20 @@ class TestCollectGarbage:
         assert report.unique_chunks == 4
         assert report.bloom_false_positives == 4  # stale bloom bits
 
+    def test_stored_bytes_after_gc(self):
+        """The per-container ``data_bytes`` recorded at seal time follow a
+        GC pass: reclaimed containers leave the total, copied-forward
+        survivors re-enter it."""
+        engine, tracker = self._setup()
+        assert engine.containers.stored_bytes() == 12 * 4096
+        tracker.delete_backup("b1")
+        report = collect_garbage(engine, tracker, live_ratio_threshold=0.9)
+        store = engine.containers
+        assert store.stored_bytes() == 12 * 4096 - report.bytes_reclaimed
+        assert store.stored_bytes() == sum(
+            entry.size for c in store.containers.values() for entry in c.entries
+        )
+
     def test_threshold_validation(self):
         engine, tracker = self._setup()
         with pytest.raises(ConfigurationError):

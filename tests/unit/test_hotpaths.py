@@ -8,9 +8,11 @@ Every optimized loop must be byte-identical to its reference oracle:
 * interned COUNT (array-backed and Counter-backed) vs
   ``count_with_neighbors`` vs ``StreamingCount`` on the same streams,
   including table iteration order (the tie-break-sensitive part);
-* the engine's batched unique-ingest vs the per-chunk S1–S4 path.
+* the engine's batched unique-ingest vs the per-chunk S1–S4 path, and a
+  seeded search over the three entry points of the one DDFS chunk path.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -326,3 +328,151 @@ class TestBatchedUniqueIngest:
             batched_report.bloom_false_positives
             == reference_report.bloom_false_positives
         )
+
+
+class TestOneChunkPath:
+    """``process_backup``, a ``process_chunk``-per-chunk replay and (for
+    all-unique batches) ``ingest_unique_batch`` are shells over one body:
+    a seeded search over the regimes where they could part — a saturated
+    Bloom filter (false positives), a cache smaller than one container
+    (a prefetch evicts itself), containers of a few chunks, back-to-back
+    duplicates, re-writes after ``collect_garbage`` — compares every
+    report field and the whole engine state, and pins a digest of it all
+    computed on the commit before the paths were fused."""
+
+    SEEDS = range(60)
+    # SHA-256 over every seed's reports + final state, from the parent
+    # commit (per-chunk ``in`` + ``add``, five-deep method chain).
+    PINNED = "c484cc651cdeae281d0ab5d6d16a321b0c275ff1e934768cee92f4a407e91900"
+
+    @staticmethod
+    def _engine(rng):
+        from repro.storage.ddfs import DDFSEngine
+
+        return DDFSEngine(
+            cache_budget_bytes=32 * rng.randrange(1, 4),
+            bloom_capacity=rng.randrange(4, 40),
+            bloom_fpr=0.2,
+            container_size=rng.randrange(200, 600),
+        )
+
+    @staticmethod
+    def _series(rng):
+        pool = [rng.randbytes(6) for _ in range(60)]
+        series = []
+        for generation in range(4):
+            fingerprints = []
+            for _ in range(rng.randrange(20, 60)):
+                fresh = rng.random() < 0.4
+                fingerprint = rng.randbytes(6) if fresh else rng.choice(pool)
+                fingerprints.append(fingerprint)
+                if rng.random() < 0.2:
+                    fingerprints.append(fingerprint)
+            series.append(
+                Backup(
+                    label=f"g{generation}",
+                    fingerprints=fingerprints,
+                    sizes=[50 + fp[0] % 100 for fp in fingerprints],
+                )
+            )
+        return series
+
+    @staticmethod
+    def _state(engine):
+        import dataclasses
+
+        return (
+            dataclasses.astuple(engine.index.stats),
+            engine.bloom_false_positives,
+            bytes(engine.bloom._bits),
+            engine.bloom.inserted,
+            list(engine.cache._lru),
+            (engine.cache.hits, engine.cache.misses),
+            [
+                (cid, [(e.fingerprint, e.size, e.offset) for e in container.entries])
+                for cid, container in engine.containers.containers.items()
+            ],
+            (engine.containers.open_chunks, engine.containers.stored_bytes()),
+            list(engine.index._store.insertion_items()),
+        )
+
+    @staticmethod
+    def _replay(engine, backup):
+        from repro.storage.metrics import BackupWriteReport
+
+        report = BackupWriteReport(label=backup.label)
+        for fingerprint, size in zip(backup.fingerprints, backup.sizes):
+            engine.process_chunk(fingerprint, size, report=report)
+        engine.finish_backup(report)
+        report.metadata = engine.index.take_stats()
+        return report
+
+    def _run(self, seed, write):
+        from repro.storage.gc import ReferenceTracker, collect_garbage
+
+        rng = random.Random(seed)
+        engine = self._engine(rng)
+        series = self._series(rng)
+        threshold = rng.choice((0.5, 0.9, 1.0))
+        tracker = ReferenceTracker()
+        reports = []
+        for backup in series[:3]:
+            reports.append(write(engine, backup))
+            tracker.register_backup(backup)
+        tracker.delete_backup("g0")
+        tracker.delete_backup("g1")
+        collected = collect_garbage(engine, tracker, threshold)
+        after_gc = self._state(engine)
+        reports.append(write(engine, series[3]))
+        return reports, collected, after_gc, self._state(engine)
+
+    def test_backup_and_per_chunk_replay_agree_and_match_parent(self):
+        digest = hashlib.sha256()
+        false_positives = prefetches = reclaimed = 0
+        for seed in self.SEEDS:
+            whole = self._run(seed, lambda engine, backup: engine.process_backup(backup))
+            assert whole == self._run(seed, self._replay), f"seed {seed}"
+            digest.update(repr(whole).encode())
+            reports, collected, _, _ = whole
+            false_positives += sum(r.bloom_false_positives for r in reports)
+            prefetches += sum(r.metadata.loading_bytes > 0 for r in reports)
+            reclaimed += collected.containers_reclaimed
+        # The search reached the regimes it is for.
+        assert false_positives > 100 and prefetches > 100 and reclaimed > 100
+        assert digest.hexdigest() == self.PINNED
+
+    def test_unique_batch_agrees_with_both(self):
+        from repro.storage.metrics import BackupWriteReport
+
+        false_positives = 0
+        for seed in self.SEEDS:
+            rng = random.Random(1000 + seed)
+            fingerprints = list(
+                dict.fromkeys(rng.randbytes(6) for _ in range(rng.randrange(30, 90)))
+            )
+            backup = Backup(
+                label="unique",
+                fingerprints=fingerprints,
+                sizes=[50 + fp[0] % 100 for fp in fingerprints],
+            )
+            engines = [self._engine(random.Random(seed)) for _ in range(3)]
+            whole = engines[0].process_backup(backup)
+            replayed = self._replay(engines[1], backup)
+            batched = BackupWriteReport(label="unique")
+            engines[2].ingest_unique_batch(
+                backup.fingerprints, backup.sizes, report=batched
+            )
+            engines[2].finish_backup(batched)
+            batched.metadata = engines[2].index.take_stats()
+
+            assert whole == replayed, f"seed {seed}"
+            assert self._state(engines[0]) == self._state(engines[1])
+            # The batch path skips S1, so only the cache-miss counters
+            # (engine and report) stay where they were.
+            assert batched.cache_misses == engines[2].cache.misses == 0
+            batched.cache_misses = whole.cache_misses
+            engines[2].cache.misses = engines[0].cache.misses
+            assert batched == whole, f"seed {seed}"
+            assert self._state(engines[2]) == self._state(engines[0])
+            false_positives += whole.bloom_false_positives
+        assert false_positives > 100

@@ -1,5 +1,8 @@
 """Tests for repro.index: KV store, Bloom filter, LRU caches."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -159,6 +162,61 @@ class TestBloomFilter:
     def test_invalid_parameters(self, capacity, fpr):
         with pytest.raises(ConfigurationError):
             BloomFilter(capacity, fpr)
+
+    def test_known_answer(self):
+        """Bits, ``inserted``, test-and-set answers and false positives of a
+        seeded run, pinned on the commit before ``add`` became a
+        test-and-set (there: ``key in bloom`` followed by ``add``)."""
+        rng = random.Random(2017)
+        bloom = BloomFilter(capacity=2000, false_positive_rate=0.05)
+        assert (bloom.num_bits, bloom.num_hashes) == (12471, 4)
+        keys = [rng.randbytes(rng.randrange(1, 33)) for _ in range(3000)]
+        already_present = sum(bloom.add(key) for key in keys)
+        probes = [rng.randbytes(16) for _ in range(5000)]
+        assert hashlib.sha256(bloom._bits).hexdigest() == (
+            "e3ccee1e20e7ad4f4b201ae1837312650fe89292f0cb8cdedba47c8aa111bc31"
+        )
+        assert bloom.inserted == 3000
+        assert already_present == 128
+        assert sum(probe in bloom for probe in probes) == 703
+
+    @pytest.mark.parametrize(
+        "num_bits,num_hashes",
+        [(8, 6), (9, 3), (4099, 7), (4100, 7), (4096, 5), (1 << 20, 7)],
+    )
+    def test_walk_matches_position_oracle(self, num_bits, num_hashes):
+        """The incremental walk visits ``(h1 + i*h2) % m`` — minimum, odd,
+        even and power-of-two ``m`` — and ``add`` answers what
+        ``in`` said just before it."""
+        rng = random.Random(num_bits)
+        bloom = BloomFilter(capacity=1, false_positive_rate=0.5)
+        assert bloom.num_bits == 8  # the floor; resized below
+        bloom.num_bits, bloom.num_hashes = num_bits, num_hashes
+        bloom._bits = bytearray((num_bits + 7) // 8)
+        model: set[int] = set()
+        keys = [rng.randbytes(rng.randrange(0, 24)) for _ in range(400)]
+        for count, key in enumerate(keys + keys[:50], start=1):
+            positions = oracle_positions(key, num_bits, num_hashes)
+            present = model.issuperset(positions)
+            assert (key in bloom) == present
+            assert bloom.add(key) == present
+            assert key in bloom
+            assert bloom.inserted == count
+            model.update(positions)
+        expected = bytearray(len(bloom._bits))
+        for pos in model:
+            expected[pos >> 3] |= 1 << (pos & 7)
+        assert bloom._bits == expected
+
+
+def oracle_positions(key: bytes, num_bits: int, num_hashes: int) -> list[int]:
+    """The list builder ``BloomFilter`` used before the fused walk (kept
+    here as the oracle): Kirsch–Mitzenmacher double hashing from one
+    128-bit digest."""
+    digest = hashlib.blake2b(key, digest_size=16).digest()
+    h1 = int.from_bytes(digest[:8], "big")
+    h2 = int.from_bytes(digest[8:], "big") | 1
+    return [(h1 + i * h2) % num_bits for i in range(num_hashes)]
 
 
 class TestLRUCache:

@@ -65,8 +65,29 @@ class TestContainerStore:
         store = ContainerStore(keep_payload=True)
         store.append(b"a", 1, b"A")
         store.flush()
-        with pytest.raises(StorageError):
+        with pytest.raises(StorageError, match="chunk 6e6f7065 not in container"):
             store.get(0).read_chunk(b"nope")
+
+    def test_truncated_payload_read(self):
+        store = ContainerStore(keep_payload=True)
+        store.append(b"a", 3, b"AAA")
+        store.append(b"b", 3, b"BBB")
+        container = store.get(store.flush())
+        container.payload = container.payload[:-1]
+        assert container.read_chunk(b"a") == b"AAA"
+        with pytest.raises(StorageError, match="container payload truncated"):
+            container.read_chunk(b"b")
+
+    def test_every_chunk_of_a_full_container_reads_back(self):
+        # One lookup per read (sealed containers map fingerprint → entry
+        # once), so restoring a whole container is linear in its chunks.
+        store = ContainerStore(container_size=4000 * 7, keep_payload=True)
+        chunks = {b"%04d" % i: bytes([i % 251]) * 7 for i in range(4000)}
+        sealed = [store.append(fp, 7, data) for fp, data in chunks.items()]
+        assert sealed[:-1] == [None] * 3999 and sealed[-1] == 0
+        container = store.get(0)
+        assert [e.offset for e in container.entries] == list(range(0, 28000, 7))
+        assert all(container.read_chunk(fp) == data for fp, data in chunks.items())
 
     def test_unknown_container(self):
         with pytest.raises(StorageError):
@@ -77,6 +98,16 @@ class TestContainerStore:
         store.append(b"a", 4096)
         store.append(b"b", 4096)
         assert store.stored_bytes() == 8192
+
+    def test_stored_bytes_counts_sealed_and_open_and_forgets_deleted(self):
+        store = ContainerStore(container_size=200)
+        for index, size in enumerate([120, 90, 150, 60, 30]):
+            store.append(b"%d" % index, size)
+        # Sealed: [120, 90] and [150, 60]; open: [30].
+        assert [c.data_bytes for c in store.containers.values()] == [210, 210]
+        assert store.stored_bytes() == 450
+        del store.containers[0]  # what garbage collection does
+        assert store.stored_bytes() == 240
 
 
 class TestFingerprintIndex:
