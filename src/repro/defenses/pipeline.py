@@ -230,15 +230,21 @@ class DefensePipeline:
         """
         ciphertext = Backup(label=backup.label)
         truth: dict[bytes, bytes] = {}
-        occurrences: dict[bytes, int] = {}
+        obfuscator = self._obfuscator
+        variants = obfuscator.variants
+        # The variant each chunk's next occurrence takes: the keyed
+        # phase is hashed once per distinct chunk, then stepped — the
+        # k-th occurrence lands on ``assign(fp, k)`` all the same.
+        upcoming: dict[bytes, int] = {}
         variant_cache: dict[tuple[bytes, int], bytes] = {}
         for plaintext_fp, size in zip(backup.fingerprints, backup.sizes):
-            occurrence = occurrences.get(plaintext_fp, 0)
-            occurrences[plaintext_fp] = occurrence + 1
-            variant = self._obfuscator.assign(plaintext_fp, occurrence)
+            variant = upcoming.get(plaintext_fp)
+            if variant is None:
+                variant = obfuscator.offset(plaintext_fp)
+            upcoming[plaintext_fp] = (variant + 1) % variants
             cipher_fp = variant_cache.get((plaintext_fp, variant))
             if cipher_fp is None:
-                cipher_fp = self._obfuscator.variant_fingerprint(
+                cipher_fp = obfuscator.variant_fingerprint(
                     plaintext_fp, variant, self._output_length(plaintext_fp)
                 )
                 self._record_truth(truth, cipher_fp, plaintext_fp)

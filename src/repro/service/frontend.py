@@ -11,16 +11,27 @@ issues).
 Concurrency model
 -----------------
 
-One event loop serves every connection.  Each connection runs two
-tasks — a *frame pump* that reads and decodes frames into a **bounded**
-queue, and a *processor* that serves them in order — so a client may
-pipeline requests: while the engine serves frame N, frames N+1..N+q are
-already parsed and queued.  The queue bound is the backpressure valve:
-when a connection has ``queue_depth`` requests in flight the pump's
-``put`` blocks, the server stops reading that socket, and TCP pushes
-back on the sender.  Engine calls themselves are synchronous and run on
-the loop, so *global* request order — the order that determines every
-dedup decision — is exactly the order the processor tasks interleave.
+One event loop serves every connection, and each connection is **one
+coroutine**: read the 4-byte header, bound-check the claimed length,
+read the body, decode, serve, write the response, drain — then the next
+frame.  Requests of one connection are therefore served strictly in the
+order they arrived, so a client may pipeline: frames it sent ahead wait
+in the kernel socket buffer and in the ``StreamReader`` buffer, which
+stops reading the socket (``pause_reading``) once it holds twice its
+64 KiB limit — that, plus TCP pushing back on the sender, is the
+backpressure; nothing is parsed before its turn.  Engine calls are
+synchronous and run on the loop, so *global* request order — the order
+that determines every dedup decision — is exactly the order the loop
+resumes the connection coroutines.
+
+Every wait is bounded by one per-connection deadline (an
+``asyncio.timeout`` timer handle, moved before each wait; no task per
+frame): ``idle_timeout`` for a header and again for its body,
+``drain_timeout`` for a response the peer is slow to take — and a
+response the socket accepted whole waits for nothing.  A peer that
+vanishes ends the session whichever side notices: a failed read is an
+EOF; a failed write or drain is counted (``serve.disconnects``), logged,
+and no further frame of that connection is served.
 
 Admission control
 -----------------
@@ -98,8 +109,6 @@ class FrontendConfig:
             eviction (also bounds a half-sent frame).
         drain_timeout: seconds a response drain may take before the
             connection is declared a slow reader and aborted.
-        queue_depth: per-connection pipeline bound (parsed requests in
-            flight); the backpressure valve.
         rate_limit: per-tenant request rate (req/s); 0 disables —
             identity mode requires 0.
         burst: per-tenant token-bucket capacity.
@@ -112,7 +121,6 @@ class FrontendConfig:
     max_frame_bytes: int = wire.DEFAULT_MAX_FRAME_BYTES
     idle_timeout: float = 30.0
     drain_timeout: float = 10.0
-    queue_depth: int = 16
     rate_limit: float = 0.0
     burst: float = 32.0
     max_sessions: int = 4096
@@ -142,8 +150,11 @@ class FrontendStats:
         obs.counter("serve.errors", code=code, cls=cls)
 
 
-class _SlowReaderAbort(Exception):
-    """Internal: a response drain timed out; the connection was aborted."""
+# What a connection is waiting on.  The two read waits are the messages
+# of their ``idle_timeout`` answers.
+_HEADER = "session idle timeout"
+_BODY = "frame stalled mid-body"
+_DRAIN = "response drain"
 
 
 class DedupFrontend:
@@ -216,7 +227,7 @@ class DedupFrontend:
     async def handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Serve one connection: pump frames, process in order."""
+        """Serve one connection until it ends; release its session."""
         if not self.admission.admit_session():
             self.stats.count_error(wire.E_BUSY)
             with contextlib.suppress(Exception):
@@ -235,28 +246,18 @@ class DedupFrontend:
         task = asyncio.current_task()
         if task is not None:
             self._connections.add(task)
-        queue: asyncio.Queue = asyncio.Queue(maxsize=self.config.queue_depth)
-        pump = asyncio.create_task(self._pump_frames(reader, queue))
         try:
-            await self._process(queue, writer)
-        except _SlowReaderAbort:
+            refusal = await self._serve_frames(reader, writer)
+            if refusal is not None:
+                await self._refuse(writer, refusal)
+        except TimeoutError:
+            # Slow reader: the peer is not consuming responses.  Abort
+            # the transport (no lingering send buffer) and bail out.
+            writer.transport.abort()
             self.stats.slow_reader_aborts += 1
             _log.warning("slow reader aborted")
         finally:
-            # Close the transport BEFORE reaping the pump: a bare
-            # cancel() can be absorbed by wait_for when the read
-            # completed concurrently, and a swallowed cancel would leave
-            # the pump blocking on the next read for a full idle
-            # timeout.  With the transport closed every read fails
-            # immediately, so the pump always exits promptly.
             writer.close()
-            pump.cancel()
-            # Leave the pump room to post its terminal event even if the
-            # session died with a full pipeline, so it can always finish.
-            while not queue.empty():
-                queue.get_nowait()
-            with contextlib.suppress(asyncio.CancelledError, Exception):
-                await pump
             if task is not None:
                 self._connections.discard(task)
             self.admission.release_session()
@@ -308,147 +309,156 @@ class DedupFrontend:
         )
         return self.final_stats
 
-    async def _pump_frames(
-        self, reader: asyncio.StreamReader, queue: asyncio.Queue
-    ) -> None:
-        """Read, bound-check and decode frames into the session queue.
+    async def _serve_frames(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> wire.ProtocolError | None:
+        """The connection's loop: read, decode, serve, answer, repeat.
 
-        Emits ``("frame", kind, payload)`` events — or ``("error", code,
-        message)`` for a well-delimited frame whose payload fails to
-        decode (framing is still in sync, so the session survives) —
-        then exactly one terminal event: ``("eof",)`` for a clean or
-        abrupt disconnect (including a frame truncated by the
-        disconnect) or ``("fatal", code, message)`` for transport abuse
-        the processor must answer before closing.
+        Returns ``None`` when the session is over — ``CLOSE``, an
+        injected drop, a vanished peer — or the transport abuse the
+        caller must answer once before closing: an oversized frame, an
+        idle session, a fatal decode error.  A well-delimited frame
+        whose payload merely fails to decode is answered here and the
+        session kept: framing is still in sync.  Raises ``TimeoutError``
+        when a response drain outlasts ``drain_timeout``.
         """
-        config = self.config
-        while True:
-            try:
-                header = await asyncio.wait_for(
-                    reader.readexactly(wire.HEADER_BYTES), config.idle_timeout
-                )
-            except asyncio.TimeoutError:
-                await queue.put(("fatal", wire.E_IDLE, "session idle timeout"))
-                return
-            except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                await queue.put(("eof",))
-                return
-            (length,) = wire.HEADER.unpack(header)
-            if length < 1 or length > config.max_frame_bytes:
-                await queue.put(
-                    (
-                        "fatal",
-                        wire.E_OVERSIZED,
-                        f"frame of {length} bytes exceeds the "
-                        f"{config.max_frame_bytes}-byte limit",
-                    )
-                )
-                return
-            try:
-                body = await asyncio.wait_for(
-                    reader.readexactly(length), config.idle_timeout
-                )
-            except asyncio.TimeoutError:
-                await queue.put(
-                    ("fatal", wire.E_IDLE, "frame stalled mid-body")
-                )
-                return
-            except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                # Truncated by disconnect: nobody is left to answer.
-                await queue.put(("eof",))
-                return
-            try:
-                kind, payload = wire.decode_body(body)
-            except wire.ProtocolError as error:
-                if error.code in wire.FATAL_CODES:
-                    await queue.put(("fatal", error.code, str(error)))
-                    return
-                # The frame was well-delimited (length known, body fully
-                # consumed), so framing is still in sync: answer the
-                # error and keep pumping.
-                await queue.put(("error", error.code, str(error)))
-                continue
-            # A full queue blocks here — backpressure: the server stops
-            # reading this socket until the processor drains a slot.
-            await queue.put(("frame", kind, payload))
-
-    async def _process(
-        self, queue: asyncio.Queue, writer: asyncio.StreamWriter
-    ) -> None:
-        while True:
-            event = await queue.get()
-            tag = event[0]
-            if tag == "eof":
-                return
-            if tag == "fatal":
-                _, code, message = event
-                self.stats.count_error(code)
-                _log.warning(
-                    "fatal transport error",
-                    extra={"code": code, "detail": message},
-                )
-                await self._send(
-                    writer, wire.ERROR, wire.error_payload(code, message)
-                )
-                return
-            if tag == "error":
-                _, code, message = event
-                self.stats.count_error(code)
-                await self._send(
-                    writer, wire.ERROR, wire.error_payload(code, message)
-                )
-                continue
-            _, kind, payload = event
-            self.stats.frames_in += 1
-            frame_name = wire.FRAME_NAMES.get(kind, f"0x{kind:02x}")
-            obs.counter("serve.frames", kind=frame_name)
-            obs.gauge_max("serve.queue_depth", queue.qsize() + 1, stable=False)
-            # Injected server-side faults: a drop abruptly aborts the
-            # connection (before serving by default, so the request
-            # never executed — or after, exercising the rid-replay
-            # path); a stall delays the response without touching it.
-            drop = faults.fire("serve.drop", kind=frame_name)
-            if drop is not None and drop.get("when", "before") == "before":
-                _log.warning("injected drop", extra={"kind": frame_name})
-                writer.transport.abort()
-                return
-            stall = faults.fire("serve.stall", kind=frame_name)
-            if stall is not None:
-                await asyncio.sleep(float(stall.get("delay_s", 0.05)))
-            started = time.perf_counter()
-            with obs.span("serve.frame", kind=frame_name):
-                response_kind, response_payload, close_after = self._serve(
-                    kind, payload
-                )
-            obs.observe(
-                "serve.latency_s",
-                time.perf_counter() - started,
-                kind=frame_name,
-            )
-            if drop is not None:
-                # when == "after": the request was served (and its rid
-                # response remembered) but the answer is lost in flight.
-                _log.warning(
-                    "injected drop after serve", extra={"kind": frame_name}
-                )
-                writer.transport.abort()
-                return
-            await self._send(writer, response_kind, response_payload)
-            if close_after:
-                return
-
-    async def _send(
-        self, writer: asyncio.StreamWriter, kind: int, payload: dict
-    ) -> None:
-        writer.write(wire.encode_frame(kind, payload))
-        self.stats.frames_out += 1
+        config, stats = self.config, self.stats
+        now = asyncio.get_running_loop().time
+        transport = writer.transport
         try:
-            await asyncio.wait_for(writer.drain(), self.config.drain_timeout)
-        except asyncio.TimeoutError:
-            # Slow reader: the peer is not consuming responses.  Abort
-            # the transport (no lingering send buffer) and bail out.
-            writer.transport.abort()
-            raise _SlowReaderAbort() from None
+            # One deadline per connection, moved before each wait.
+            async with asyncio.timeout(None) as deadline:
+                while True:
+                    waiting = _HEADER
+                    deadline.reschedule(now() + config.idle_timeout)
+                    try:
+                        header = await reader.readexactly(wire.HEADER_BYTES)
+                        (length,) = wire.HEADER.unpack(header)
+                        if length < 1 or length > config.max_frame_bytes:
+                            # Refused from the header alone, body unread.
+                            return wire.ProtocolError(
+                                f"frame of {length} bytes exceeds the "
+                                f"{config.max_frame_bytes}-byte limit",
+                                wire.E_OVERSIZED,
+                            )
+                        waiting = _BODY
+                        deadline.reschedule(now() + config.idle_timeout)
+                        body = await reader.readexactly(length)
+                    except (asyncio.IncompleteReadError, OSError):
+                        # A disconnect, clean or abrupt, possibly
+                        # mid-frame: nobody is left to answer.
+                        return None
+                    try:
+                        kind, payload = wire.decode_body(body)
+                    except wire.ProtocolError as error:
+                        if error.code in wire.FATAL_CODES:
+                            return error
+                        stats.count_error(error.code)
+                        response_kind, close_after = wire.ERROR, False
+                        response = wire.error_payload(error.code, str(error))
+                    else:
+                        served = await self._serve_frame(
+                            kind, payload, deadline, transport
+                        )
+                        if served is None:
+                            return None
+                        response_kind, response, close_after = served
+                    writer.write(wire.encode_frame(response_kind, response))
+                    stats.frames_out += 1
+                    # A response the socket took whole waits for nothing.
+                    # A transport already closing means the write failed:
+                    # drain() is what reports it.
+                    if (
+                        transport.get_write_buffer_size()
+                        or transport.is_closing()
+                    ):
+                        waiting = _DRAIN
+                        deadline.reschedule(now() + config.drain_timeout)
+                        if not await self._drain(writer):
+                            return None
+                    if close_after:
+                        return None
+        except TimeoutError:
+            if waiting is _DRAIN:
+                raise
+            return wire.ProtocolError(waiting, wire.E_IDLE)
+
+    async def _serve_frame(
+        self,
+        kind: int,
+        payload: dict,
+        deadline: asyncio.Timeout,
+        transport: asyncio.Transport,
+    ) -> tuple[int, dict, bool] | None:
+        """Count, fault and serve one decoded request.
+
+        Returns :meth:`_serve`'s ``(kind, payload, close_after)``, or
+        ``None`` when an injected drop aborted the connection.
+        """
+        self.stats.frames_in += 1
+        frame_name = wire.FRAME_NAMES[kind]
+        obs.counter("serve.frames", kind=frame_name)
+        # Injected server-side faults: a drop abruptly aborts the
+        # connection (before serving by default, so the request never
+        # executed — or after, exercising the rid-replay path); a stall
+        # delays the response without touching it.
+        drop = faults.fire("serve.drop", kind=frame_name)
+        if drop is not None and drop.get("when", "before") == "before":
+            _log.warning("injected drop", extra={"kind": frame_name})
+            transport.abort()
+            return None
+        stall = faults.fire("serve.stall", kind=frame_name)
+        if stall is not None:
+            deadline.reschedule(None)
+            await asyncio.sleep(float(stall.get("delay_s", 0.05)))
+        started = time.perf_counter()
+        with obs.span("serve.frame", kind=frame_name):
+            served = self._serve(kind, payload)
+        obs.observe(
+            "serve.latency_s", time.perf_counter() - started, kind=frame_name
+        )
+        if drop is not None:
+            # when == "after": the request was served (and its rid
+            # response remembered) but the answer is lost in flight.
+            _log.warning(
+                "injected drop after serve", extra={"kind": frame_name}
+            )
+            transport.abort()
+            return None
+        return served
+
+    async def _drain(self, writer: asyncio.StreamWriter) -> bool:
+        """Wait for buffered responses to leave; ``False`` if they cannot.
+
+        A failed write or drain is a disconnect — the peer vanished with
+        responses unread: counted, logged, and the session ends like an
+        EOF (the caller serves nothing further).
+        """
+        try:
+            await writer.drain()
+        except OSError as error:
+            obs.counter("serve.disconnects")
+            _log.warning("peer vanished", extra={"detail": repr(error)})
+            return False
+        return True
+
+    async def _refuse(
+        self, writer: asyncio.StreamWriter, refusal: wire.ProtocolError
+    ) -> None:
+        """Answer transport abuse once; the caller then closes."""
+        self.stats.count_error(refusal.code)
+        _log.warning(
+            "fatal transport error",
+            extra={"code": refusal.code, "detail": str(refusal)},
+        )
+        writer.write(
+            wire.encode_frame(
+                wire.ERROR, wire.error_payload(refusal.code, str(refusal))
+            )
+        )
+        self.stats.frames_out += 1
+        async with asyncio.timeout(self.config.drain_timeout):
+            await self._drain(writer)
 
     # -- request dispatch (synchronous, ordered by the event loop) ----------
 
@@ -466,7 +476,7 @@ class DedupFrontend:
             if kind == wire.CLOSE:
                 return wire.OK, {"closed": True}, True
             # Unreachable for wire traffic (decode_body refuses unknown
-            # kinds before they queue), kept for in-process callers.
+            # kinds before they are served), kept for in-process callers.
             self.stats.count_error(wire.E_UNKNOWN_KIND)
             return (
                 wire.ERROR,

@@ -17,19 +17,14 @@ These tests pin it end to end through the *service* entry points:
 from __future__ import annotations
 
 import json
-import os
-import shutil
-import tempfile
 
 import pytest
 
-from repro.service.frontend import (
-    FrontendServer,
-    build_frontend,
-    identity_check,
-)
+from repro.service.frontend import identity_check
 from repro.service.loadgen import replay_stream
 from repro.service.simulate import ServiceConfig, service_report
+
+from tests.integration.test_serve_frontend import served
 
 pytestmark = [pytest.mark.integration, pytest.mark.frontend]
 
@@ -73,42 +68,28 @@ class TestClusterServeSim:
 class TestClusterFrontend:
     def test_served_cluster_identical_to_simulator(self):
         """Identity holds with the cluster tier behind the frontend."""
-        frontend = build_frontend(CLUSTER_CONFIG)
-        scratch = tempfile.mkdtemp(prefix="fe-cluster-")
-        try:
-            address = ("unix", os.path.join(scratch, "frontend.sock"))
-            with FrontendServer(frontend, address) as bound:
-                counts = replay_stream(bound, CLUSTER_CONFIG)
-            assert counts["errors"] == 0
-            check = identity_check(frontend)
-        finally:
-            shutil.rmtree(scratch, ignore_errors=True)
+        with served(CLUSTER_CONFIG) as (frontend, bound):
+            counts = replay_stream(bound, CLUSTER_CONFIG)
+        assert counts["errors"] == 0
+        check = identity_check(frontend)
         assert check["identical"]
         # The served report carries the full cluster section too.
         assert check["served"]["cluster"]["nodes"] == 2
 
     def test_rebalance_after_serving_within_bound(self):
         """Joining a node moves ~1/new_nodes of keys, never much more."""
-        frontend = build_frontend(CLUSTER_CONFIG)
-        scratch = tempfile.mkdtemp(prefix="fe-rebal-")
-        try:
-            address = ("unix", os.path.join(scratch, "frontend.sock"))
-            with FrontendServer(frontend, address) as bound:
-                replay_stream(bound, CLUSTER_CONFIG)
-            cluster = frontend.service.cluster
-            before = sum(
-                len(node.chunks) for node in cluster.nodes.values()
-            )
-            report = cluster.add_node()
-            assert report.within_bound(), (
-                f"moved {report.moved_fraction:.2%} vs theoretical "
-                f"{report.theoretical_fraction:.2%}"
-            )
-            after = sum(len(node.chunks) for node in cluster.nodes.values())
-            assert after == before, "rebalance must not lose chunks"
-            assert len(cluster.nodes) == 3
-        finally:
-            shutil.rmtree(scratch, ignore_errors=True)
+        with served(CLUSTER_CONFIG) as (frontend, bound):
+            replay_stream(bound, CLUSTER_CONFIG)
+        cluster = frontend.service.cluster
+        before = sum(len(node.chunks) for node in cluster.nodes.values())
+        report = cluster.add_node()
+        assert report.within_bound(), (
+            f"moved {report.moved_fraction:.2%} vs theoretical "
+            f"{report.theoretical_fraction:.2%}"
+        )
+        after = sum(len(node.chunks) for node in cluster.nodes.values())
+        assert after == before, "rebalance must not lose chunks"
+        assert len(cluster.nodes) == 3
 
 
 class TestClusterCell:

@@ -1,0 +1,248 @@
+"""Seeded frame-mutation search against a live frontend (ROADMAP 4(c)).
+
+Valid HELLO / UPLOAD / RESTORE / STATS frames are mutated — bit flips,
+truncation, length-field lies up and down, kind-byte swaps, duplicated
+and spliced frames, invalid UTF-8 and JSON, wrong field types — and each
+mutant is written to a fresh connection of one running
+:class:`~repro.service.frontend.DedupFrontend`.  Whatever the bytes:
+
+* the exchange ends (the client socket timeout turns a hang into a
+  failure);
+* every answer is ``OK`` or an ``ERROR`` carrying a code the protocol
+  defines, and a fatal code is the last thing on the connection;
+* a stream that earned no ``OK`` left the store exactly as it was;
+* nothing reached asyncio's "Unhandled exception" handler.
+
+The search is a pure function of :data:`SEED`, which every failure
+message carries.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import socket
+
+import pytest
+
+from repro.service import protocol as wire
+from repro.service.frontend import FrontendConfig
+from repro.service.loadgen import FrontendClient
+from repro.service.simulate import ServiceConfig
+
+from tests.integration.test_serve_frontend import (
+    make_backup,
+    serve_log,  # noqa: F401 - fixture
+    served,
+    unhandled,
+    upload_ok,
+)
+
+pytestmark = [pytest.mark.integration, pytest.mark.frontend]
+
+SEED = 1404
+MUTATIONS = 320
+# Long enough that a slow host does not evict a client between connect
+# and send, short enough that the few mutants left waiting cost little.
+IDLE_TIMEOUT = 0.25
+# Mutations 1, 41, 81, … — truncations all — are not half-closed.
+WAIT_OUT_EVERY = 40
+
+KNOWN_CODES = {
+    value
+    for name, value in vars(wire).items()
+    if name.startswith("E_") and isinstance(value, str)
+}
+STORE_TOTALS = ("stored_bytes", "unique_chunks_stored", "uploads", "tenants")
+WRONG_VALUES = (None, True, -1, 2**70, 1.5, "seven", "", [], [1], {}, {"a": 1})
+
+
+def base_frames() -> list[tuple[int, dict]]:
+    backup = make_backup("fuzz", [f"fz{i}" for i in range(5)])
+    return [
+        (wire.HELLO, wire.hello_payload("fuzz")),
+        (wire.UPLOAD_BATCH, wire.upload_payload(1, 0, "fuzz", backup)),
+        (wire.RESTORE, wire.restore_payload(0, "seeded")),
+        (wire.STATS, {}),
+    ]
+
+
+def framed(kind: int, payload_bytes: bytes) -> bytes:
+    return (
+        wire.HEADER.pack(1 + len(payload_bytes)) + bytes([kind]) + payload_bytes
+    )
+
+
+# -- mutation operators: (rng, kind, payload, every base frame) -> bytes ------
+
+
+def bit_flips(rng, kind, payload, _):
+    data = bytearray(wire.encode_frame(kind, payload))
+    for _ in range(rng.randint(1, 3)):
+        data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+    return bytes(data)
+
+
+def truncation(rng, kind, payload, _):
+    data = wire.encode_frame(kind, payload)
+    return data[: rng.randrange(1, len(data))]
+
+
+def length_lie_up(rng, kind, payload, _):
+    data = wire.encode_frame(kind, payload)
+    (length,) = wire.HEADER.unpack(data[: wire.HEADER_BYTES])
+    lie = length + rng.choice((1, 7, 1000, 2**20, 2**31))
+    return wire.HEADER.pack(lie) + data[wire.HEADER_BYTES :]
+
+
+def length_lie_down(rng, kind, payload, _):
+    data = wire.encode_frame(kind, payload)
+    (length,) = wire.HEADER.unpack(data[: wire.HEADER_BYTES])
+    return wire.HEADER.pack(rng.randrange(0, length)) + data[wire.HEADER_BYTES :]
+
+
+def kind_swap(rng, kind, payload, _):
+    other = rng.choice(
+        [k for k in wire.FRAME_NAMES if k != kind] + [0x00, 0x7F, 0xFF]
+    )
+    return wire.encode_frame(other, payload)
+
+
+def duplicated(rng, kind, payload, _):
+    return wire.encode_frame(kind, payload) * rng.randint(2, 4)
+
+
+def spliced(rng, kind, payload, bases):
+    first = wire.encode_frame(kind, payload)
+    second = wire.encode_frame(*rng.choice(bases))
+    return (
+        first[: rng.randrange(1, len(first))]
+        + second[rng.randrange(0, len(second)) :]
+    )
+
+
+def invalid_utf8(rng, kind, payload, _):
+    body = bytearray(json.dumps(payload).encode())
+    at = rng.randrange(len(body))
+    body[at:at] = rng.choice((b"\xff\xfe", b"\xc3", b"\xed\xa0\x80"))
+    return framed(kind, bytes(body))
+
+
+def invalid_json(rng, kind, payload, _):
+    body = json.dumps(payload).encode()
+    return framed(
+        kind,
+        rng.choice(
+            (
+                body[:-1],
+                body + b"}",
+                b"[1,2]",
+                b"null",
+                b'"text"',
+                b"",
+                b"{'tenant': 1}",
+                b"[" * 5000,
+                b'{"a":' * 5000,
+            )
+        ),
+    )
+
+
+def wrong_types(rng, kind, payload, _):
+    mutant = dict(payload)
+    field = rng.choice(sorted(mutant) + ["rid"])
+    mutant[field] = rng.choice(WRONG_VALUES)
+    if rng.random() < 0.3 and isinstance(payload.get("fingerprints"), list):
+        mutant["fingerprints"] = [
+            rng.choice(("zz", "abc", 5, None, "")) for _ in payload["sizes"]
+        ]
+    if rng.random() < 0.3 and isinstance(payload.get("sizes"), list):
+        mutant["sizes"] = [rng.choice((-4, "8", None, 2.5, True))] * len(
+            payload["sizes"]
+        )
+    return framed(kind, json.dumps(mutant).encode())
+
+
+OPERATORS = (
+    bit_flips,
+    truncation,
+    length_lie_up,
+    length_lie_down,
+    kind_swap,
+    duplicated,
+    spliced,
+    invalid_utf8,
+    invalid_json,
+    wrong_types,
+)
+
+
+def store_totals(address) -> dict:
+    with FrontendClient(address, timeout=5.0) as client:
+        stats = client.stats()
+    return {key: stats[key] for key in STORE_TOTALS}
+
+
+def exchange(address, data: bytes, half_close: bool) -> list[tuple[int, dict]]:
+    """Write ``data`` to a fresh connection; every answer up to EOF.
+
+    With ``half_close`` the server sees EOF behind the bytes, so a
+    mutant that leaves it waiting for more ends at once; without, it
+    must be the idle timeout that ends the wait.
+    """
+    client = FrontendClient(address, timeout=5.0)
+    answers = []
+    try:
+        try:
+            client.send_raw(data)
+            if half_close:
+                client._sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass  # refused from the header alone, the rest unread
+        while True:
+            try:
+                answers.append(client.recv_frame())
+            except socket.timeout:
+                raise
+            except OSError:
+                return answers
+    finally:
+        client.close(polite=False)
+
+
+def test_mutated_frames_never_wedge_crash_or_corrupt(serve_log):  # noqa: F811
+    rng = random.Random(SEED)
+    bases = base_frames()
+    config = ServiceConfig(tenants=4, rounds=2, seed=1)
+    frontend_config = FrontendConfig(idle_timeout=IDLE_TIMEOUT)
+    with served(config, frontend_config) as (frontend, address):
+        upload_ok(address, 0, "seeded")
+        for index in range(MUTATIONS):
+            operator = OPERATORS[index % len(OPERATORS)]
+            kind, payload = bases[(index // len(OPERATORS)) % len(bases)]
+            data = operator(rng, kind, payload, bases)
+            context = (
+                f"seed {SEED}, mutation {index} ({operator.__name__} of "
+                f"{wire.FRAME_NAMES[kind]}): {data[:96].hex()}"
+            )
+            before = store_totals(address)
+            try:
+                answers = exchange(
+                    address, data, half_close=index % WAIT_OUT_EVERY != 1
+                )
+            except socket.timeout:
+                pytest.fail(f"server hung: {context}")
+            for position, (answer_kind, answer) in enumerate(answers):
+                assert answer_kind in (wire.OK, wire.ERROR), context
+                if answer_kind == wire.OK:
+                    continue
+                # A code the protocol defines, hence one of its classes.
+                assert answer["code"] in KNOWN_CODES, context
+                if answer["code"] in wire.FATAL_CODES:
+                    assert position == len(answers) - 1, context
+            if all(answer_kind == wire.ERROR for answer_kind, _ in answers):
+                assert store_totals(address) == before, context
+        assert sum(frontend.stats.errors_by_class.values()) == sum(
+            frontend.stats.errors.values()
+        )
+    assert unhandled(serve_log) == [], f"seed {SEED}"

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import os
 import shutil
 import tempfile
@@ -26,7 +27,9 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro import faults, obs
 from repro.datasets.model import Backup
+from repro.faults import FaultPlan
 from repro.service import protocol as wire
 from repro.service.admission import AdmissionController, TokenBucket
 from repro.service.frontend import (
@@ -56,15 +59,61 @@ def make_backup(label: str, tokens: list[str], size: int = 1024) -> Backup:
     )
 
 
+def wait_until(condition, timeout: float = 5.0) -> None:
+    """Poll ``condition`` until it holds or ``timeout`` passes (the
+    caller asserts the outcome)."""
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.005)
+
+
+def assert_quiescent(frontend: DedupFrontend, loop, timeout: float = 5.0):
+    """Every handler ended by itself: no session held, no task pending.
+
+    Checked while the server still runs — so nothing here was reaped by
+    the shutdown cancel — and polled, because a handler outlives its
+    client's ``close()`` by a few loop iterations.  The one task left is
+    whatever drives the server (``FrontendServer._main``, or the test's
+    own coroutine).
+    """
+    wait_until(
+        lambda: not frontend._connections
+        and len(asyncio.all_tasks(loop)) == 1,
+        timeout,
+    )
+    assert not frontend._connections
+    assert len(asyncio.all_tasks(loop)) == 1
+    assert frontend.admission.active_sessions == 0
+    assert frontend.stats.sessions_closed == frontend.stats.sessions_opened
+
+
 @contextmanager
-def served(config: ServiceConfig, frontend_config: FrontendConfig = None):
-    """A frontend for ``config`` served on a scratch Unix socket."""
-    frontend = build_frontend(config, frontend_config)
+def served(
+    config: ServiceConfig,
+    frontend_config: FrontendConfig = None,
+    *,
+    frontend: DedupFrontend = None,
+    address=None,
+):
+    """A frontend for ``config`` served on a scratch Unix socket.
+
+    Leaving the block without an exception asserts the server quiescent
+    (:func:`assert_quiescent`), so every test using it checks that its
+    handlers ended and released their sessions.
+    """
+    if frontend is None:
+        frontend = build_frontend(config, frontend_config)
     scratch = tempfile.mkdtemp(prefix="fe-test-")
     try:
-        address = ("unix", os.path.join(scratch, "frontend.sock"))
-        with FrontendServer(frontend, address) as bound:
+        if address is None:
+            address = ("unix", os.path.join(scratch, "frontend.sock"))
+        server = FrontendServer(frontend, address)
+        bound = server.start()
+        try:
             yield frontend, bound
+            assert_quiescent(frontend, server._loop)
+        finally:
+            server.stop()
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -120,8 +169,9 @@ class TestIdentity:
 
     def test_identity_over_tcp(self):
         config = ServiceConfig(tenants=4, rounds=2, seed=2)
-        frontend = build_frontend(config)
-        with FrontendServer(frontend, ("tcp", "127.0.0.1", 0)) as address:
+        with served(
+            config, address=("tcp", "127.0.0.1", 0)
+        ) as (frontend, address):
             assert address[0] == "tcp" and address[2] > 0
             counts = replay_stream(address, config)
             assert counts["errors"] == 0
@@ -140,6 +190,14 @@ def upload_ok(address, tenant: int, label: str) -> dict:
         )
     assert kind == wire.OK, payload
     return payload
+
+
+def upload_frame(tenant: int, label: str) -> bytes:
+    """One well-formed single-chunk UPLOAD_BATCH frame, encoded."""
+    return wire.encode_frame(
+        wire.UPLOAD_BATCH,
+        wire.upload_payload(tenant, 0, label, make_backup(label, [label])),
+    )
 
 
 class TestProtocolRobustness:
@@ -243,11 +301,7 @@ class TestProtocolRobustness:
             client.close(polite=False)
             # Served state is still coherent: the first upload is
             # restorable on a fresh session, and the engine serves on.
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if frontend.stats.sessions_closed >= 1:
-                    break
-                time.sleep(0.01)
+            wait_until(lambda: frontend.stats.sessions_closed >= 1)
             with FrontendClient(address) as probe:
                 probe.hello()
                 kind, payload = probe.restore(1, "kept")
@@ -266,11 +320,33 @@ class TestProtocolRobustness:
                 kind, payload = client.recv_frame()  # blocks until eviction
                 assert kind == wire.ERROR
                 assert payload["code"] == wire.E_IDLE
+                assert payload["message"] == "session idle timeout"
                 with pytest.raises(ConnectionError):
                     client.recv_frame()
             assert frontend.stats.errors[wire.E_IDLE] == 1
+            assert frontend.stats.errors_by_class[wire.CLASS_TRANSPORT] == 1
             # Eviction released the session; new connections serve fine.
             upload_ok(address, 0, "after-idle")
+
+    def test_half_sent_frame_stalls_out(self):
+        """A header, half a body, then silence: evicted mid-body, once."""
+        config = ServiceConfig(tenants=4, rounds=2, seed=1)
+        with served(
+            config, FrontendConfig(idle_timeout=0.2)
+        ) as (frontend, address):
+            with FrontendClient(address) as client:
+                client.hello()
+                frame = upload_frame(0, "half")
+                client.send_raw(frame[: wire.HEADER_BYTES + len(frame) // 2])
+                kind, payload = client.recv_frame()
+                assert kind == wire.ERROR
+                assert payload["code"] == wire.E_IDLE
+                assert payload["message"] == "frame stalled mid-body"
+                with pytest.raises(ConnectionError):
+                    client.recv_frame()
+            assert frontend.stats.errors == {wire.E_IDLE: 1}
+            assert frontend.stats.errors_by_class[wire.CLASS_TRANSPORT] == 1
+            assert frontend.stats.uploads == 0
 
     def test_hello_version_mismatch_closes(self, frontend_address):
         _, address = frontend_address
@@ -310,6 +386,206 @@ class TestProtocolRobustness:
                 # The admitted session is unaffected.
                 assert first.request(wire.STATS, {})[0] == wire.OK
             assert frontend.admission.refused_sessions == 1
+
+
+# -- one coroutine per connection -----------------------------------------------
+
+
+@pytest.fixture()
+def serve_log(caplog):
+    """Captures ``repro.serve`` (which does not propagate) next to asyncio."""
+    logger = logging.getLogger("repro")
+    logger.addHandler(caplog.handler)
+    try:
+        yield caplog
+    finally:
+        logger.removeHandler(caplog.handler)
+
+
+def unhandled(log) -> list[str]:
+    """asyncio's reports of an exception nobody caught."""
+    return [
+        record.getMessage()
+        for record in log.records
+        if "Unhandled exception" in record.getMessage() or record.exc_info
+    ]
+
+
+class TestConnectionLoop:
+    @pytest.fixture(autouse=True)
+    def _no_leaked_plan(self):
+        faults.clear()
+        yield
+        faults.clear()
+
+    def test_pipelined_frames_answered_in_order_then_garbage_once(self):
+        """One write of N frames: N answers in order, the bad one last."""
+        count = 24
+        config = ServiceConfig(tenants=4, rounds=2, seed=1)
+        with served(config) as (frontend, address):
+            with FrontendClient(address) as client:
+                client.hello()
+                garbage = bytes([0x7F]) + b"{}"
+                client.send_raw(
+                    b"".join(upload_frame(1, f"p{i}") for i in range(count))
+                    + wire.HEADER.pack(len(garbage))
+                    + garbage
+                    # Never served: the stream is dead past the garbage.
+                    + upload_frame(1, "beyond")
+                )
+                answers = [client.recv_frame() for _ in range(count)]
+                assert [kind for kind, _ in answers] == [wire.OK] * count
+                assert [p["label"] for _, p in answers] == [
+                    f"p{i}" for i in range(count)
+                ]
+                indices = [p["request_index"] for _, p in answers]
+                assert all(a < b for a, b in zip(indices, indices[1:]))
+                kind, payload = client.recv_frame()
+                assert (kind, payload["code"]) == (
+                    wire.ERROR,
+                    wire.E_UNKNOWN_KIND,
+                )
+                with pytest.raises(ConnectionError):
+                    client.recv_frame()
+            assert frontend.stats.uploads == count
+            assert frontend.stats.errors == {wire.E_UNKNOWN_KIND: 1}
+
+    def test_client_that_never_reads_is_aborted_as_slow_reader(self):
+        config = ServiceConfig(tenants=4, rounds=2, seed=1)
+        with served(
+            config, FrontendConfig(drain_timeout=0.2)
+        ) as (frontend, address):
+            client = FrontendClient(address, timeout=10.0)
+            client.hello()
+            try:
+                # Far more responses than the socket and the transport
+                # buffer hold; the abort surfaces here as a failed send.
+                for batch in range(40):
+                    client.send_raw(
+                        b"".join(
+                            upload_frame(2, f"s{batch}-{i}") for i in range(100)
+                        )
+                    )
+                    if frontend.stats.slow_reader_aborts:
+                        break
+            except OSError:
+                pass
+            wait_until(lambda: frontend.stats.sessions_closed)
+            assert frontend.stats.slow_reader_aborts == 1
+            client.close(polite=False)
+            # The session was released; the server serves on.
+            upload_ok(address, 0, "after-slow-reader")
+
+    def test_vanished_peer_ends_the_session_at_the_failed_write(
+        self, serve_log
+    ):
+        """Pipelined uploads, no reads, gone: a counted disconnect."""
+        # The stall holds the first upload until the client is gone, so
+        # its response is the write that fails.
+        faults.install(
+            FaultPlan.from_dict(
+                {
+                    "seed": 0,
+                    "rules": [
+                        {
+                            "site": "serve.stall",
+                            "match": {"kind": "upload_batch"},
+                            "times": 1,
+                            "delay_s": 0.3,
+                        }
+                    ],
+                }
+            )
+        )
+        config = ServiceConfig(tenants=4, rounds=2, seed=1)
+        obs.enable(metrics=True)
+        try:
+            with served(config) as (frontend, address):
+                client = FrontendClient(address)
+                client.hello()
+                client.send_raw(
+                    b"".join(upload_frame(3, f"v{i}") for i in range(18))
+                )
+                client.close(polite=False)
+                wait_until(lambda: frontend.stats.sessions_closed)
+                # Nothing of that connection was served past the write
+                # that failed: HELLO and one upload in, two answers out.
+                assert frontend.stats.uploads == 1
+                assert frontend.stats.frames_in == 2
+                assert frontend.stats.frames_out == 2
+                counters = obs.snapshot()["counters"]
+            assert counters["serve.disconnects"] == 1
+        finally:
+            obs.disable()
+            obs.reset()
+        assert unhandled(serve_log) == []
+        assert "peer vanished" in [r.getMessage() for r in serve_log.records]
+
+    def test_vanishing_peers_never_leak_a_traceback(self, serve_log):
+        """The same, free-running: how far each got is timing; the
+        bookkeeping (checked on leaving ``served``) and the log are not."""
+        config = ServiceConfig(tenants=4, rounds=2, seed=1)
+        with served(config) as (frontend, address):
+            for round_index in range(8):
+                client = FrontendClient(address)
+                client.send_raw(
+                    b"".join(
+                        upload_frame(round_index % 4, f"g{round_index}-{i}")
+                        for i in range(18)
+                    )
+                )
+                client.close(polite=False)
+            wait_until(lambda: frontend.stats.sessions_closed == 8)
+            assert frontend.stats.frames_in == frontend.stats.frames_out
+        assert unhandled(serve_log) == []
+
+    def test_tasks_per_connection_do_not_grow_with_frames(self):
+        """Serving 50 frames creates exactly the tasks serving 1 does."""
+
+        def tasks_created(frames: int) -> int:
+            config = ServiceConfig(tenants=2, rounds=1, seed=1)
+            frontend = build_frontend(config)
+            scratch = tempfile.mkdtemp(prefix="fe-tasks-")
+            path = os.path.join(scratch, "frontend.sock")
+            created = 0
+
+            def counting(loop, coro, **kwargs):
+                nonlocal created
+                created += 1
+                return asyncio.Task(coro, loop=loop, **kwargs)
+
+            async def drive():
+                asyncio.get_running_loop().set_task_factory(counting)
+                server, _ = await start_frontend(frontend, ("unix", path))
+                try:
+                    reader, writer = await asyncio.open_unix_connection(path)
+                    for i in range(frames):
+                        writer.write(upload_frame(0, f"t{i}"))
+                        await writer.drain()
+                        header = await reader.readexactly(wire.HEADER_BYTES)
+                        (length,) = wire.HEADER.unpack(header)
+                        kind, _ = wire.decode_body(
+                            await reader.readexactly(length)
+                        )
+                        assert kind == wire.OK
+                    writer.close()
+                    await writer.wait_closed()
+                    async with asyncio.timeout(5.0):
+                        while frontend._connections:
+                            await asyncio.sleep(0.005)
+                finally:
+                    server.close()
+                    await server.wait_closed()
+                    await frontend.shutdown()
+
+            try:
+                asyncio.run(drive())
+            finally:
+                shutil.rmtree(scratch, ignore_errors=True)
+            assert frontend.stats.uploads == frames
+            return created
+
+        assert tasks_created(50) == tasks_created(1)
 
 
 # -- concurrency --------------------------------------------------------------
@@ -360,9 +636,15 @@ class TestConcurrency:
         async def drive():
             server, _ = await start_frontend(frontend, ("unix", path))
             try:
-                return await asyncio.gather(
+                results = await asyncio.gather(
                     *(_tenant_session(path, t) for t in range(tenants))
                 )
+                # Every handler ends by itself once its client closed.
+                async with asyncio.timeout(5.0):
+                    while frontend._connections:
+                        await asyncio.sleep(0.005)
+                assert len(asyncio.all_tasks()) == 1
+                return results
             finally:
                 server.close()
                 await server.wait_closed()
@@ -415,39 +697,34 @@ class TestConcurrency:
             config=FrontendConfig(rate_limit=1.0, burst=2.0),
             clock=lambda: now[0],
         )
-        scratch = tempfile.mkdtemp(prefix="fe-rate-")
-        path = os.path.join(scratch, "frontend.sock")
-        try:
-            with FrontendServer(frontend, ("unix", path)) as address:
-                with FrontendClient(address) as client:
-                    client.hello()
+        with served(config, frontend=frontend) as (_, address):
+            with FrontendClient(address) as client:
+                client.hello()
 
-                    def attempt(i: int) -> str:
-                        kind, payload = client.upload(
-                            0, 0, f"r{i}", make_backup(f"r{i}", [f"c{i}"])
-                        )
-                        return "ok" if kind == wire.OK else payload["code"]
-
-                    # Frozen clock: exactly `burst` admissions.
-                    outcomes = [attempt(i) for i in range(4)]
-                    assert outcomes == [
-                        "ok", "ok", wire.E_RATE_LIMITED, wire.E_RATE_LIMITED
-                    ]
-                    # +3 virtual seconds at 1 req/s refills min(3, burst).
-                    now[0] += 3.0
-                    outcomes = [attempt(10 + i) for i in range(3)]
-                    assert outcomes == [
-                        "ok", "ok", wire.E_RATE_LIMITED
-                    ]
-                    # Other tenants have their own buckets: tenant 1 is
-                    # untouched by tenant 0's exhaustion.
-                    kind, _ = client.upload(
-                        1, 0, "other", make_backup("other", ["oc"])
+                def attempt(i: int) -> str:
+                    kind, payload = client.upload(
+                        0, 0, f"r{i}", make_backup(f"r{i}", [f"c{i}"])
                     )
-                    assert kind == wire.OK
-            assert frontend.admission.throttled_requests == 3
-        finally:
-            shutil.rmtree(scratch, ignore_errors=True)
+                    return "ok" if kind == wire.OK else payload["code"]
+
+                # Frozen clock: exactly `burst` admissions.
+                outcomes = [attempt(i) for i in range(4)]
+                assert outcomes == [
+                    "ok", "ok", wire.E_RATE_LIMITED, wire.E_RATE_LIMITED
+                ]
+                # +3 virtual seconds at 1 req/s refills min(3, burst).
+                now[0] += 3.0
+                outcomes = [attempt(10 + i) for i in range(3)]
+                assert outcomes == [
+                    "ok", "ok", wire.E_RATE_LIMITED
+                ]
+                # Other tenants have their own buckets: tenant 1 is
+                # untouched by tenant 0's exhaustion.
+                kind, _ = client.upload(
+                    1, 0, "other", make_backup("other", ["oc"])
+                )
+                assert kind == wire.OK
+        assert frontend.admission.throttled_requests == 3
 
     def test_rate_limit_holds_under_real_contention(self):
         """Hammering tenants stay within bucket math, within tolerance."""

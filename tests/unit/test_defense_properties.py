@@ -12,6 +12,8 @@ than at a single point:
   non-increasing in ``t``.
 """
 
+import random
+
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -116,6 +118,32 @@ class TestObfuscatorBalance:
     def test_variant_count_validated(self):
         with pytest.raises(ConfigurationError):
             FrequencyObfuscator(variants=0)
+
+    @pytest.mark.parametrize("variants", KNOBS)
+    def test_pipeline_matches_per_occurrence_assignment(self, variants):
+        """The pipeline hashes a chunk's phase once and steps it; the
+        oracle asks ``assign`` afresh for every occurrence."""
+        rng = random.Random(variants)
+        tokens = [f"c{rng.randrange(40)}".encode() for _ in range(600)]
+        sizes = [rng.choice((512, 4096, 9000)) for _ in tokens]
+        pipeline = DefensePipeline(f"obfuscate:{variants}", seed=11)
+        encrypted = pipeline.encrypt_backup(
+            Backup(label="b", fingerprints=tokens, sizes=sizes)
+        )
+        obfuscator = FrequencyObfuscator(variants=variants, seed=11)
+        occurrences: dict[bytes, int] = {}
+        expected, truth = [], {}
+        for token in tokens:
+            occurrence = occurrences.get(token, 0)
+            occurrences[token] = occurrence + 1
+            cipher = obfuscator.variant_fingerprint(
+                token, obfuscator.assign(token, occurrence), len(token)
+            )
+            expected.append(cipher)
+            truth[cipher] = token
+        assert encrypted.ciphertext.fingerprints == expected
+        assert encrypted.truth == truth
+        assert max(occurrences.values()) > variants  # every phase wrapped
 
 
 class TestRestoreRoundTrip:

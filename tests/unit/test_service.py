@@ -171,6 +171,24 @@ class TestDedupService:
             == observables.logical_bytes
         )
 
+    @pytest.mark.parametrize("shaping", ["honest", "rr:0.5"])
+    def test_wire_payload_is_the_flat_asdict(self, shaping):
+        """``observables_payload`` spells the fields out; ``asdict`` is
+        the oracle — same keys, same order, same values."""
+        from dataclasses import asdict
+
+        from repro.service.protocol import observables_payload
+
+        service = DedupService(shaping=shaping, seed=4)
+        service.upload(0, tiny_backup(["a", "b", "c", "d"]), "up")
+        upload = service.upload(1, tiny_backup(["a", "b", "c", "e"]), "up")
+        restore, _ = service.restore(1, "up")
+        if shaping != "honest":
+            assert upload.observables.shaped_extra_bytes > 0
+        for observables in (upload.observables, restore):
+            payload = observables_payload(observables)
+            assert list(payload.items()) == list(asdict(observables).items())
+
     def test_namespace_isolation(self):
         service = DedupService()
         service.upload(0, tiny_backup(["a"]), "mine")
