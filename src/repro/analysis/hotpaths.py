@@ -191,30 +191,20 @@ def bench_count(quick: bool, repeats: int) -> dict:
 def _columnar_stats_equal(left, right) -> bool:
     """Exact equality of two sharded-COUNT outputs (any jobs values)."""
     numpy = accel.numpy
-    if numpy is not None and hasattr(left, "_ordered_ids"):
-        for ours, theirs in (
-            (left._ordered_pairs, right._ordered_pairs),
-            (left._ordered_pair_counts, right._ordered_pair_counts),
-        ):
-            if (ours is None) != (theirs is None):
-                return False
-            if ours is not None and not numpy.array_equal(ours, theirs):
-                return False
-        return all(
-            numpy.array_equal(getattr(left, name), getattr(right, name))
-            for name in (
-                "_ordered_ids",
-                "_ordered_counts",
-                "_ordered_first",
-                "_first_sizes",
-            )
+    if numpy is None:  # plain dict stats
+        return left == right and all(
+            list(getattr(left, table)) == list(getattr(right, table))
+            for table in ("frequencies", "left", "right")
         )
-    return (
-        left._frequency_counts == right._frequency_counts
-        and list(left._frequency_counts) == list(right._frequency_counts)
-        and left._size_by_id == right._size_by_id
-        and left._pair_counts == right._pair_counts
-        and list(left._pair_counts) == list(right._pair_counts)
+    return all(
+        numpy.array_equal(getattr(left, name), getattr(right, name))
+        for name in (
+            "ordered_ids",
+            "ordered_counts",
+            "first_sizes",
+            "ordered_pairs",
+            "ordered_pair_counts",
+        )
     )
 
 

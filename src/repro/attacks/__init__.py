@@ -31,10 +31,8 @@ from repro.attacks.frequency import (
     sized_freq_analysis,
 )
 from repro.attacks.interning import (
+    ArrayStats,
     ChunkVocabulary,
-    InternedArrayStats,
-    InternedChunkStats,
-    InternedCount,
     interned_count,
 )
 from repro.attacks.locality import LocalityAttack
@@ -43,13 +41,8 @@ from repro.attacks.persistent import (
     PersistentLocalityAttack,
     load_chunk_stats,
     persist_chunk_stats,
-    persist_columnar_stats,
 )
-from repro.attacks.sharded import (
-    ColumnarArrayStats,
-    columnar_attack_report,
-    sharded_count,
-)
+from repro.attacks.sharded import columnar_attack_report, sharded_count
 from repro.attacks.streaming import (
     BackendChunkStats,
     CountStores,
@@ -66,8 +59,6 @@ __all__ = [
     "PersistentLocalityAttack",
     "load_chunk_stats",
     "persist_chunk_stats",
-    "persist_columnar_stats",
-    "ColumnarArrayStats",
     "columnar_attack_report",
     "sharded_count",
     "AdvancedLocalityAttack",
@@ -78,10 +69,8 @@ __all__ = [
     "InferenceReport",
     "sample_leakage",
     "ChunkStats",
+    "ArrayStats",
     "ChunkVocabulary",
-    "InternedArrayStats",
-    "InternedChunkStats",
-    "InternedCount",
     "classify_by_blocks",
     "count_frequencies",
     "count_with_neighbors",

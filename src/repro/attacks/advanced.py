@@ -15,6 +15,7 @@ is exactly the locality-based attack (the paper's VM results).
 from __future__ import annotations
 
 from repro.attacks.frequency import INSERTION, ChunkStats, sized_freq_analysis
+from repro.attacks.interning import sized_seed_pairs
 from repro.attacks.locality import LocalityAttack
 
 
@@ -63,8 +64,6 @@ class AdvancedLocalityAttack(LocalityAttack):
         if hasattr(ciphertext_stats, "class_tops") and hasattr(
             plaintext_stats, "class_tops"
         ):
-            from repro.attacks.sharded import sized_seed_pairs
-
             return sized_seed_pairs(
                 ciphertext_stats,
                 plaintext_stats,

@@ -24,14 +24,25 @@ are broken matters (the paper discusses this in §4.1):
 
 Both orders are deterministic, so every experiment is exactly reproducible.
 
-COUNT exists in three forms with byte-identical output: the dict-only
-:func:`count_with_neighbors` (this module) is the *reference oracle* the
-property tests pin everything against; the interned fast path
-(:func:`repro.attacks.interning.interned_count`) is what the attacks run;
-and the batch-ingesting :class:`repro.attacks.streaming.StreamingCount`
-flushes interned per-batch deltas through a pluggable
-:class:`~repro.index.backends.KVBackend` so the tables can spill to disk
-(the paper's LevelDB mode, §5.2).
+COUNT has three sources and one kernel per accelerator mode — with numpy
+the shard kernel and merge of :mod:`repro.attacks.interning`
+(``count_shard`` / ``merge_shards``), without it :func:`accumulate_counts`
+(this module) — all with byte-identical output:
+
+================  =======================================  ==============================
+source            counted as                               stats
+================  =======================================  ==============================
+in-RAM backup     ``interning.interned_count``: one shard  ``ArrayStats`` over the
+                                                           resident vocabulary
+columnar shards   ``sharded.sharded_count``: N shards in   ``ArrayStats`` over the mapped
+                  worker processes                         vocabulary
+streamed batches  ``streaming.StreamingCount``: one shard  ``BackendChunkStats``: neighbor
+                  per batch, the carried chunk as lead     tables in a ``KVBackend``
+================  =======================================  ==============================
+
+Without numpy the first two rows yield a plain :class:`ChunkStats`. The
+dict-only :func:`count_with_neighbors` is that fallback and the
+*reference oracle* the differential tests pin every row against.
 """
 
 from __future__ import annotations
@@ -74,9 +85,10 @@ def accumulate_counts(
     """One COUNT pass over a (sub-)stream, accumulated into ``stats``.
 
     This is the reference COUNT loop behind :func:`count_with_neighbors`
-    — the equivalence oracle the interned fast path
-    (:mod:`repro.attacks.interning`) is property-tested against.
-    ``previous`` carries the adjacency across batch boundaries: pass the
+    — the equivalence oracle the array COUNT
+    (:mod:`repro.attacks.interning`) is property-tested against, and what
+    every COUNT source runs when numpy is absent. ``previous`` carries
+    the adjacency across batch and shard boundaries: pass the
     return value of one call as the ``previous`` of the next and the
     accumulated tables are identical to a single whole-stream pass.
 
@@ -110,11 +122,8 @@ def count_with_neighbors(backup: Backup) -> ChunkStats:
     neighbor co-occurrence tables and per-chunk sizes (Algorithm 2).
 
     Everything stays in plain bytes-keyed dicts — this is the reference
-    implementation kept as the equivalence oracle. The attacks run the
-    interned fast path (:func:`repro.attacks.interning.interned_count`);
-    for traces whose tables exceed RAM there is the backend-flushing
-    :class:`repro.attacks.streaming.StreamingCount`. All three produce
-    byte-identical output.
+    implementation kept as the equivalence oracle and the numpy-less
+    fallback (module docstring: the COUNT table).
     """
     stats = ChunkStats()
     accumulate_counts(stats, backup.fingerprints, backup.sizes)

@@ -1,55 +1,71 @@
-"""Interned COUNT: the hot-path form of the attacks' counting pass.
+"""Interned COUNT: the array form of the attacks' counting pass.
 
 The reference COUNT (:func:`repro.attacks.frequency.count_with_neighbors`)
-keys three nested dicts on 20-byte fingerprint strings for every chunk
-occurrence — six bytes-keyed dict operations per chunk, all driven from a
-Python-level loop. At the multi-million-chunk scale of the journal
-follow-up (Li et al., TDSC'19) that dominates every attack run. This
-module interns fingerprints into dense integer chunk ids once
-(:class:`ChunkVocabulary`) and counts over the id stream with C-level
-primitives only — no per-chunk Python bytecode:
+keys three nested dicts on fingerprint bytes for every chunk occurrence —
+six bytes-keyed dict operations per chunk, all driven from a Python-level
+loop. At the multi-million-chunk scale of the journal follow-up (Li et
+al., TDSC'19) that dominates every attack run. With numpy, fingerprints
+are interned into dense integer chunk ids once (:class:`ChunkVocabulary`,
+or the on-disk vocabulary of a columnar trace) and every COUNT source
+runs the same two functions over id arrays:
 
-* the id stream itself comes from ``map(ids.__getitem__, fingerprints)``
-  over an interning dict whose ``__missing__`` assigns the next id, so
-  known fingerprints never leave the C dict lookup;
-* frequencies are a ``Counter`` over the id stream (C-accelerated
-  counting, iteration order = stream first occurrence);
-* first-occurrence sizes fall out of ``dict(zip(reversed(ids),
-  reversed(sizes)))`` — the earliest occurrence is written last and wins;
-* the left/right co-occurrence tables collapse into **one** ``Counter``
-  over ``(previous_id, current_id)`` pairs from ``zip(ids, ids[1:])``,
-  from which both directed tables are regrouped on demand.
+* :func:`count_shard` — the one kernel: frequencies are a ``bincount``,
+  first stream positions fall out of a reversed scatter (the earliest
+  occurrence is written last and wins), and the left/right co-occurrence
+  tables collapse into one ``unique`` over packed ``(previous << 32) |
+  current`` pairs, reaching one *lead* element back across the shard
+  boundary;
+* :func:`merge_shards` — the one merge: counts add, first positions take
+  the minimum, and because first positions are unique stream indices one
+  ``argsort`` restores exactly the insertion order a single-threaded
+  COUNT would have produced.
+
+An in-RAM backup is one shard (:func:`interned_count`), a columnar backup
+is N shards counted in worker processes
+(:func:`repro.attacks.sharded.sharded_count`), a streamed batch is a
+shard whose lead is the carried previous chunk
+(:class:`repro.attacks.streaming.StreamingCount`); the table in
+:mod:`repro.attacks.frequency` lists the three side by side.
 
 Decoding back to fingerprint bytes happens only at the rank/report
-boundary: :class:`InternedChunkStats` exposes the same
+boundary: :class:`ArrayStats` exposes the same
 ``frequencies``/``left``/``right``/``sizes`` mapping interface as
-:class:`~repro.attacks.frequency.ChunkStats` through lazy views, so the
-locality/advanced attacks and FREQ-ANALYSIS run unchanged — and, because
-every dict the views materialize preserves first-occurrence order, with
-byte-identical output (pinned by the equivalence property tests against
-``count_with_neighbors`` and ``StreamingCount``).
+:class:`~repro.attacks.frequency.ChunkStats`, so the locality/advanced
+attacks and FREQ-ANALYSIS run unchanged — and, because everything it
+materializes preserves first-occurrence order, with byte-identical
+output (pinned by the differential tests against
+``count_with_neighbors``).
 """
 
 from __future__ import annotations
 
 import gc
-from bisect import bisect_left, bisect_right
-from collections import Counter
+import time
+from collections.abc import Mapping
 from contextlib import contextmanager
-from itertools import chain
+from functools import cached_property
 
+from repro import obs
+from repro.attacks.frequency import (
+    _TIE_BREAKS,
+    FINGERPRINT,
+    INSERTION,
+    count_with_neighbors,
+)
 from repro.common import accel
 from repro.common.errors import ConfigurationError
 from repro.datasets.model import Backup
 
 __all__ = [
+    "ArrayStats",
     "ChunkVocabulary",
-    "InternedArrayStats",
-    "InternedChunkStats",
-    "InternedCount",
     "MAX_VOCABULARY",
     "check_vocabulary_capacity",
+    "count_shard",
     "interned_count",
+    "merge_shards",
+    "seed_freq_pairs",
+    "sized_seed_pairs",
 ]
 
 #: Adjacent chunk ids are packed two to an int for the pair counter, so a
@@ -68,8 +84,9 @@ def check_vocabulary_capacity(size: int, source: str = "chunk vocabulary") -> No
 
     Ids at or above 2**PAIR_SHIFT would silently alias other pairs inside
     the packed ``(prev << PAIR_SHIFT) | cur`` adjacency key, corrupting
-    the co-occurrence tables; every packed-pair consumer calls this up
-    front so the failure is a clear error instead of wrong counts.
+    the co-occurrence tables; a columnar trace is checked up front (a
+    resident :class:`ChunkVocabulary` refuses to grow past the bound), so
+    the failure is a clear error instead of wrong counts.
     """
     if size > MAX_VOCABULARY:
         raise ConfigurationError(
@@ -101,36 +118,6 @@ def _gc_paused():
         yield
 
 
-def group_pairs(pair_counts, decode=None) -> tuple[dict, dict]:
-    """Split packed ``(prev << PAIR_SHIFT) | cur`` pair counts into the
-    two directed adjacency tables ``(left, right)``.
-
-    Iterating the pair mapping visits pairs in first-occurrence order, so
-    each grouped outer/inner dict comes out in exactly the order the
-    reference COUNT would have inserted it — the order-sensitive loop the
-    in-memory stats and the streaming COUNT's backend merge both rely on.
-    ``decode`` optionally maps each id to the caller's key type (e.g.
-    fingerprint bytes); by default keys stay dense ints.
-    """
-    left: dict = {}
-    right: dict = {}
-    for key, count in pair_counts.items():
-        previous = key >> PAIR_SHIFT
-        current = key & _PAIR_MASK
-        if decode is not None:
-            previous = decode(previous)
-            current = decode(current)
-        table = right.get(previous)
-        if table is None:
-            table = right[previous] = {}
-        table[current] = count
-        table = left.get(current)
-        if table is None:
-            table = left[current] = {}
-        table[previous] = count
-    return left, right
-
-
 class _Interner(dict):
     """Fingerprint → dense id dict that assigns ids on first lookup.
 
@@ -159,13 +146,25 @@ class _Interner(dict):
         self.fingerprints.append(fingerprint)
         return chunk_id
 
+    def sort_ranks(self):
+        """Each chunk id's rank in fingerprint-bytes sort order — the
+        protocol the packed vocabulary's index serves from its lexsort.
+        Not cached: the vocabulary may grow."""
+        numpy = accel.numpy
+        count = len(self.fingerprints)
+        ranks = numpy.empty(count, dtype=numpy.intp)
+        ranks[sorted(range(count), key=self.fingerprints.__getitem__)] = (
+            numpy.arange(count, dtype=numpy.intp)
+        )
+        return ranks
+
 
 class ChunkVocabulary:
-    """Bidirectional fingerprint-bytes ↔ dense-int-id mapping.
+    """Bidirectional fingerprint-bytes ↔ dense-int-id mapping, resident
+    in RAM.
 
-    One vocabulary may be shared by any number of counters (e.g. the
-    streaming COUNT interns every batch through a single vocabulary, and
-    an attack may share one across both of its COUNT passes), so ids are
+    One vocabulary may be shared by any number of counts (e.g. an attack
+    may share one across both of its COUNT passes), so ids are
     stable for the lifetime of the vocabulary and new fingerprints always
     intern to ``len(vocabulary) - 1``.
     """
@@ -186,9 +185,15 @@ class ChunkVocabulary:
         """The id for ``fingerprint``, assigning the next free one if new."""
         return self._ids[fingerprint]
 
-    def intern_stream(self, fingerprints: list[bytes]) -> list[int]:
-        """Intern a whole fingerprint sequence (the hot path)."""
-        return list(map(self._ids.__getitem__, fingerprints))
+    def intern_array(self, fingerprints: list[bytes]):
+        """Intern a whole fingerprint sequence into an id array (the hot
+        path: known fingerprints never leave the C dict lookup)."""
+        numpy = accel.numpy
+        return numpy.fromiter(
+            map(self._ids.__getitem__, fingerprints),
+            dtype=numpy.intp,
+            count=len(fingerprints),
+        )
 
     def id_of(self, fingerprint: bytes) -> int | None:
         """The id for ``fingerprint``, or ``None`` if never interned."""
@@ -199,305 +204,169 @@ class ChunkVocabulary:
         return self._fingerprints[chunk_id]
 
 
-class _NeighborView:
-    """Lazy ``fingerprint -> {neighbor fingerprint: count}`` mapping over
-    one direction of the grouped adjacency tables.
+# ---------------------------------------------------------------------------
+# The one numpy COUNT kernel and the one merge
 
-    Tables decode to bytes-keyed dicts per fingerprint on first access
-    (then cached), in first-occurrence order — identical to the eagerly
-    built dicts of the reference COUNT. Only the mapping surface the
-    attacks use is provided (``get``/``in``/indexing/iteration).
+
+def count_shard(seg, start: int, lead: int, vocab_size: int):
+    """Count one contiguous shard of an interned id stream.
+
+    ``seg`` holds the shard's ids preceded by ``lead`` (0 or 1) elements
+    of the stream before it, and ``start`` is the stream position of
+    ``seg[lead]``. The lead element makes the boundary adjacency pair
+    belong to exactly one shard; it is excluded from the frequency and
+    first-position tables (it belongs to the previous shard).
+
+    Returns ``(counted, paired)``: ``counted`` is ``(present ids, their
+    counts, their first stream positions)``; ``paired`` is ``(unique
+    packed pairs, their first positions, their counts)`` or ``None`` for
+    a shard without an adjacent pair.
     """
+    numpy = accel.numpy
+    ids = seg[lead:].astype(numpy.intp, copy=False)
+    stop = start + len(ids)
+    counts = numpy.bincount(ids, minlength=vocab_size)
+    # Reversed scatter: the earliest occurrence is written last and wins.
+    first = numpy.zeros(vocab_size, dtype=numpy.int64)
+    first[ids[::-1]] = numpy.arange(stop - 1, start - 1, -1, dtype=numpy.int64)
+    present = numpy.flatnonzero(counts)
+    paired = None
+    if len(seg) > 1:
+        wide = seg.astype(numpy.uint64)
+        packed = (wide[:-1] << numpy.uint64(PAIR_SHIFT)) | wide[1:]
+        pairs, first_index, pair_counts = numpy.unique(
+            packed, return_index=True, return_counts=True
+        )
+        paired = (pairs, first_index + (start - lead), pair_counts)
+    return (present, counts[present], first[present]), paired
 
-    __slots__ = ("_vocabulary", "_tables", "_decoded")
 
-    def __init__(
-        self, vocabulary: ChunkVocabulary, tables: dict[int, dict[int, int]]
-    ):
-        self._vocabulary = vocabulary
-        self._tables = tables
-        self._decoded: dict[bytes, dict[bytes, int]] = {}
+def unpack_pairs(pairs):
+    """Split packed adjacency pairs into ``(previous ids, current ids)``."""
+    numpy = accel.numpy
+    return (
+        (pairs >> numpy.uint64(PAIR_SHIFT)).astype(numpy.intp),
+        (pairs & numpy.uint64(_PAIR_MASK)).astype(numpy.intp),
+    )
 
-    def _decode(self, fingerprint: bytes, table: dict[int, int]) -> dict[bytes, int]:
-        fingerprints = self._vocabulary._fingerprints
-        decoded = {
-            fingerprints[neighbor]: count for neighbor, count in table.items()
-        }
-        self._decoded[fingerprint] = decoded
-        return decoded
 
-    def get(
-        self, fingerprint: bytes, default: dict[bytes, int] | None = None
-    ) -> dict[bytes, int] | None:
-        decoded = self._decoded.get(fingerprint)
-        if decoded is not None:
-            return decoded
-        chunk_id = self._vocabulary._ids.get(fingerprint)
-        if chunk_id is None:
-            return default
-        table = self._tables.get(chunk_id)
-        if table is None:
-            return default
-        return self._decode(fingerprint, table)
+def merge_shards(vocabulary, shards, total: int, sizes) -> "ArrayStats":
+    """Merge :func:`count_shard` results into one :class:`ArrayStats`.
 
-    def __getitem__(self, fingerprint: bytes) -> dict[bytes, int]:
-        table = self.get(fingerprint)
-        if table is None:
+    Counts add; first positions take the minimum (``total``, the stream
+    length, is the sentinel above every real position). First positions
+    are unique stream indices, so the ``argsort`` over them *is* the
+    insertion sequence of a single-threaded COUNT — which is why the
+    output is byte-identical for any sharding. ``sizes`` is the stream's
+    chunk-size column; only the first-occurrence entries are read.
+    """
+    numpy = accel.numpy
+    vocab_size = len(vocabulary)
+    counts = numpy.zeros(vocab_size, dtype=numpy.int64)
+    first = numpy.full(vocab_size, total, dtype=numpy.int64)
+    pair_parts = []
+    for (present, shard_counts, shard_first), paired in shards:
+        counts[present] += shard_counts
+        # ``present`` is duplicate-free within a shard, so fancy-index
+        # assignment (not ``minimum.at``) is safe.
+        first[present] = numpy.minimum(first[present], shard_first)
+        if paired is not None:
+            pair_parts.append(paired)
+    present = numpy.flatnonzero(counts)
+    argsort_started = time.perf_counter()
+    ordered_ids = present[numpy.argsort(first[present], kind="stable")]
+    obs.observe(
+        "count.shard.phase_s", time.perf_counter() - argsort_started,
+        phase="argsort",
+    )
+    if len(pair_parts) == 1:  # one shard's pairs are aggregated already
+        pairs, pair_first, pair_counts = pair_parts[0]
+    elif pair_parts:
+        pairs, inverse = numpy.unique(
+            numpy.concatenate([part[0] for part in pair_parts]),
+            return_inverse=True,
+        )
+        pair_first = numpy.full(len(pairs), total, dtype=numpy.int64)
+        numpy.minimum.at(
+            pair_first, inverse, numpy.concatenate([part[1] for part in pair_parts])
+        )
+        pair_counts = numpy.zeros(len(pairs), dtype=numpy.int64)
+        numpy.add.at(
+            pair_counts, inverse, numpy.concatenate([part[2] for part in pair_parts])
+        )
+    else:
+        pairs = numpy.empty(0, dtype=numpy.uint64)
+        pair_first = pair_counts = numpy.empty(0, dtype=numpy.int64)
+    pair_order = numpy.argsort(pair_first, kind="stable")
+    return ArrayStats(
+        vocabulary,
+        ordered_ids,
+        counts[ordered_ids],
+        numpy.asarray(sizes)[first[ordered_ids]].astype(numpy.int64),
+        pairs[pair_order],
+        pair_counts[pair_order],
+    )
+
+
+# ---------------------------------------------------------------------------
+# Array-backed stats: ChunkStats' mapping surface over the merged arrays
+
+
+class _RankedView(Mapping):
+    """Lazy ``fingerprint -> value`` mapping over one rank-aligned array
+    of an :class:`ArrayStats` whose vocabulary is packed or mmapped: a
+    probe resolves the fingerprint to its chunk id through the vocabulary
+    index, then to its frequency rank; nothing per-fingerprint is
+    materialized unless something iterates the view."""
+
+    __slots__ = ("_stats", "_values")
+
+    def __init__(self, stats: "ArrayStats", values):
+        self._stats = stats
+        self._values = values
+
+    def get(self, fingerprint: bytes, default=None):
+        rank = self._stats._rank_of(fingerprint)
+        return default if rank < 0 else int(self._values[rank])
+
+    def __getitem__(self, fingerprint: bytes) -> int:
+        value = self.get(fingerprint)
+        if value is None:
             raise KeyError(fingerprint)
-        return table
-
-    def __contains__(self, fingerprint: bytes) -> bool:
-        chunk_id = self._vocabulary._ids.get(fingerprint)
-        return chunk_id is not None and chunk_id in self._tables
+        return value
 
     def __len__(self) -> int:
-        return len(self._tables)
-
-    def keys(self):
-        fingerprints = self._vocabulary._fingerprints
-        return (fingerprints[chunk_id] for chunk_id in self._tables)
+        return len(self._values)
 
     def __iter__(self):
-        return self.keys()
+        return map(
+            self._stats.vocabulary._fingerprints.__getitem__,
+            self._stats.ordered_ids,
+        )
+
+    def values(self):
+        return map(int, self._values)
 
     def items(self):
-        fingerprints = self._vocabulary._fingerprints
-        for chunk_id, table in self._tables.items():
-            fingerprint = fingerprints[chunk_id]
-            decoded = self._decoded.get(fingerprint)
-            if decoded is None:
-                decoded = self._decode(fingerprint, table)
-            yield fingerprint, decoded
+        return zip(self, self.values())
 
 
-class InternedChunkStats:
-    """COUNT output over interned ids, presenting the
-    :class:`~repro.attacks.frequency.ChunkStats` mapping interface.
-
-    ``frequencies``/``sizes`` materialize (cached) as plain dicts in
-    stream-first-occurrence order; ``left``/``right`` are
-    :class:`_NeighborView` lazy mappings that decode per fingerprint at
-    the rank boundary.
-    """
-
-    def __init__(
-        self,
-        vocabulary: ChunkVocabulary,
-        frequency_counts: Counter,
-        size_by_id: dict[int, int],
-        pair_counts: Counter,
-    ):
-        self.vocabulary = vocabulary
-        self._frequency_counts = frequency_counts
-        self._size_by_id = size_by_id
-        self._pair_counts = pair_counts
-        self._frequencies: dict[bytes, int] | None = None
-        self._sizes: dict[bytes, int] | None = None
-        self._left: _NeighborView | None = None
-        self._right: _NeighborView | None = None
-
-    @property
-    def unique_chunks(self) -> int:
-        return len(self._frequency_counts)
-
-    @property
-    def frequencies(self) -> dict[bytes, int]:
-        if self._frequencies is None:
-            fingerprints = self.vocabulary._fingerprints
-            self._frequencies = {
-                fingerprints[chunk_id]: count
-                for chunk_id, count in self._frequency_counts.items()
-            }
-        return self._frequencies
-
-    @property
-    def sizes(self) -> dict[bytes, int]:
-        if self._sizes is None:
-            fingerprints = self.vocabulary._fingerprints
-            size_by_id = self._size_by_id
-            self._sizes = {
-                fingerprints[chunk_id]: size_by_id[chunk_id]
-                for chunk_id in self._frequency_counts
-            }
-        return self._sizes
-
-    def _group_pairs(self) -> None:
-        left, right = group_pairs(self._pair_counts)
-        self._left = _NeighborView(self.vocabulary, left)
-        self._right = _NeighborView(self.vocabulary, right)
-
-    @property
-    def left(self) -> _NeighborView:
-        if self._left is None:
-            self._group_pairs()
-        assert self._left is not None
-        return self._left
-
-    @property
-    def right(self) -> _NeighborView:
-        if self._right is None:
-            self._group_pairs()
-        assert self._right is not None
-        return self._right
-
-
-class InternedCount:
-    """Accumulating interned COUNT pass (any batching, order-sensitive).
-
-    Feed the logical chunk stream through :meth:`ingest`; adjacency is
-    carried across calls, so any batch alignment accumulates the same
-    tables as one whole-stream pass. :meth:`take_pairs` hands out (and
-    resets) the per-batch adjacency deltas, which is what lets the
-    streaming COUNT run this loop per batch while merging neighbor tables
-    through a KV backend.
-    """
-
-    def __init__(self, vocabulary: ChunkVocabulary | None = None):
-        self.vocabulary = vocabulary if vocabulary is not None else ChunkVocabulary()
-        self._frequency_counts: Counter = Counter()
-        self._size_by_id: dict[int, int] = {}
-        self._pair_counts: Counter = Counter()
-        self._previous = -1
-        self._total_chunks = 0
-
-    @property
-    def total_chunks(self) -> int:
-        """Logical chunk records ingested so far."""
-        return self._total_chunks
-
-    def seed(self, fingerprint: bytes, size: int, frequency: int) -> None:
-        """Pre-load one chunk's accumulated state (resuming a persisted
-        COUNT): the fingerprint is interned and its frequency/size set as
-        if already counted, without contributing adjacency."""
-        chunk_id = self.vocabulary.intern(fingerprint)
-        self._frequency_counts[chunk_id] = frequency
-        self._size_by_id[chunk_id] = size
-
-    def ingest(self, fingerprints: list[bytes], chunk_sizes: list[int]) -> None:
-        """One COUNT pass over a (sub-)stream — no per-chunk Python loop."""
-        if len(fingerprints) != len(chunk_sizes):
-            raise ConfigurationError(
-                "fingerprints and sizes must have equal length"
-            )
-        if not fingerprints:
-            return
-        if accel.numpy is not None:
-            self._ingest_vectorized(fingerprints, chunk_sizes)
-        else:
-            self._ingest_python(fingerprints, chunk_sizes)
-        self._total_chunks += len(fingerprints)
-
-    def _ingest_vectorized(
-        self, fingerprints: list[bytes], chunk_sizes: list[int]
-    ) -> None:
-        """Count the interned id stream with numpy.
-
-        ``numpy.unique(..., return_index=True)`` yields each distinct
-        value's count and first position; re-ordering by first position
-        (``argsort``) recovers the stream-first-occurrence insertion order
-        the reference COUNT produces, so the accumulated counters stay
-        byte-identical to the pure-Python path.
-        """
-        numpy = accel.numpy
-        ids = self.vocabulary._ids
-        id_array = numpy.fromiter(
-            map(ids.__getitem__, fingerprints),
-            dtype=numpy.uint64,
-            count=len(fingerprints),
-        )
-        unique_ids, first_index, counts = numpy.unique(
-            id_array, return_index=True, return_counts=True
-        )
-        order = numpy.argsort(first_index)
-        ordered_ids = unique_ids[order].tolist()
-        self._frequency_counts.update(
-            dict(zip(ordered_ids, counts[order].tolist()))
-        )
-        size_by_id = self._size_by_id
-        for chunk_id, index in zip(ordered_ids, first_index[order].tolist()):
-            if chunk_id not in size_by_id:
-                size_by_id[chunk_id] = chunk_sizes[index]
-        previous = self._previous
-        if previous >= 0:
-            # The cross-batch boundary pair comes first in stream order.
-            self._pair_counts[(previous << PAIR_SHIFT) | int(id_array[0])] += 1
-        if len(id_array) > 1:
-            packed = (id_array[:-1] << numpy.uint64(PAIR_SHIFT)) | id_array[1:]
-            unique_pairs, first_pair, pair_counts = numpy.unique(
-                packed, return_index=True, return_counts=True
-            )
-            pair_order = numpy.argsort(first_pair)
-            self._pair_counts.update(
-                dict(
-                    zip(
-                        unique_pairs[pair_order].tolist(),
-                        pair_counts[pair_order].tolist(),
-                    )
-                )
-            )
-        self._previous = int(id_array[-1])
-
-    def _ingest_python(
-        self, fingerprints: list[bytes], chunk_sizes: list[int]
-    ) -> None:
-        """Fallback ingest built from C-level dict/Counter primitives."""
-        id_stream = self.vocabulary.intern_stream(fingerprints)
-        self._frequency_counts.update(id_stream)
-        # Reversed zip: the earliest occurrence is written last and wins,
-        # giving this batch's first-occurrence size per id in one C pass.
-        batch_sizes = dict(zip(reversed(id_stream), reversed(chunk_sizes)))
-        size_by_id = self._size_by_id
-        for chunk_id, size in batch_sizes.items():
-            if chunk_id not in size_by_id:
-                size_by_id[chunk_id] = size
-        previous = self._previous
-        if previous >= 0:
-            pairs = zip(chain((previous,), id_stream), id_stream)
-        else:
-            pairs = zip(id_stream, id_stream[1:])
-        self._pair_counts.update(
-            [(left << PAIR_SHIFT) | right for left, right in pairs]
-        )
-        self._previous = id_stream[-1]
-
-    def ingest_backup(self, backup: Backup) -> None:
-        """Ingest a whole backup's logical chunk sequence."""
-        self.ingest(backup.fingerprints, backup.sizes)
-
-    def take_pairs(self) -> Counter:
-        """Hand out the adjacency pair counts accumulated since the last
-        call (stream-first-occurrence ordered) and reset them; the
-        carried ``previous`` id is kept so adjacency still spans the
-        batch boundary."""
-        pairs = self._pair_counts
-        self._pair_counts = Counter()
-        return pairs
-
-    def stats(self) -> InternedChunkStats:
-        """The accumulated tables as a ChunkStats-compatible view."""
-        return InternedChunkStats(
-            self.vocabulary,
-            self._frequency_counts,
-            self._size_by_id,
-            self._pair_counts,
-        )
-
-
-class _ArrayNeighborView:
+class _ArrayNeighborView(Mapping):
     """Lazy ``fingerprint -> {neighbor fingerprint: count}`` mapping over
-    segment-sorted flat arrays (the numpy single-pass layout).
+    one direction of the aggregated adjacency pairs.
 
-    ``keys`` is an ascending list with equal keys contiguous; a probe
-    bisects to its segment and decodes only that slice of the parallel
+    The pairs are stably sorted by owning id, so each id's neighbors sit
+    in one contiguous segment (in first-occurrence order) addressed by
+    per-id ``offsets``; a probe decodes only that slice of the parallel
     ``neighbors``/``counts`` arrays (cached per fingerprint). The
     first-occurrence iteration order the reference COUNT would have is
-    recovered lazily from ``ordered_keys`` (owning ids in pair
-    first-occurrence order) only when something iterates the view.
+    recovered from ``ordered_keys`` (owning ids in pair first-occurrence
+    order) only when something iterates the view.
     """
 
     __slots__ = (
         "_vocabulary",
-        "_keys",
+        "_offsets",
         "_neighbors",
         "_counts",
         "_ordered_keys",
@@ -505,49 +374,25 @@ class _ArrayNeighborView:
         "_decoded",
     )
 
-    def __init__(
-        self,
-        vocabulary: ChunkVocabulary,
-        keys: list[int],
-        neighbors,
-        counts,
-        ordered_keys,
-    ):
+    def __init__(self, vocabulary, vocab_size: int, own_ids, neighbor_ids, counts):
+        numpy = accel.numpy
+        segments = numpy.argsort(own_ids, kind="stable")
+        offsets = numpy.zeros(
+            vocab_size + 1,
+            dtype=numpy.uint32 if len(own_ids) < 1 << 32 else numpy.int64,
+        )
+        numpy.cumsum(
+            numpy.bincount(own_ids, minlength=vocab_size),
+            dtype=offsets.dtype,
+            out=offsets[1:],
+        )
         self._vocabulary = vocabulary
-        self._keys = keys
-        self._neighbors = neighbors
-        self._counts = counts
-        self._ordered_keys = ordered_keys
+        self._offsets = offsets
+        self._neighbors = neighbor_ids[segments]
+        self._counts = counts[segments]
+        self._ordered_keys = own_ids
         self._outer_keys: list[int] | None = None
         self._decoded: dict[bytes, dict[bytes, int]] = {}
-
-    def _decode_segment(self, fingerprint: bytes, chunk_id: int) -> dict[bytes, int] | None:
-        keys = self._keys
-        low = bisect_left(keys, chunk_id)
-        if low == len(keys) or keys[low] != chunk_id:
-            return None
-        high = bisect_right(keys, chunk_id, low)
-        fingerprints = self._vocabulary._fingerprints
-        decoded = dict(
-            zip(
-                map(
-                    fingerprints.__getitem__,
-                    self._neighbors[low:high].tolist(),
-                ),
-                self._counts[low:high].tolist(),
-            )
-        )
-        self._decoded[fingerprint] = decoded
-        return decoded
-
-    def _outer(self) -> list[int]:
-        if self._outer_keys is None:
-            ordered = self._ordered_keys
-            if ordered is None:
-                self._outer_keys = []
-            else:
-                self._outer_keys = list(dict.fromkeys(ordered.tolist()))
-        return self._outer_keys
 
     def get(
         self, fingerprint: bytes, default: dict[bytes, int] | None = None
@@ -556,10 +401,22 @@ class _ArrayNeighborView:
         if decoded is not None:
             return decoded
         chunk_id = self._vocabulary._ids.get(fingerprint)
-        if chunk_id is None:
+        # Ids past the offsets were interned after this COUNT.
+        if chunk_id is None or chunk_id + 1 >= len(self._offsets):
             return default
-        decoded = self._decode_segment(fingerprint, chunk_id)
-        return default if decoded is None else decoded
+        low, high = self._offsets[chunk_id : chunk_id + 2].tolist()
+        if low == high:
+            return default
+        decoded = self._decoded[fingerprint] = dict(
+            zip(
+                map(
+                    self._vocabulary._fingerprints.__getitem__,
+                    self._neighbors[low:high].tolist(),
+                ),
+                self._counts[low:high].tolist(),
+            )
+        )
+        return decoded
 
     def __getitem__(self, fingerprint: bytes) -> dict[bytes, int]:
         table = self.get(fingerprint)
@@ -567,225 +424,296 @@ class _ArrayNeighborView:
             raise KeyError(fingerprint)
         return table
 
-    def __contains__(self, fingerprint: bytes) -> bool:
-        chunk_id = self._vocabulary._ids.get(fingerprint)
-        if chunk_id is None:
-            return False
-        keys = self._keys
-        low = bisect_left(keys, chunk_id)
-        return low < len(keys) and keys[low] == chunk_id
+    def _outer(self) -> list[int]:
+        if self._outer_keys is None:
+            self._outer_keys = list(dict.fromkeys(self._ordered_keys.tolist()))
+        return self._outer_keys
 
     def __len__(self) -> int:
         return len(self._outer())
 
-    def keys(self):
-        fingerprints = self._vocabulary._fingerprints
-        return (fingerprints[chunk_id] for chunk_id in self._outer())
-
     def __iter__(self):
-        return self.keys()
-
-    def items(self):
-        fingerprints = self._vocabulary._fingerprints
-        for chunk_id in self._outer():
-            fingerprint = fingerprints[chunk_id]
-            decoded = self._decoded.get(fingerprint)
-            if decoded is None:
-                decoded = self._decode_segment(fingerprint, chunk_id)
-                assert decoded is not None
-            yield fingerprint, decoded
+        return map(self._vocabulary._fingerprints.__getitem__, self._outer())
 
 
-class InternedArrayStats:
-    """Single-pass COUNT held in flat numpy-derived arrays.
+class ArrayStats:
+    """COUNT output held in flat arrays, presenting the
+    :class:`~repro.attacks.frequency.ChunkStats` mapping interface.
 
-    The fast path behind :func:`interned_count` when numpy is available:
-    frequencies come from one ``bincount`` over the interned id stream,
-    first-occurrence positions from one reversed scatter (the earliest
-    write lands last and wins), and the packed adjacency pairs stay a raw
-    array until the first neighbor access groups them (``unique`` +
-    two stable segment sorts). Every materialized mapping preserves the
-    reference COUNT's first-occurrence insertion order.
+    ``ordered_ids``/``ordered_counts``/``first_sizes`` are aligned int64
+    arrays in global first-occurrence order (the frequency table's
+    insertion order): each present chunk id, its count, and the size of
+    its first occurrence. ``ordered_pairs``/``ordered_pair_counts`` are
+    the aggregated packed adjacency pairs in pair-first-occurrence order;
+    the neighbor views group them on first access and decode per probed
+    fingerprint. Global frequency ranking goes through
+    :meth:`top_ranked`/:meth:`class_tops` — a C-level partial ranking
+    instead of sorting a full table.
+
+    ``frequencies``/``sizes`` depend on where the vocabulary lives: over
+    a resident :class:`ChunkVocabulary` (Python ``bytes`` already in RAM)
+    they materialize once as plain dicts, which is what the attacks' BFS
+    probes fastest; over a packed or mmapped vocabulary
+    (:class:`~repro.datasets.columnar.PackedVocabulary`) they are lazy
+    rank-indexed views, so nothing scales with the full table.
     """
 
     def __init__(
         self,
-        vocabulary: ChunkVocabulary,
-        ordered_ids: list[int],
-        ordered_counts: list[int],
-        ordered_first: list[int],
-        chunk_sizes: list[int],
-        packed_pairs,
+        vocabulary,
+        ordered_ids,
+        ordered_counts,
+        first_sizes,
+        ordered_pairs,
+        ordered_pair_counts,
     ):
         self.vocabulary = vocabulary
-        self._ordered_ids = ordered_ids
-        self._ordered_counts = ordered_counts
-        self._ordered_first = ordered_first
-        self._chunk_sizes = chunk_sizes
-        self._packed_pairs = packed_pairs
-        self._frequencies: dict[bytes, int] | None = None
-        self._sizes: dict[bytes, int] | None = None
-        self._left: _ArrayNeighborView | None = None
-        self._right: _ArrayNeighborView | None = None
-
-    @classmethod
-    def count(
-        cls, backup: Backup, vocabulary: ChunkVocabulary | None = None
-    ) -> "InternedArrayStats":
-        numpy = accel.numpy
-        vocabulary = vocabulary if vocabulary is not None else ChunkVocabulary()
-        check_vocabulary_capacity(len(vocabulary))
-        fingerprints = backup.fingerprints
-        total = len(fingerprints)
-        if not total:
-            return cls(vocabulary, [], [], [], [], None)
-        ids = vocabulary._ids
-        with _gc_paused():
-            id_array = numpy.fromiter(
-            map(ids.__getitem__, fingerprints),
-                dtype=numpy.intp,
-                count=total,
-            )
-            counts = numpy.bincount(id_array, minlength=len(vocabulary))
-            # Reversed scatter: the earliest occurrence is written last
-            # and wins, giving each id's first stream position in one
-            # pass.
-            first = numpy.zeros(len(counts), dtype=numpy.intp)
-            first[id_array[::-1]] = numpy.arange(total - 1, -1, -1)
-            present = numpy.flatnonzero(counts)
-            order = present[numpy.argsort(first[present])]
-            packed = None
-            if total > 1:
-                unsigned = id_array.astype(numpy.uint64)
-                packed = (unsigned[:-1] << numpy.uint64(PAIR_SHIFT)) | unsigned[1:]
-        return cls(
-            vocabulary,
-            order.tolist(),
-            counts[order].tolist(),
-            first[order].tolist(),
-            backup.sizes,
-            packed,
-        )
+        self.ordered_ids = ordered_ids
+        self.ordered_counts = ordered_counts
+        self.first_sizes = first_sizes
+        self.ordered_pairs = ordered_pairs
+        self.ordered_pair_counts = ordered_pair_counts
+        # A shared resident vocabulary may grow after this COUNT; ids at
+        # or above this bound were never counted here.
+        self._vocab_size = len(vocabulary)
+        self._tie_orders: dict[str, object] = {}
 
     @property
     def unique_chunks(self) -> int:
-        return len(self._ordered_ids)
+        return len(self.ordered_ids)
 
-    @property
-    def frequencies(self) -> dict[bytes, int]:
-        if self._frequencies is None:
-            fingerprints = self.vocabulary._fingerprints
-            with _gc_paused():
-                self._frequencies = {
-                    fingerprints[chunk_id]: count
-                    for chunk_id, count in zip(
-                        self._ordered_ids, self._ordered_counts
-                    )
-                }
-        return self._frequencies
-
-    @property
-    def sizes(self) -> dict[bytes, int]:
-        if self._sizes is None:
-            fingerprints = self.vocabulary._fingerprints
-            chunk_sizes = self._chunk_sizes
-            with _gc_paused():
-                self._sizes = {
-                    fingerprints[chunk_id]: chunk_sizes[index]
-                    for chunk_id, index in zip(
-                        self._ordered_ids, self._ordered_first
-                    )
-                }
-        return self._sizes
-
-    def _group_pairs(self) -> None:
+    @cached_property
+    def _rank_lookup(self):
+        """Chunk id → frequency-table rank (-1 if absent)."""
         numpy = accel.numpy
-        vocabulary = self.vocabulary
-        packed = self._packed_pairs
-        if packed is None or not len(packed):
-            self._left = _ArrayNeighborView(vocabulary, [], None, None, None)
-            self._right = _ArrayNeighborView(vocabulary, [], None, None, None)
-            return
-        with _gc_paused():
-            self._group_pairs_inner(numpy, vocabulary, packed)
-
-    def _group_pairs_inner(self, numpy, vocabulary, packed) -> None:
-        unique_pairs, first_index, counts = numpy.unique(
-            packed, return_index=True, return_counts=True
+        lookup = numpy.full(self._vocab_size, -1, dtype=numpy.int64)
+        lookup[self.ordered_ids] = numpy.arange(
+            len(self.ordered_ids), dtype=numpy.int64
         )
-        order = numpy.argsort(first_index)
-        self._left, self._right = segment_neighbor_views(
-            numpy, vocabulary, unique_pairs[order], counts[order]
+        return lookup
+
+    def _rank_of(self, fingerprint: bytes) -> int:
+        """A fingerprint's frequency-table rank, -1 if it was not counted."""
+        chunk_id = self.vocabulary._ids.get(fingerprint)
+        if chunk_id is None or chunk_id >= self._vocab_size:
+            return -1
+        return int(self._rank_lookup[chunk_id])
+
+    def _table(self, values):
+        if not isinstance(self.vocabulary, ChunkVocabulary):
+            return _RankedView(self, values)
+        with _gc_paused():
+            return dict(
+                zip(
+                    map(
+                        self.vocabulary._fingerprints.__getitem__,
+                        self.ordered_ids.tolist(),
+                    ),
+                    values.tolist(),
+                )
+            )
+
+    @cached_property
+    def frequencies(self):
+        return self._table(self.ordered_counts)
+
+    @cached_property
+    def sizes(self):
+        return self._table(self.first_sizes)
+
+    @cached_property
+    def _neighbors(self) -> tuple[_ArrayNeighborView, _ArrayNeighborView]:
+        """The (left, right) views, grouped on first neighbor access."""
+        previous_ids, current_ids = unpack_pairs(self.ordered_pairs)
+        return tuple(
+            _ArrayNeighborView(
+                self.vocabulary,
+                self._vocab_size,
+                own_ids,
+                neighbor_ids,
+                self.ordered_pair_counts,
+            )
+            for own_ids, neighbor_ids in (
+                (current_ids, previous_ids),
+                (previous_ids, current_ids),
+            )
         )
 
     @property
     def left(self) -> _ArrayNeighborView:
-        if self._left is None:
-            self._group_pairs()
-        assert self._left is not None
-        return self._left
+        return self._neighbors[0]
 
     @property
     def right(self) -> _ArrayNeighborView:
-        if self._right is None:
-            self._group_pairs()
-        assert self._right is not None
-        return self._right
+        return self._neighbors[1]
+
+    # -- rank extraction ----------------------------------------------------
+
+    def _tie_order(self, tie_break: str):
+        """The full frequency ranking as index positions into the
+        ordered arrays, under ``tie_break`` (cached).
+
+        ``insertion``: the arrays are already in first-occurrence order,
+        so a stable sort on descending count reproduces
+        :func:`~repro.attacks.frequency.rank_by_frequency` exactly.
+        ``fingerprint``: ties order by fingerprint bytes, recovered from
+        the vocabulary's lexicographic ranks without decoding.
+        """
+        order = self._tie_orders.get(tie_break)
+        if order is None:
+            numpy = accel.numpy
+            if tie_break == INSERTION:
+                order = numpy.argsort(-self.ordered_counts, kind="stable")
+            elif tie_break == FINGERPRINT:
+                ranks = self.vocabulary._ids.sort_ranks()[self.ordered_ids]
+                order = numpy.lexsort((ranks, -self.ordered_counts))
+            else:
+                raise ValueError(
+                    f"unknown tie_break {tie_break!r}; use one of {_TIE_BREAKS}"
+                )
+            self._tie_orders[tie_break] = order
+        return order
+
+    def fingerprints_at(self, positions) -> list[bytes]:
+        """Decode the chunks at ``positions`` of the ordered arrays."""
+        return list(
+            map(
+                self.vocabulary._fingerprints.__getitem__,
+                self.ordered_ids[positions].tolist(),
+            )
+        )
+
+    def top_ranked(
+        self, limit: int | None = None, tie_break: str = INSERTION
+    ) -> list[bytes]:
+        """The ``limit`` top-frequency fingerprints, identical to
+        ``rank_by_frequency(self.frequencies, tie_break)[:limit]`` but
+        decoding only the returned prefix."""
+        return self.fingerprints_at(self._tie_order(tie_break)[:limit])
+
+    def class_tops(
+        self,
+        limit: int,
+        block_size: int,
+        is_plaintext: bool,
+        tie_break: str = INSERTION,
+    ) -> tuple[dict[int, list[bytes]], dict[int, int]]:
+        """Per cipher-block-count class: the top-``limit`` fingerprints and
+        the class population.
+
+        Because a stable sort of a subsequence equals the stably-sorted
+        full sequence filtered to it, slicing the global ranking by class
+        reproduces exactly the per-class ranking
+        :func:`~repro.attacks.frequency.sized_freq_analysis` computes over
+        materialized class buckets.
+        """
+        if not len(self.ordered_ids):
+            return {}, {}
+        numpy = accel.numpy
+        order = self._tie_order(tie_break)
+        blocks = self.first_sizes // block_size
+        if is_plaintext:
+            blocks = blocks + 1
+        ranked_blocks = blocks[order]
+        class_order = numpy.argsort(ranked_blocks, kind="stable")
+        sorted_blocks = ranked_blocks[class_order]
+        boundaries = (
+            numpy.flatnonzero(sorted_blocks[1:] != sorted_blocks[:-1]) + 1
+        ).tolist()
+        tops: dict[int, list[bytes]] = {}
+        populations: dict[int, int] = {}
+        for low, high in zip(
+            [0, *boundaries], [*boundaries, len(sorted_blocks)]
+        ):
+            block = int(sorted_blocks[low])
+            populations[block] = high - low
+            tops[block] = self.fingerprints_at(
+                order[class_order[low : min(low + limit, high)]]
+            )
+        return tops, populations
+
+    def with_vocabulary(self, vocabulary, first_sizes) -> "ArrayStats":
+        """The same counted stream under another fingerprint decode.
+
+        A deterministic per-chunk encryption maps the plaintext id stream
+        to the ciphertext id stream unchanged, so the ciphertext COUNT
+        *is* this COUNT — only the vocabulary (ciphertext fingerprints)
+        and the per-chunk sizes (padded) differ. Sharing the arrays makes
+        deriving the ciphertext stats O(unique), not a second pass.
+        """
+        return ArrayStats(
+            vocabulary,
+            self.ordered_ids,
+            self.ordered_counts,
+            first_sizes,
+            self.ordered_pairs,
+            self.ordered_pair_counts,
+        )
 
 
-def segment_neighbor_views(
-    numpy, vocabulary, ordered_pairs, ordered_counts, keys_as_arrays=False
-) -> tuple[_ArrayNeighborView, _ArrayNeighborView]:
-    """Build the two directed neighbor views from packed pairs that are
-    already aggregated and in pair-first-occurrence order.
+# ---------------------------------------------------------------------------
+# Seed extraction over ranked stats (the attacks' _seed_analyse hooks)
 
-    Stable segment sorts keep the first-occurrence suborder within each
-    segment; the pre-sort id arrays carry the outer first-occurrence
-    order for (lazy) iteration. ``keys_as_arrays`` keeps the bisect keys
-    as numpy arrays instead of Python lists — the trace-scale choice: a
-    probe pays a few numpy scalar reads, but 10⁷ pair keys never become
-    10⁷ boxed ints.
-    """
-    previous_ids = (ordered_pairs >> numpy.uint64(PAIR_SHIFT)).astype(numpy.intp)
-    current_ids = (ordered_pairs & numpy.uint64(_PAIR_MASK)).astype(numpy.intp)
 
-    def keys_of(sorted_ids):
-        return sorted_ids if keys_as_arrays else sorted_ids.tolist()
-
-    segments = numpy.argsort(previous_ids, kind="stable")
-    right = _ArrayNeighborView(
-        vocabulary,
-        keys_of(previous_ids[segments]),
-        current_ids[segments],
-        ordered_counts[segments],
-        previous_ids,
+def seed_freq_pairs(
+    ciphertext_stats, plaintext_stats, limit: int | None, tie_break: str
+) -> list[tuple[bytes, bytes]]:
+    """FREQ-ANALYSIS over two full frequency tables without materializing
+    either: rank-``i`` ciphertext chunk pairs with rank-``i`` plaintext
+    chunk, identical to :func:`~repro.attacks.frequency.freq_analysis`
+    over the dict tables."""
+    pair_count = min(
+        ciphertext_stats.unique_chunks, plaintext_stats.unique_chunks
     )
-    segments = numpy.argsort(current_ids, kind="stable")
-    left = _ArrayNeighborView(
-        vocabulary,
-        keys_of(current_ids[segments]),
-        previous_ids[segments],
-        ordered_counts[segments],
-        current_ids,
+    if limit is not None:
+        pair_count = min(pair_count, limit)
+    return list(
+        zip(
+            ciphertext_stats.top_ranked(pair_count, tie_break),
+            plaintext_stats.top_ranked(pair_count, tie_break),
+        )
     )
-    return left, right
+
+
+def sized_seed_pairs(
+    ciphertext_stats,
+    plaintext_stats,
+    limit: int,
+    block_size: int,
+    tie_break: str,
+) -> list[tuple[bytes, bytes]]:
+    """Size-classified FREQ-ANALYSIS over the full tables (Algorithm 3's
+    seeding), identical to
+    :func:`~repro.attacks.frequency.sized_freq_analysis` over the dict
+    tables but pairing only the per-class top ``limit`` ranks."""
+    cipher_tops, _ = ciphertext_stats.class_tops(
+        limit, block_size, is_plaintext=False, tie_break=tie_break
+    )
+    plain_tops, _ = plaintext_stats.class_tops(
+        limit, block_size, is_plaintext=True, tie_break=tie_break
+    )
+    pairs: list[tuple[bytes, bytes]] = []
+    for block in sorted(cipher_tops):
+        # zip stops at the shorter class, like freq_analysis' pair count.
+        pairs.extend(zip(cipher_tops[block], plain_tops.get(block, ())))
+    return pairs
 
 
 def interned_count(backup: Backup, vocabulary: ChunkVocabulary | None = None):
-    """The locality-based attacks' COUNT (Algorithm 2's COUNT),
-    byte-identical to
-    :func:`~repro.attacks.frequency.count_with_neighbors` through the
-    ChunkStats-compatible lazy views.
+    """The locality-based attacks' COUNT (Algorithm 2's COUNT) over an
+    in-RAM backup, byte-identical to
+    :func:`~repro.attacks.frequency.count_with_neighbors`.
 
-    With numpy this is the vectorized single-pass
-    :class:`InternedArrayStats`; without it the reference COUNT itself
-    runs (interning pays off through vectorized counting — the
-    pure-Python :class:`InternedCount` exists for the streaming COUNT's
-    batch deltas, where the backend dominates, not to beat the reference
-    dict loop at attack scale).
+    With numpy the backup is interned (through ``vocabulary`` when one is
+    shared) and counted as one shard into an :class:`ArrayStats`;
+    without it the reference COUNT itself runs — interning pays off
+    through vectorized counting only.
     """
-    if accel.numpy is not None:
-        return InternedArrayStats.count(backup, vocabulary)
-    from repro.attacks.frequency import count_with_neighbors
-
-    return count_with_neighbors(backup)
+    if accel.numpy is None:
+        return count_with_neighbors(backup)
+    if vocabulary is None:
+        vocabulary = ChunkVocabulary()
+    with _gc_paused():
+        ids = vocabulary.intern_array(backup.fingerprints)
+        shard = count_shard(ids, 0, 0, len(vocabulary))
+        return merge_shards(vocabulary, [shard], len(ids), backup.sizes)

@@ -32,7 +32,7 @@ from repro.attacks.frequency import (
     ChunkStats,
     freq_analysis,
 )
-from repro.attacks.interning import interned_count
+from repro.attacks.interning import interned_count, seed_freq_pairs
 from repro.common.errors import ConfigurationError
 from repro.datasets.model import Backup
 
@@ -68,8 +68,7 @@ class LocalityAttack(Attack):
     # Subclass hooks ---------------------------------------------------------
 
     def _count(self, backup: Backup) -> ChunkStats:
-        # Interned fast path; byte-identical to count_with_neighbors (the
-        # reference COUNT) through the ChunkStats-compatible lazy views.
+        # Byte-identical to count_with_neighbors (the reference COUNT).
         return interned_count(backup)  # type: ignore[return-value]
 
     def _seed_analyse(
@@ -80,10 +79,8 @@ class LocalityAttack(Attack):
         if hasattr(ciphertext_stats, "top_ranked") and hasattr(
             plaintext_stats, "top_ranked"
         ):
-            # Trace-scale stats rank their flat count arrays directly
-            # (byte-identical, but never materializes the full tables).
-            from repro.attacks.sharded import seed_freq_pairs
-
+            # Array stats rank their flat count arrays directly
+            # (byte-identical, but never sorts the full tables).
             return seed_freq_pairs(
                 ciphertext_stats, plaintext_stats, self.u, self.seed_tie_break
             )

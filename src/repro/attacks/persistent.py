@@ -12,8 +12,9 @@ This module reproduces that design on the pluggable
 :class:`~repro.index.backends.KVBackend` layer (the streaming COUNT itself
 lives in :mod:`repro.attacks.streaming`):
 
-* :func:`persist_chunk_stats` — streams the COUNT output for a backup into
-  backend stores under a directory;
+* :func:`persist_chunk_stats` — streams the COUNT output for a backup
+  (in RAM, or one view of a columnar trace) into backend stores under a
+  directory;
 * :func:`load_chunk_stats` — reopens persisted stores via the completion
   marker written when a COUNT run finishes (partial state from an
   interrupted run is never loaded — it is wiped and recounted);
@@ -40,6 +41,7 @@ from repro.attacks.streaming import (
     StreamingCount,
 )
 from repro.common.errors import ConfigurationError
+from repro.datasets.columnar import ColumnarBackupView
 from repro.datasets.model import Backup
 from repro.index.backends import DEFAULT_SHARDS
 
@@ -50,7 +52,6 @@ __all__ = [
     "PersistentLocalityAttack",
     "load_chunk_stats",
     "persist_chunk_stats",
-    "persist_columnar_stats",
 ]
 
 # Backwards-compatible name: the stats object now lives in the streaming
@@ -91,12 +92,12 @@ def _clear_partial_state(directory: Path) -> None:
 
 
 def persist_chunk_stats(
-    backup: Backup,
+    source: Backup | ColumnarBackupView,
     directory: str | os.PathLike,
     backend: str = "kvstore",
     shards: int | None = None,
 ) -> BackendChunkStats:
-    """Run the streaming COUNT over ``backup``, persisted under ``directory``.
+    """Run the streaming COUNT over ``source``, persisted under ``directory``.
 
     A completion marker (recording the backend spec) is written only after
     the full stream is counted; a directory holding partial state from an
@@ -106,7 +107,12 @@ def persist_chunk_stats(
     against many targets, as in the Figure 6 sweep.
 
     Args:
-        backup: the logical chunk stream to count.
+        source: the logical chunk stream to count — an in-RAM backup, or
+            one backup view of a memory-mapped columnar trace, whose
+            batched decode
+            (:meth:`~repro.datasets.columnar.ColumnarBackupView.iter_batches`)
+            flows into the on-disk stores without ever materializing the
+            backup.
         directory: where the stores live (one subdirectory per backup).
         backend: backend spec (``"kvstore"``, ``"sqlite"``, ``"sharded"``,
             ``"sharded:N"``; see :func:`repro.index.backends.open_backend`).
@@ -118,7 +124,11 @@ def persist_chunk_stats(
             :func:`load_chunk_stats` instead — recounting would merge
             into them and double every frequency).
     """
-    if not backup.fingerprints:
+    if isinstance(source, Backup):
+        batches = [(source.fingerprints, source.sizes)]
+    else:
+        batches = source.iter_batches()
+    if not len(source):
         raise ConfigurationError("cannot persist stats of an empty backup")
     directory = Path(directory)
     marker = directory / _MARKER
@@ -129,48 +139,8 @@ def persist_chunk_stats(
         )
     _clear_partial_state(directory)
     spec = _canonical_spec(backend, shards)
-    stores = CountStores.open(directory, spec)
-    counter = StreamingCount(stores)
-    counter.ingest_backup(backup)
-    stats = counter.finalize()
-    if spec != "memory":
-        marker.write_text(spec + "\n")
-    return stats
-
-
-def persist_columnar_stats(
-    view,
-    directory: str | os.PathLike,
-    backend: str = "kvstore",
-    shards: int | None = None,
-    batch_size: int = 64 * 1024,
-) -> BackendChunkStats:
-    """Run the streaming COUNT over one columnar backup view, persisted
-    under ``directory``.
-
-    The batched decode adapter
-    (:meth:`repro.datasets.columnar.ColumnarBackupView.iter_batches`)
-    feeds :class:`StreamingCount` unchanged, so a memory-mapped trace
-    flows into on-disk stores without ever materializing the backup. The
-    completion-marker discipline is the same as
-    :func:`persist_chunk_stats`: the marker is written only after the
-    full stream is counted, so partial state from an interrupted run is
-    wiped and recounted on the next call, never loaded.
-    """
-    if view.num_chunks == 0:
-        raise ConfigurationError("cannot persist stats of an empty backup")
-    directory = Path(directory)
-    marker = directory / _MARKER
-    if marker.exists():
-        raise ConfigurationError(
-            f"stats already persisted under {directory}; "
-            "use load_chunk_stats to reopen them"
-        )
-    _clear_partial_state(directory)
-    spec = _canonical_spec(backend, shards)
-    stores = CountStores.open(directory, spec)
-    counter = StreamingCount(stores)
-    for fingerprints, sizes in view.iter_batches(batch_size):
+    counter = StreamingCount(CountStores.open(directory, spec))
+    for fingerprints, sizes in batches:
         counter.ingest(fingerprints, sizes)
     stats = counter.finalize()
     if spec != "memory":

@@ -1,34 +1,22 @@
 """Sharded parallel COUNT over columnar traces (trace-scale attacks).
 
 :func:`sharded_count` runs the attacks' COUNT pass over one backup of a
-memory-mapped :class:`~repro.datasets.columnar.ColumnarTrace` by splitting
-the uint32 id column into contiguous shards, counting each shard in a
-worker process, and merging the per-shard deltas deterministically:
-
-* **frequencies** add; **first-occurrence positions** take the minimum
-  (shard positions are global stream positions, so the minimum is the true
-  first occurrence);
-* **adjacency** is complete because every shard after the first reads one
-  *lead* element before its range — the boundary pair belongs to exactly
-  one shard, so packed pair counts add and pair first positions take the
-  minimum;
-* the merged tables are re-ordered by global first-occurrence position
-  (the *insertion-sequence trick*): first positions are unique stream
-  indices, so one ``argsort`` reconstructs exactly the insertion order a
-  single-threaded COUNT would have produced — which is why the output is
-  byte-identical to :func:`~repro.attacks.interning.interned_count` at any
-  ``--jobs`` (pinned by the differential tests).
-
-The numpy path returns :class:`ColumnarArrayStats`, which never
-materializes the full frequency table: ``frequencies``/``sizes`` are lazy
-rank-indexed views over flat arrays, neighbor tables decode per probed
-fingerprint, and the attacks' global seeding goes through
-:meth:`ColumnarArrayStats.top_ranked` / :meth:`ColumnarArrayStats.class_tops`
-— a C-level partial ranking instead of sorting a 10⁷-entry dict. The
-pure-Python fallback (:data:`repro.common.accel` seam) counts shards with
-``Counter`` primitives and merges in shard order (``Counter.update``
-preserves first-seen key order), returning a plain
-:class:`~repro.attacks.interning.InternedChunkStats`.
+memory-mapped :class:`~repro.datasets.columnar.ColumnarTrace` — the
+*columnar shards* row of the table in :mod:`repro.attacks.frequency`: the
+uint32 id column is split into contiguous shards, each shard is read (one
+*lead* element before its range, so the boundary adjacency pair belongs
+to exactly one shard) and counted in a worker process by
+:func:`~repro.attacks.interning.count_shard`, and
+:func:`~repro.attacks.interning.merge_shards` restores the insertion
+order of a single-threaded COUNT from the global first-occurrence
+positions — which is why the output is byte-identical to
+:func:`~repro.attacks.interning.interned_count` at any ``--jobs`` (pinned
+by the differential tests). The result is an
+:class:`~repro.attacks.interning.ArrayStats` over the trace's mmapped
+vocabulary, so nothing scales with the full frequency table. Without
+numpy the workers only read their shards and the reference loop
+(:func:`~repro.attacks.frequency.accumulate_counts`) counts them in
+stream order into a plain :class:`~repro.attacks.frequency.ChunkStats`.
 
 :func:`columnar_attack_report` is the end-to-end driver: it derives the
 MLE ciphertext side at the *vocabulary* level (the ciphertext id stream of
@@ -44,26 +32,22 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from itertools import islice
 from multiprocessing import get_context
 
 from repro import faults, obs
 from repro.faults import WorkerCrashError
 
+from repro.attacks.advanced import AdvancedLocalityAttack
 from repro.attacks.evaluation import InferenceReport
-from repro.attacks.frequency import FINGERPRINT, INSERTION
+from repro.attacks.frequency import ChunkStats, accumulate_counts
 from repro.attacks.interning import (
-    PAIR_SHIFT,
-    InternedArrayStats,
-    InternedChunkStats,
-    _ArrayNeighborView,
-    _gc_paused,
     check_vocabulary_capacity,
-    segment_neighbor_views,
+    count_shard,
+    merge_shards,
 )
+from repro.attacks.locality import LocalityAttack
 from repro.common import accel
 from repro.common.errors import ConfigurationError
 from repro.common.rng import rng_from
@@ -74,18 +58,13 @@ from repro.datasets.columnar import (
     PackedVocabulary,
     _u32_array,
 )
+from repro.defenses.pipeline import DefenseScheme, padded_size
 
 __all__ = [
-    "ColumnarArrayStats",
     "columnar_attack_report",
     "encrypt_vocabulary",
-    "sample_columnar_leakage",
-    "seed_freq_pairs",
     "sharded_count",
-    "sized_seed_pairs",
 ]
-
-_TIE_BREAKS = (INSERTION, FINGERPRINT)
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +85,14 @@ def _shard_ranges(total: int, jobs: int) -> list[tuple[int, int]]:
 
 
 def _count_shard(task):
-    """Count one contiguous shard of a backup's id column.
+    """Read and count one contiguous shard of a backup's id column.
 
     ``task`` is ``(ids_path, span_start, start, stop, lead, vocab_size,
-    use_numpy, shard)`` with ``start``/``stop`` view-relative. A shard
-    with ``start > 0`` reads one *lead* element before its range so the
-    boundary adjacency pair is counted by exactly one shard; the lead
-    element itself is excluded from the frequency/first tables (it belongs
-    to the previous shard).
+    shard)`` with ``start``/``stop`` view-relative. A shard with
+    ``start > 0`` reads one *lead* element before its range (see
+    :func:`~repro.attacks.interning.count_shard`). Without numpy the
+    payload is the shard's raw id bytes: the parent counts them in
+    stream order.
 
     Returns ``(payload, telemetry)``: the count tables plus, when
     observability is on, ``(metrics snapshot, span records)`` recorded
@@ -121,7 +100,8 @@ def _count_shard(task):
     parent's globals; recording there would double-count after the
     parent merges the shipped snapshot).
     """
-    ids_path, span_start, start, stop, lead, vocab_size, use_numpy, shard = task
+    ids_path, span_start, start, stop, lead, vocab_size, shard = task
+    numpy = accel.numpy
     registry = obs.worker_registry()
     ring = obs.SpanRing() if obs.tracing_enabled() else None
     span = ring.span if ring is not None else _null_span
@@ -131,10 +111,12 @@ def _count_shard(task):
             handle.seek((span_start + start - lead) * 4)
             raw = handle.read((stop - start + lead) * 4)
         count_started = time.perf_counter()
-        if use_numpy:
-            payload = _count_shard_numpy(raw, start, stop, lead, vocab_size)
+        if numpy is not None:
+            payload = count_shard(
+                numpy.frombuffer(raw, dtype="<u4"), start, lead, vocab_size
+            )
         else:
-            payload = _count_shard_python(raw, start, stop, lead)
+            payload = raw[lead * 4 :]
     if registry is not None:
         finished = time.perf_counter()
         registry.counter("count.chunks", stop - start)
@@ -162,49 +144,6 @@ def _null_span(name, **tags):
     return obs.NULL_SPAN
 
 
-def _count_shard_numpy(raw, start, stop, lead, vocab_size):
-    numpy = accel.numpy
-    seg = numpy.frombuffer(raw, dtype="<u4")
-    ids = seg[lead:].astype(numpy.intp)
-    counts = numpy.bincount(ids, minlength=vocab_size)
-    # Reversed scatter: the earliest occurrence is written last and wins.
-    first = numpy.zeros(vocab_size, dtype=numpy.int64)
-    first[ids[::-1]] = numpy.arange(stop - 1, start - 1, -1, dtype=numpy.int64)
-    present = numpy.flatnonzero(counts)
-    pairs = pair_first = pair_counts = None
-    if len(seg) > 1:
-        wide = seg.astype(numpy.uint64)
-        packed = (wide[:-1] << numpy.uint64(PAIR_SHIFT)) | wide[1:]
-        pairs, first_index, pair_counts = numpy.unique(
-            packed, return_index=True, return_counts=True
-        )
-        pair_first = first_index.astype(numpy.int64) + (start - lead)
-    return (
-        present.astype(numpy.int64),
-        counts[present].astype(numpy.int64),
-        first[present],
-        pairs,
-        pair_first,
-        pair_counts,
-    )
-
-
-def _count_shard_python(raw, start, stop, lead):
-    seg = _u32_array(raw)
-    ids = seg[lead:] if lead else seg
-    # Counter over the shard's id stream: first-seen key order.
-    frequency = Counter(ids)
-    # Reversed zip: the earliest occurrence is written last and wins.
-    firsts = dict(zip(reversed(ids), reversed(range(start, stop))))
-    pairs: Counter = Counter()
-    if len(seg) > 1:
-        pairs.update(
-            (previous << PAIR_SHIFT) | current
-            for previous, current in zip(seg, islice(seg, 1, None))
-        )
-    return (frequency, firsts, pairs)
-
-
 # How many times a crashed shard is re-submitted before the count gives up.
 _WORKER_RETRIES = 3
 
@@ -223,7 +162,7 @@ def _count_shard_guarded(task, crash=None):
     if crash is not None:
         if crash == "exit":
             os._exit(3)
-        raise WorkerCrashError(f"injected worker crash (shard {task[7]})")
+        raise WorkerCrashError(f"injected worker crash (shard {task[-1]})")
     return _count_shard(task)
 
 
@@ -235,12 +174,12 @@ def _run_inline(task):
     identical between the inline and pooled paths.
     """
     for attempt in range(_WORKER_RETRIES + 1):
-        action = faults.fire("count.worker", shard=task[7])
+        action = faults.fire("count.worker", shard=task[-1])
         if action is None:
             return _count_shard(task)
         if attempt == _WORKER_RETRIES:
             raise WorkerCrashError(
-                f"shard {task[7]} crashed {attempt + 1} times; giving up"
+                f"shard {task[-1]} crashed {attempt + 1} times; giving up"
             )
         obs.counter("faults.retries", site="count.worker")
     raise AssertionError("unreachable")
@@ -272,7 +211,7 @@ def _run_tasks(tasks):
             submissions = []
             for index in pending:
                 task = tasks[index]
-                action = faults.fire("count.worker", shard=task[7])
+                action = faults.fire("count.worker", shard=task[-1])
                 crash = (
                     None if action is None else str(action.get("mode", "raise"))
                 )
@@ -292,7 +231,7 @@ def _run_tasks(tasks):
                     attempts[index] += 1
                     if attempts[index] > _WORKER_RETRIES:
                         raise WorkerCrashError(
-                            f"shard {tasks[index][7]} crashed "
+                            f"shard {tasks[index][-1]} crashed "
                             f"{attempts[index]} times; giving up"
                         ) from error
                     obs.counter("faults.retries", site="count.worker")
@@ -308,266 +247,6 @@ def _run_tasks(tasks):
 
 
 # ---------------------------------------------------------------------------
-# Trace-scale stats: lazy rank-indexed views over flat arrays
-
-
-class _LazyVocabMapping:
-    """Base for the ``fingerprint -> value`` views of
-    :class:`ColumnarArrayStats`: a probe resolves the fingerprint to its
-    chunk id through the mmap-backed vocabulary index, then to its
-    frequency rank; nothing per-fingerprint is ever materialized unless
-    something iterates the view."""
-
-    __slots__ = ("_stats",)
-
-    def __init__(self, stats: "ColumnarArrayStats"):
-        self._stats = stats
-
-    def _value_at(self, rank: int) -> int:
-        raise NotImplementedError
-
-    def get(self, fingerprint: bytes, default=None):
-        stats = self._stats
-        chunk_id = stats.vocabulary._ids.get(fingerprint)
-        if chunk_id is None:
-            return default
-        rank = int(stats._rank_of()[chunk_id])
-        if rank < 0:
-            return default
-        return self._value_at(rank)
-
-    def __getitem__(self, fingerprint: bytes) -> int:
-        value = self.get(fingerprint)
-        if value is None:
-            raise KeyError(fingerprint)
-        return value
-
-    def __contains__(self, fingerprint: bytes) -> bool:
-        return self.get(fingerprint) is not None
-
-    def __len__(self) -> int:
-        return len(self._stats._ordered_ids)
-
-    def keys(self):
-        fingerprints = self._stats.vocabulary._fingerprints
-        return (
-            fingerprints[int(chunk_id)] for chunk_id in self._stats._ordered_ids
-        )
-
-    def __iter__(self):
-        return self.keys()
-
-    def values(self):
-        return (self._value_at(rank) for rank in range(len(self)))
-
-    def items(self):
-        fingerprints = self._stats.vocabulary._fingerprints
-        for rank, chunk_id in enumerate(self._stats._ordered_ids):
-            yield fingerprints[int(chunk_id)], self._value_at(rank)
-
-
-class _LazyFrequencies(_LazyVocabMapping):
-    def _value_at(self, rank: int) -> int:
-        return int(self._stats._ordered_counts[rank])
-
-
-class _LazySizes(_LazyVocabMapping):
-    def _value_at(self, rank: int) -> int:
-        return int(self._stats._first_sizes[rank])
-
-
-class ColumnarArrayStats(InternedArrayStats):
-    """Merged sharded COUNT over a columnar backup, held in flat arrays.
-
-    Same mapping surface as :class:`InternedArrayStats` (so the
-    locality/advanced attacks run unchanged), but nothing scales with the
-    full table: ``frequencies``/``sizes`` are lazy rank-indexed views,
-    neighbor tables decode per probed fingerprint, and global frequency
-    ranking goes through :meth:`top_ranked`/:meth:`class_tops`. All
-    ordering is first-occurrence order, byte-identical to the in-RAM
-    interned COUNT (differential tests).
-
-    ``ordered_ids``/``ordered_counts``/``ordered_first`` are int64 arrays
-    in global first-occurrence order; ``first_sizes`` holds each present
-    id's first-occurrence chunk size aligned with them; ``ordered_pairs``/
-    ``ordered_pair_counts`` are the aggregated packed adjacency pairs in
-    pair-first-occurrence order (``None`` when the stream has no pairs).
-    """
-
-    def __init__(
-        self,
-        vocabulary,
-        ordered_ids,
-        ordered_counts,
-        ordered_first,
-        first_sizes,
-        ordered_pairs,
-        ordered_pair_counts,
-    ):
-        super().__init__(
-            vocabulary, ordered_ids, ordered_counts, ordered_first, [], None
-        )
-        self._first_sizes = first_sizes
-        self._ordered_pairs = ordered_pairs
-        self._ordered_pair_counts = ordered_pair_counts
-        self._rank_lookup = None
-        self._tie_orders: dict[str, object] = {}
-        self._lazy_frequencies: _LazyFrequencies | None = None
-        self._lazy_sizes: _LazySizes | None = None
-
-    def _rank_of(self):
-        """Chunk id → frequency-table rank (-1 if absent), built lazily."""
-        if self._rank_lookup is None:
-            numpy = accel.numpy
-            lookup = numpy.full(
-                max(len(self.vocabulary), 1), -1, dtype=numpy.int64
-            )
-            if len(self._ordered_ids):
-                lookup[self._ordered_ids] = numpy.arange(
-                    len(self._ordered_ids), dtype=numpy.int64
-                )
-            self._rank_lookup = lookup
-        return self._rank_lookup
-
-    @property
-    def frequencies(self) -> _LazyFrequencies:  # type: ignore[override]
-        if self._lazy_frequencies is None:
-            self._lazy_frequencies = _LazyFrequencies(self)
-        return self._lazy_frequencies
-
-    @property
-    def sizes(self) -> _LazySizes:  # type: ignore[override]
-        if self._lazy_sizes is None:
-            self._lazy_sizes = _LazySizes(self)
-        return self._lazy_sizes
-
-    def _group_pairs(self) -> None:
-        numpy = accel.numpy
-        pairs = self._ordered_pairs
-        if pairs is None or not len(pairs):
-            self._left = _ArrayNeighborView(self.vocabulary, [], None, None, None)
-            self._right = _ArrayNeighborView(self.vocabulary, [], None, None, None)
-            return
-        with _gc_paused():
-            self._left, self._right = segment_neighbor_views(
-                numpy,
-                self.vocabulary,
-                pairs,
-                self._ordered_pair_counts,
-                keys_as_arrays=True,
-            )
-
-    # -- streaming rank extraction ------------------------------------------
-
-    def _tie_order(self, tie_break: str):
-        """The full frequency ranking as index positions into the
-        ordered arrays, under ``tie_break`` (cached).
-
-        ``insertion``: the arrays are already in first-occurrence order,
-        so a stable sort on descending count reproduces
-        :func:`~repro.attacks.frequency.rank_by_frequency` exactly.
-        ``fingerprint``: ties order by fingerprint bytes, recovered from
-        the vocabulary index's lexicographic ranks without decoding.
-        """
-        cached = self._tie_orders.get(tie_break)
-        if cached is not None:
-            return cached
-        numpy = accel.numpy
-        counts = self._ordered_counts
-        if tie_break == INSERTION:
-            order = numpy.argsort(-counts, kind="stable")
-        elif tie_break == FINGERPRINT:
-            ranks = self.vocabulary._ids.sort_ranks()[self._ordered_ids]
-            order = numpy.lexsort((ranks, -counts))
-        else:
-            raise ValueError(
-                f"unknown tie_break {tie_break!r}; use one of {_TIE_BREAKS}"
-            )
-        self._tie_orders[tie_break] = order
-        return order
-
-    def top_ranked(
-        self, limit: int | None = None, tie_break: str = INSERTION
-    ) -> list[bytes]:
-        """The ``limit`` top-frequency fingerprints, identical to
-        ``rank_by_frequency(self.frequencies, tie_break)[:limit]`` but
-        decoding only the returned prefix."""
-        count = len(self._ordered_ids)
-        take = count if limit is None else min(limit, count)
-        if take <= 0:
-            return []
-        order = self._tie_order(tie_break)[:take]
-        fingerprints = self.vocabulary._fingerprints
-        ids = self._ordered_ids
-        return [
-            fingerprints[int(ids[int(position)])] for position in order
-        ]
-
-    def class_tops(
-        self,
-        limit: int,
-        block_size: int,
-        is_plaintext: bool,
-        tie_break: str = INSERTION,
-    ) -> tuple[dict[int, list[bytes]], dict[int, int]]:
-        """Per cipher-block-count class: the top-``limit`` fingerprints and
-        the class population.
-
-        Because a stable sort of a subsequence equals the stably-sorted
-        full sequence filtered to it, slicing the global ranking by class
-        reproduces exactly the per-class ranking
-        :func:`~repro.attacks.frequency.sized_freq_analysis` computes over
-        materialized class buckets.
-        """
-        if not len(self._ordered_ids):
-            return {}, {}
-        numpy = accel.numpy
-        order = self._tie_order(tie_break)
-        blocks = self._first_sizes // block_size
-        if is_plaintext:
-            blocks = blocks + 1
-        ranked_blocks = blocks[order]
-        class_order = numpy.argsort(ranked_blocks, kind="stable")
-        sorted_blocks = ranked_blocks[class_order]
-        boundaries = (
-            numpy.flatnonzero(sorted_blocks[1:] != sorted_blocks[:-1]) + 1
-        ).tolist()
-        fingerprints = self.vocabulary._fingerprints
-        ids = self._ordered_ids
-        tops: dict[int, list[bytes]] = {}
-        populations: dict[int, int] = {}
-        for low, high in zip(
-            [0, *boundaries], [*boundaries, len(sorted_blocks)]
-        ):
-            block = int(sorted_blocks[low])
-            populations[block] = high - low
-            chosen = order[class_order[low : low + min(limit, high - low)]]
-            tops[block] = [
-                fingerprints[int(ids[int(position)])] for position in chosen
-            ]
-        return tops, populations
-
-    def with_vocabulary(self, vocabulary, first_sizes) -> "ColumnarArrayStats":
-        """The same counted stream under another fingerprint decode.
-
-        A deterministic per-chunk encryption maps the plaintext id stream
-        to the ciphertext id stream unchanged, so the ciphertext COUNT
-        *is* this COUNT — only the vocabulary (ciphertext fingerprints)
-        and the per-chunk sizes (padded) differ. Sharing the arrays makes
-        deriving the ciphertext stats O(unique), not a second pass.
-        """
-        return ColumnarArrayStats(
-            vocabulary,
-            self._ordered_ids,
-            self._ordered_counts,
-            self._ordered_first,
-            first_sizes,
-            self._ordered_pairs,
-            self._ordered_pair_counts,
-        )
-
-
-# ---------------------------------------------------------------------------
 # The sharded COUNT itself
 
 
@@ -575,33 +254,23 @@ def sharded_count(view: ColumnarBackupView, jobs: int = 1):
     """COUNT one columnar backup with ``jobs`` parallel shard workers.
 
     Byte-identical to :func:`~repro.attacks.interning.interned_count`
-    over the materialized backup at any ``jobs`` (the merge re-derives
-    insertion order from global first-occurrence positions). With numpy,
-    returns a :class:`ColumnarArrayStats`; the pure-Python fallback
-    returns an :class:`~repro.attacks.interning.InternedChunkStats` whose
-    tables materialize on access (correct, but RAM-bound — trace scale
-    assumes the accelerated path).
+    over the materialized backup at any ``jobs``. With numpy, returns an
+    :class:`~repro.attacks.interning.ArrayStats` over the trace's mmapped
+    vocabulary; without it a plain
+    :class:`~repro.attacks.frequency.ChunkStats` (correct, but RAM-bound
+    — trace scale assumes the accelerated path).
     """
     if jobs < 1:
         raise ConfigurationError("jobs must be >= 1")
     trace = view.trace
-    vocabulary = trace.vocabulary
     check_vocabulary_capacity(trace.num_unique, "columnar trace vocabulary")
-    numpy = accel.numpy
     total = view.num_chunks
-    if total == 0:
-        if numpy is not None:
-            empty = numpy.empty(0, dtype=numpy.int64)
-            return ColumnarArrayStats(
-                vocabulary, empty, empty, empty, empty, None, None
-            )
-        return InternedChunkStats(vocabulary, Counter(), {}, Counter())
     ids_path = os.fspath(trace.directory / IDS_FILE)
-    use_numpy = numpy is not None
+    ranges = _shard_ranges(total, jobs)
     tasks = [
         (ids_path, view.start, start, stop, 1 if start else 0,
-         trace.num_unique, use_numpy, shard)
-        for shard, (start, stop) in enumerate(_shard_ranges(total, jobs))
+         trace.num_unique, shard)
+        for shard, (start, stop) in enumerate(ranges)
     ]
     obs.counter("count.backups")
     obs.gauge_max("count.shards", len(tasks), stable=False)
@@ -614,144 +283,27 @@ def sharded_count(view: ColumnarBackupView, jobs: int = 1):
         results.append(payload)
     merge_started = time.perf_counter()
     with obs.span("count.merge", label=view.label, shards=len(tasks)):
-        if use_numpy:
-            merged = _merge_numpy(view, results, total)
+        if accel.numpy is not None:
+            merged = merge_shards(
+                trace.vocabulary, results, total, view.sizes_array()
+            )
         else:
-            merged = _merge_python(view, results)
+            merged = ChunkStats()
+            fingerprints = trace.vocabulary._fingerprints
+            sizes = view.sizes()
+            previous = None
+            for (start, stop), raw in zip(ranges, results):
+                previous = accumulate_counts(
+                    merged,
+                    list(map(fingerprints.__getitem__, _u32_array(raw))),
+                    sizes[start:stop],
+                    previous,
+                )
     obs.observe(
         "count.shard.phase_s", time.perf_counter() - merge_started,
         phase="merge",
     )
     return merged
-
-
-def _merge_numpy(view, results, total):
-    numpy = accel.numpy
-    trace = view.trace
-    vocab_size = trace.num_unique
-    counts = numpy.zeros(vocab_size, dtype=numpy.int64)
-    # ``total`` is a sentinel above every real stream position.
-    first = numpy.full(vocab_size, total, dtype=numpy.int64)
-    pair_parts, pair_first_parts, pair_count_parts = [], [], []
-    for present, shard_counts, shard_first, pairs, pair_first, pair_counts in results:
-        counts[present] += shard_counts
-        # ``present`` is duplicate-free within a shard, so fancy-index
-        # assignment (not ``minimum.at``) is safe.
-        first[present] = numpy.minimum(first[present], shard_first)
-        if pairs is not None:
-            pair_parts.append(pairs)
-            pair_first_parts.append(pair_first)
-            pair_count_parts.append(pair_counts)
-    present = numpy.flatnonzero(counts)
-    # First positions are unique stream indices: this argsort IS the
-    # insertion sequence of a single-threaded COUNT.
-    argsort_started = time.perf_counter()
-    order = present[numpy.argsort(first[present], kind="stable")]
-    obs.observe(
-        "count.shard.phase_s", time.perf_counter() - argsort_started,
-        phase="argsort",
-    )
-    ordered_ids = order
-    ordered_counts = counts[order]
-    ordered_first = first[order]
-    ordered_pairs = ordered_pair_counts = None
-    if pair_parts:
-        all_pairs = numpy.concatenate(pair_parts)
-        unique_pairs, inverse = numpy.unique(all_pairs, return_inverse=True)
-        agg_counts = numpy.zeros(len(unique_pairs), dtype=numpy.int64)
-        numpy.add.at(agg_counts, inverse, numpy.concatenate(pair_count_parts))
-        agg_first = numpy.full(len(unique_pairs), total, dtype=numpy.int64)
-        numpy.minimum.at(
-            agg_first, inverse, numpy.concatenate(pair_first_parts)
-        )
-        pair_order = numpy.argsort(agg_first, kind="stable")
-        ordered_pairs = unique_pairs[pair_order]
-        ordered_pair_counts = agg_counts[pair_order]
-    first_sizes = (
-        numpy.asarray(view.sizes_array())[ordered_first].astype(numpy.int64)
-    )
-    return ColumnarArrayStats(
-        trace.vocabulary,
-        ordered_ids,
-        ordered_counts,
-        ordered_first,
-        first_sizes,
-        ordered_pairs,
-        ordered_pair_counts,
-    )
-
-
-def _merge_python(view, results):
-    frequency: Counter = Counter()
-    firsts: dict[int, int] = {}
-    pairs: Counter = Counter()
-    # Shards merge in ascending stream order, so Counter.update appends
-    # new keys in global first-occurrence order and setdefault-style
-    # insertion keeps the earliest first position.
-    for shard_frequency, shard_firsts, shard_pairs in results:
-        frequency.update(shard_frequency)
-        for chunk_id, position in shard_firsts.items():
-            if chunk_id not in firsts:
-                firsts[chunk_id] = position
-        pairs.update(shard_pairs)
-    size_by_id = {
-        chunk_id: view.size_at(position)
-        for chunk_id, position in firsts.items()
-    }
-    return InternedChunkStats(view.trace.vocabulary, frequency, size_by_id, pairs)
-
-
-# ---------------------------------------------------------------------------
-# Streaming seed extraction (consumed by the attacks' _seed_analyse hooks)
-
-
-def seed_freq_pairs(
-    ciphertext_stats, plaintext_stats, limit: int | None, tie_break: str
-) -> list[tuple[bytes, bytes]]:
-    """FREQ-ANALYSIS over two full frequency tables without materializing
-    either: rank-``i`` ciphertext chunk pairs with rank-``i`` plaintext
-    chunk, identical to :func:`~repro.attacks.frequency.freq_analysis`
-    over the dict tables."""
-    pair_count = min(
-        ciphertext_stats.unique_chunks, plaintext_stats.unique_chunks
-    )
-    if limit is not None:
-        pair_count = min(pair_count, limit)
-    if pair_count == 0:
-        return []
-    return list(
-        zip(
-            ciphertext_stats.top_ranked(pair_count, tie_break),
-            plaintext_stats.top_ranked(pair_count, tie_break),
-        )
-    )
-
-
-def sized_seed_pairs(
-    ciphertext_stats,
-    plaintext_stats,
-    limit: int,
-    block_size: int,
-    tie_break: str,
-) -> list[tuple[bytes, bytes]]:
-    """Size-classified FREQ-ANALYSIS over the full tables (Algorithm 3's
-    seeding), identical to
-    :func:`~repro.attacks.frequency.sized_freq_analysis` over the dict
-    tables but pairing only the per-class top ``limit`` ranks."""
-    cipher_tops, _ = ciphertext_stats.class_tops(
-        limit, block_size, is_plaintext=False, tie_break=tie_break
-    )
-    plain_tops, _ = plaintext_stats.class_tops(
-        limit, block_size, is_plaintext=True, tie_break=tie_break
-    )
-    pairs: list[tuple[bytes, bytes]] = []
-    for block in sorted(cipher_tops):
-        plain_top = plain_tops.get(block)
-        if not plain_top:
-            continue
-        take = min(len(cipher_tops[block]), len(plain_top))
-        pairs.extend(zip(cipher_tops[block][:take], plain_top[:take]))
-    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -804,7 +356,7 @@ class _VocabTruth:
 
 def sample_columnar_leakage(
     ciphertext_stats,
-    plain_vocabulary,
+    truth: _VocabTruth,
     target_label: str,
     leakage_rate: float,
     seed: int = 0,
@@ -816,79 +368,63 @@ def sample_columnar_leakage(
     ``random.sample`` picks *positions* independently of element values,
     so sampling positions into the fingerprint-sorted present ids (via the
     vocabulary index's lexicographic ranks) draws the identical leaked set
-    without materializing the fingerprint list.
+    without materializing the fingerprint list. ``truth`` is the driver's
+    ciphertext → plaintext lookup (:class:`_VocabTruth`); this is a helper
+    of :func:`columnar_attack_report`, not part of the module's API.
     """
     if not 0.0 <= leakage_rate <= 1.0:
         raise ConfigurationError("leakage_rate must be in [0, 1]")
-    if leakage_rate == 0.0:
-        return {}
-    cipher_vocabulary = ciphertext_stats.vocabulary
-    plain_fingerprints = plain_vocabulary._fingerprints
-    rng = rng_from(seed, "leakage", target_label, leakage_rate)
-    if isinstance(ciphertext_stats, ColumnarArrayStats):
-        numpy = accel.numpy
-        present = ciphertext_stats._ordered_ids
-        total = len(present)
-        count = int(round(leakage_rate * total))
-        if count == 0:
-            return {}
-        by_fingerprint = present[
-            numpy.argsort(cipher_vocabulary._ids.sort_ranks()[present])
-        ]
-        positions = rng.sample(range(total), min(count, total))
-        cipher_fingerprints = cipher_vocabulary._fingerprints
-        return {
-            cipher_fingerprints[chunk_id]: plain_fingerprints[chunk_id]
-            for chunk_id in (
-                int(by_fingerprint[position]) for position in positions
-            )
-        }
-    unique = sorted(ciphertext_stats.frequencies)
-    count = int(round(leakage_rate * len(unique)))
+    total = ciphertext_stats.unique_chunks
+    count = int(round(leakage_rate * total))
     if count == 0:
         return {}
-    sampled = rng.sample(unique, min(count, len(unique)))
-    return {
-        cipher_fp: plain_fingerprints[cipher_vocabulary._ids.get(cipher_fp)]
-        for cipher_fp in sampled
-    }
+    rng = rng_from(seed, "leakage", target_label, leakage_rate)
+    positions = rng.sample(range(total), min(count, total))
+    numpy = accel.numpy
+    if numpy is not None:
+        ranks = ciphertext_stats.vocabulary._ids.sort_ranks()
+        by_fingerprint = numpy.argsort(ranks[ciphertext_stats.ordered_ids])
+        sampled = ciphertext_stats.fingerprints_at(by_fingerprint[positions])
+    else:
+        unique = sorted(ciphertext_stats.frequencies)
+        sampled = [unique[position] for position in positions]
+    return {cipher_fp: truth.get(cipher_fp) for cipher_fp in sampled}
 
 
 # ---------------------------------------------------------------------------
 # End-to-end driver
 
 
-def _encrypted_stats(plain_stats, cipher_vocabulary):
+def _encrypted_stats(plain_stats, plain_vocabulary, cipher_vocabulary):
     """Derive the MLE ciphertext-side stats from the plaintext COUNT.
 
     The ciphertext stream is the plaintext stream mapped through the
     encryption bijection: counts, first positions and adjacency are
-    identical arrays; only the decode vocabulary and the sizes (padded to
-    the pipeline's cipher block, exactly like
-    :func:`repro.defenses.pipeline.padded_size`) change. No second COUNT
-    pass runs.
+    identical; only the fingerprints and the sizes (padded to the
+    pipeline's cipher block, :func:`repro.defenses.pipeline.padded_size`)
+    change. No second COUNT pass runs: the array stats swap their decode
+    vocabulary, the dict stats of the numpy-less path are re-keyed.
     """
-    from repro.defenses.pipeline import BLOCK_SIZE
+    if accel.numpy is not None:
+        return plain_stats.with_vocabulary(
+            cipher_vocabulary, padded_size(plain_stats.first_sizes)
+        )
+    cipher_of = dict(
+        zip(plain_vocabulary._fingerprints, cipher_vocabulary._fingerprints)
+    )
 
-    if isinstance(plain_stats, ColumnarArrayStats):
-        padded = (plain_stats._first_sizes // BLOCK_SIZE + 1) * BLOCK_SIZE
-        return plain_stats.with_vocabulary(cipher_vocabulary, padded)
-    padded_by_id = {
-        chunk_id: (size // BLOCK_SIZE + 1) * BLOCK_SIZE
-        for chunk_id, size in plain_stats._size_by_id.items()
-    }
-    return InternedChunkStats(
-        cipher_vocabulary,
-        plain_stats._frequency_counts,
-        padded_by_id,
-        plain_stats._pair_counts,
+    def rekey(table: dict) -> dict:
+        return {cipher_of[plain_fp]: value for plain_fp, value in table.items()}
+
+    return ChunkStats(
+        rekey(plain_stats.frequencies),
+        {cipher_of[fp]: rekey(table) for fp, table in plain_stats.left.items()},
+        {cipher_of[fp]: rekey(table) for fp, table in plain_stats.right.items()},
+        {cipher_of[fp]: padded_size(size) for fp, size in plain_stats.sizes.items()},
     )
 
 
 def _build_attack(name: str, u: int, v: int, w: int, block_size: int):
-    from repro.attacks.advanced import AdvancedLocalityAttack
-    from repro.attacks.locality import LocalityAttack
-
     if name == "locality":
         return LocalityAttack(u=u, v=v, w=w)
     if name == "advanced":
@@ -923,8 +459,6 @@ def columnar_attack_report(
     tests pin report equality at small scales — but the ciphertext side is
     derived at the vocabulary level and both COUNT passes run sharded.
     """
-    from repro.defenses.pipeline import DefenseScheme
-
     opened = None
     if not isinstance(trace, ColumnarTrace):
         opened = trace = ColumnarTrace.open(trace)
@@ -942,19 +476,15 @@ def columnar_attack_report(
         auxiliary_stats = sharded_count(auxiliary_view, jobs=jobs)
         cipher_vocabulary = encrypt_vocabulary(trace)
         ciphertext_stats = _encrypted_stats(
-            target_plain_stats, cipher_vocabulary
+            target_plain_stats, trace.vocabulary, cipher_vocabulary
         )
+        truth = _VocabTruth(cipher_vocabulary, trace.vocabulary)
         leaked = sample_columnar_leakage(
-            ciphertext_stats,
-            trace.vocabulary,
-            target_view.label,
-            leakage_rate,
-            seed,
+            ciphertext_stats, truth, target_view.label, leakage_rate, seed
         )
         result = built.run_counted(
             ciphertext_stats, auxiliary_stats, leaked or None
         )
-        truth = _VocabTruth(cipher_vocabulary, trace.vocabulary)
         correct = sum(
             1
             for cipher_fp, plain_fp in result.pairs.items()

@@ -11,11 +11,10 @@ module reproduces that design on top of the pluggable
   neighbor tables), built from a backend spec or supplied directly;
 * :class:`NeighborStore` — serialized, insertion-ordered neighbor tables
   loaded lazily per chunk (the paper's sequential LevelDB lists);
-* :class:`StreamingCount` — batch-ingesting COUNT: each batch runs the
-  interned hot loop (:class:`~repro.attacks.interning.InternedCount`,
-  one shared :class:`~repro.attacks.interning.ChunkVocabulary` across
-  all batches), whose pair deltas are decoded back to fingerprint bytes
-  and merged through the backend with batched writes;
+* :class:`StreamingCount` — batch-ingesting COUNT: each batch is one
+  shard of the COUNT kernel (the *streamed batches* row of the table in
+  :mod:`repro.attacks.frequency`) whose adjacency deltas are merged
+  through the backend with batched writes;
 * :class:`BackendChunkStats` — the result object the locality/advanced
   attacks consume in place of :class:`~repro.attacks.frequency.ChunkStats`.
 
@@ -32,7 +31,13 @@ import os
 import struct
 from pathlib import Path
 
-from repro.attacks.interning import InternedCount, group_pairs
+from repro.attacks.frequency import ChunkStats, accumulate_counts
+from repro.attacks.interning import (
+    ChunkVocabulary,
+    count_shard,
+    unpack_pairs,
+)
+from repro.common import accel
 from repro.common.errors import ConfigurationError
 from repro.datasets.model import Backup
 from repro.index.backends import KVBackend, open_backend
@@ -242,27 +247,54 @@ class BackendChunkStats:
         )
 
 
+def _group_pairs(previous_keys, current_keys, counts) -> tuple[dict, dict]:
+    """Split aggregated adjacency pairs into the two directed delta tables
+    ``(left, right)``.
+
+    The pairs arrive in first-occurrence order, so each grouped outer and
+    inner dict comes out in exactly the order the reference COUNT would
+    have inserted it — the order the backend merge relies on.
+    """
+    left: dict = {}
+    right: dict = {}
+    for previous, current, count in zip(previous_keys, current_keys, counts):
+        table = right.get(previous)
+        if table is None:
+            table = right[previous] = {}
+        table[current] = count
+        table = left.get(current)
+        if table is None:
+            table = left[current] = {}
+        table[previous] = count
+    return left, right
+
+
 class StreamingCount:
-    """Batch-ingesting COUNT that flushes dict deltas through a backend.
+    """Batch-ingesting COUNT that flushes adjacency deltas through a backend.
 
     Feed the logical chunk stream through :meth:`ingest` (any number of
-    calls, any batch alignment); each internal batch runs the interned
-    COUNT hot loop (:class:`~repro.attacks.interning.InternedCount`) and
-    is then merged:
+    calls, any batch alignment). Each internal batch is counted as one
+    shard — by :func:`~repro.attacks.interning.count_shard` over ids
+    interned through a batch-local vocabulary, the carried previous chunk
+    as the lead, or without numpy by
+    :func:`~repro.attacks.frequency.accumulate_counts` — and merged:
 
-    * frequencies/sizes accumulate interned in RAM (they are needed in
-      full for the global ranking anyway) and are written to the ``meta``
-      store once, at :meth:`finalize`, in first-occurrence order;
-    * ``left``/``right``: the existing serialized table is decoded, delta
-      counts added, new neighbors appended in delta order — which equals
-      global first-occurrence order, so the merge is associative across
-      any batching.
+    * frequencies/sizes stay in RAM (they are needed in full for the
+      global ranking anyway) as two dicts in first-occurrence order, and
+      are written to the ``meta`` store once, at :meth:`finalize`;
+    * ``left``/``right``: the existing serialized table is decoded, the
+      batch's delta counts added, new neighbors appended in delta order —
+      which equals global first-occurrence order, so the merge is
+      associative across any batching.
 
-    Call :meth:`finalize` once to flush and obtain the
-    :class:`BackendChunkStats`.
+    Work per batch is O(batch) and resident state O(unique chunks) in
+    either mode: nothing is kept per chunk occurrence and nothing scans
+    the whole vocabulary. Call :meth:`finalize` once to flush and obtain
+    the :class:`BackendChunkStats`.
 
     Args:
-        stores: backend handles; defaults to fresh in-memory stores.
+        stores: backend handles, which must be empty (a COUNT *merges*
+            into its stores); defaults to fresh in-memory stores.
         batch_size: chunk records accumulated per flush.
     """
 
@@ -274,18 +306,19 @@ class StreamingCount:
         if batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
         self.stores = stores if stores is not None else CountStores.in_memory()
+        for store in (self.stores.meta, self.stores.left, self.stores.right):
+            if len(store):
+                raise ConfigurationError(
+                    "StreamingCount needs empty stores: counting into "
+                    "existing records would merge two runs into one table; "
+                    "reopen a completed COUNT with load_chunk_stats"
+                )
         self.batch_size = batch_size
         self._neighbors: tuple[NeighborStore, NeighborStore] | None = None
         self._total_chunks = 0
-        # The ranking tables are needed in full at finalize anyway, so they
-        # accumulate in RAM — interned through one shared vocabulary
-        # (seeded from any pre-existing meta records) — and hit the
-        # backend once, instead of a point read per fingerprint per batch.
-        # Only the much larger neighbor tables round-trip per batch.
-        self._counter = InternedCount()
-        for fingerprint, raw in self.stores.meta.insertion_items():
-            size, frequency = _META.unpack(raw)
-            self._counter.seed(fingerprint, size, frequency)
+        self._previous: bytes | None = None  # last chunk of the previous batch
+        self._frequencies: dict[bytes, int] = {}
+        self._sizes: dict[bytes, int] = {}
 
     @property
     def total_chunks(self) -> int:
@@ -311,24 +344,56 @@ class StreamingCount:
         for start in range(0, len(fingerprints), self.batch_size):
             stop = start + self.batch_size
             self._flush_batch(fingerprints[start:stop], sizes[start:stop])
-        self._total_chunks += len(fingerprints)
+
+    def _count_batch(self, fingerprints: list[bytes], sizes: list[int]):
+        """Count one batch into the ranking tables; returns its two
+        directed adjacency delta tables, fingerprint-keyed and in
+        first-occurrence order."""
+        numpy = accel.numpy
+        previous, self._previous = self._previous, fingerprints[-1]
+        if numpy is None:
+            delta = ChunkStats(self._frequencies, {}, {}, self._sizes)
+            accumulate_counts(delta, fingerprints, sizes, previous)
+            return delta.left, delta.right
+        # Batch-local ids keep the kernel O(batch): a stream-wide
+        # vocabulary would make every batch scan it whole.
+        local = ChunkVocabulary()
+        seg = local.intern_array(fingerprints)
+        lead = 0 if previous is None else 1
+        if lead:
+            seg = numpy.concatenate(([local.intern(previous)], seg))
+        (present, counts, first), paired = count_shard(seg, 0, lead, len(local))
+        # Local ids are assigned in stream order, so ascending ``present``
+        # is the batch's first-occurrence order; a key that is new to the
+        # tables is new to the stream, which keeps their insertion order.
+        decode = local._fingerprints.__getitem__
+        frequencies = self._frequencies
+        first_sizes = self._sizes
+        for fingerprint, count, position in zip(
+            map(decode, present.tolist()), counts.tolist(), first.tolist()
+        ):
+            seen = frequencies.get(fingerprint)
+            if seen is None:
+                frequencies[fingerprint] = count
+                first_sizes[fingerprint] = sizes[position]
+            else:
+                frequencies[fingerprint] = seen + count
+        if paired is None:
+            return {}, {}
+        pairs, pair_first, pair_counts = paired
+        order = numpy.argsort(pair_first)
+        previous_ids, current_ids = unpack_pairs(pairs[order])
+        return _group_pairs(
+            map(decode, previous_ids.tolist()),
+            map(decode, current_ids.tolist()),
+            pair_counts[order].tolist(),
+        )
 
     def _flush_batch(self, fingerprints: list[bytes], sizes: list[int]) -> None:
-        counter = self._counter
-        counter.ingest(fingerprints, sizes)
-        # Regroup the batch's packed pair deltas into the two directed
-        # delta tables, decoded back to fingerprint bytes. The shared
-        # first-occurrence-ordered grouping reproduces exactly the
-        # insertion order the old dict-based delta COUNT produced, so the
-        # backend merge stays byte-identical.
-        delta_left, delta_right = group_pairs(
-            counter.take_pairs(),
-            decode=counter.vocabulary._fingerprints.__getitem__,
-        )
+        deltas = self._count_batch(fingerprints, sizes)
+        self._total_chunks += len(fingerprints)
         assert self._neighbors is not None
-        for neighbor_store, delta_tables in zip(
-            self._neighbors, (delta_left, delta_right)
-        ):
+        for neighbor_store, delta_tables in zip(self._neighbors, deltas):
             merged: dict[bytes, dict[bytes, int]] = {}
             for fingerprint, delta_table in delta_tables.items():
                 table = neighbor_store.get(fingerprint)
@@ -347,9 +412,8 @@ class StreamingCount:
         :func:`~repro.attacks.frequency.count_with_neighbors` on an empty
         backup.
         """
-        stats = self._counter.stats()
-        frequencies = stats.frequencies
-        sizes = stats.sizes
+        frequencies = self._frequencies
+        sizes = self._sizes
         self.stores.meta.put_batch(
             (fingerprint, _META.pack(sizes[fingerprint], frequency))
             for fingerprint, frequency in frequencies.items()

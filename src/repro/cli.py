@@ -1073,7 +1073,7 @@ def _run_columnar_attack(args: argparse.Namespace) -> int:
         raise SystemExit(
             "--columnar keeps COUNT state in flat arrays, not backend "
             "stores; --workdir does not apply (see "
-            "repro.attacks.persistent.persist_columnar_stats for "
+            "repro.attacks.persistent.persist_chunk_stats for "
             "backend-backed columnar COUNT)"
         )
     try:

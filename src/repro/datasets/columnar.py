@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 import mmap
 import os
-import struct
 import sys
 from array import array
 from dataclasses import dataclass
@@ -587,6 +586,9 @@ class ColumnarBackupView:
     def num_chunks(self) -> int:
         return self.span.num_chunks
 
+    def __len__(self) -> int:
+        return self.span.num_chunks
+
     def ids_array(self):
         """The backup's id column as a zero-copy ``uint32`` numpy array."""
         numpy = accel.numpy
@@ -617,13 +619,6 @@ class ColumnarBackupView:
         return _u32_array(
             self.trace._sizes_map[self.start * 4 : self.stop * 4]
         )
-
-    def size_at(self, position: int) -> int:
-        """One chunk's size by view-relative stream position."""
-        if position < 0 or position >= self.num_chunks:
-            raise IndexError(position)
-        offset = (self.start + position) * 4
-        return struct.unpack_from("<I", self.trace._sizes_map, offset)[0]
 
     def iter_batches(
         self, batch_size: int = 64 * 1024

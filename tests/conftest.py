@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common import accel
 from repro.datasets.fsl import FSLConfig, FSLDatasetGenerator
 
 
@@ -60,6 +61,16 @@ from repro.datasets.synthetic import SyntheticConfig, SyntheticDatasetGenerator
 from repro.datasets.vm import VMConfig, VMDatasetGenerator
 from repro.defenses.pipeline import DefensePipeline, DefenseScheme
 from repro.defenses.segmentation import SegmentationSpec
+
+
+@pytest.fixture(params=["accelerated", "fallback"])
+def count_mode(request, monkeypatch):
+    """Run a COUNT differential under both accel modes."""
+    if request.param == "fallback":
+        monkeypatch.setattr(accel, "numpy", None)
+    elif accel.numpy is None:
+        pytest.skip("numpy unavailable; accelerated path cannot run")
+    return request.param
 
 
 @pytest.fixture(scope="session")

@@ -285,3 +285,13 @@ class TestShardedCountChaos:
                 sharded_count(trace.view(0), jobs=1)
         finally:
             trace.close()
+
+    def test_crash_every_time_gives_up_in_the_pool(self, tmp_path):
+        config = StreamConfig(chunks=500, backups=1)
+        trace = ensure_stream_columnar(tmp_path / "trace", config, seed=5)
+        try:
+            install({"site": "count.worker"})
+            with pytest.raises(WorkerCrashError, match=r"shard \d crashed"):
+                sharded_count(trace.view(0), jobs=3)
+        finally:
+            trace.close()

@@ -27,9 +27,12 @@ from repro.attacks.interning import (
     check_vocabulary_capacity,
     interned_count,
 )
-from repro.attacks.persistent import load_chunk_stats, persist_columnar_stats
-from repro.attacks.sharded import columnar_attack_report, sharded_count
-from repro.common import accel
+from repro.attacks.persistent import load_chunk_stats, persist_chunk_stats
+from repro.attacks.sharded import (
+    columnar_attack_report,
+    encrypt_vocabulary,
+    sharded_count,
+)
 from repro.common.errors import ConfigurationError
 from repro.datasets.columnar import (
     ColumnarTrace,
@@ -42,16 +45,6 @@ from repro.datasets.columnar import (
 )
 from repro.datasets.model import Backup, BackupSeries
 from repro.defenses.pipeline import DefensePipeline, DefenseScheme
-
-
-@pytest.fixture(params=["accelerated", "fallback"])
-def count_mode(request, monkeypatch):
-    """Run every differential under both accel modes."""
-    if request.param == "fallback":
-        monkeypatch.setattr(accel, "numpy", None)
-    elif accel.numpy is None:
-        pytest.skip("numpy unavailable; accelerated path cannot run")
-    return request.param
 
 
 def small_series() -> BackupSeries:
@@ -285,6 +278,37 @@ class TestColumnarAttackEquivalence:
         finally:
             trace.close()
 
+    def test_encrypted_vocabulary_is_the_pipelines_mle_fingerprints(
+        self, tmp_path
+    ):
+        # The identity the vocabulary-level ciphertext side rests on: id i
+        # of the encrypted vocabulary is the MLE pipeline's ciphertext
+        # fingerprint of plaintext id i. Pinned, so neither side can
+        # drift alone.
+        plain = [b"chunk-fingerprint-01", bytes(range(20)), b"\x00" * 20]
+        backup = Backup(
+            label="kat",
+            fingerprints=[plain[i] for i in (0, 1, 0, 0, 2, 0)],
+            sizes=[100, 4096, 100, 100, 15, 100],
+        )
+        trace = write_series(
+            BackupSeries(name="kat", backups=[backup]), tmp_path / "trace"
+        )
+        try:
+            encrypted = list(encrypt_vocabulary(trace)._fingerprints)
+        finally:
+            trace.close()
+        assert [fingerprint.hex() for fingerprint in encrypted] == [
+            "9d4e2295ef08e3b94b9b0a75dad1a005d745ec00",
+            "e42e6d146e9ec908dabed3b5467885f24910061a",
+            "1115b0b41bb20f2619645e669b78dd7a241b0a8e",
+        ]
+        pipeline = DefensePipeline(DefenseScheme.MLE).encrypt_backup(backup)
+        assert pipeline.ciphertext.fingerprints == [
+            encrypted[i] for i in (0, 1, 0, 0, 2, 0)
+        ]
+        assert pipeline.truth == dict(zip(encrypted, plain))
+
     def test_rejects_unknown_attack_and_bad_index(self, tmp_path):
         trace = write_series(small_series(), tmp_path / "trace")
         trace.close()
@@ -332,13 +356,13 @@ class TestPersistentColumnarCount:
             (state / "meta.db").write_bytes(b"partial")
             with pytest.raises(ConfigurationError):
                 load_chunk_stats(state)
-            stats = persist_columnar_stats(view, state, backend="sqlite")
+            stats = persist_chunk_stats(view, state, backend="sqlite")
             reference = count_with_neighbors(view.to_backup())
             assert_backend_stats_identical(stats, reference)
             assert (state / "COUNT_STATE").read_text().strip() == "sqlite"
             # Completed state refuses a recount (it would double-merge) …
             with pytest.raises(ConfigurationError, match="already persisted"):
-                persist_columnar_stats(view, state, backend="sqlite")
+                persist_chunk_stats(view, state, backend="sqlite")
             # … and reopens through the marker, byte-identical.
             assert_backend_stats_identical(load_chunk_stats(state), reference)
         finally:
@@ -352,7 +376,7 @@ class TestPersistentColumnarCount:
         trace = ColumnarTrace.open(tmp_path / "trace")
         try:
             with pytest.raises(ConfigurationError, match="empty"):
-                persist_columnar_stats(trace.view(0), tmp_path / "state")
+                persist_chunk_stats(trace.view(0), tmp_path / "state")
         finally:
             trace.close()
 

@@ -7,6 +7,7 @@ and per-byte XOR, kept here as the differential oracle for the kernel.
 """
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -33,6 +34,10 @@ from repro.crypto.mle import (
     ServerAidedMLE,
 )
 from repro.crypto.primitives import hkdf_expand, hmac_digest, prf_stream, xor_bytes
+from repro.crypto.secretsharing import Share, combine_shares, split_secret
+from repro.datasets.model import Backup
+from repro.defenses.obfuscate import FrequencyObfuscator
+from repro.defenses.pipeline import DefensePipeline
 from repro.storage.recipes import FileRecipe
 
 KEY = b"k" * 32
@@ -519,6 +524,111 @@ DIFFERENTIAL_LENGTHS = [
     *range(65535, 65554),
     1 << 20,
 ]
+
+
+class TestSecretSharingKnownAnswers:
+    """3-of-5 Shamir shares of ``bytes(range(16))`` under a seeded
+    ``random.Random`` — the polynomial draw order and the GF(256)
+    arithmetic are what a stored share depends on."""
+
+    SECRET = bytes(range(16))
+    SHARES = {
+        1: "860a4bd3b67aa7322cf3fae043b87358",
+        2: "6be25c24fdf142c6cfcf43fd07bc6efd",
+        3: "ede915f44f8ee3f3eb35b316480913aa",
+        4: "3d25a30bc3defa04973a66107859909b",
+        5: "bb2eeadb71a15b31b3c096fb37ecedcc",
+    }
+
+    def shares(self):
+        return [
+            Share(index, bytes.fromhex(data))
+            for index, data in self.SHARES.items()
+        ]
+
+    def test_split_secret(self):
+        shares = split_secret(self.SECRET, 3, 5, random.Random(2017))
+        assert {share.index: share.data.hex() for share in shares} == self.SHARES
+
+    def test_any_three_pinned_shares_combine(self):
+        for subset in itertools.combinations(self.shares(), 3):
+            assert combine_shares(list(subset)) == self.SECRET
+        assert combine_shares(self.shares()) == self.SECRET
+
+    def test_wrong_or_missing_share_changes_the_secret(self):
+        first, second, third = self.shares()[:3]
+        flipped = Share(2, bytes([second.data[0] ^ 1]) + second.data[1:])
+        assert combine_shares([first, flipped, third]).hex() == (
+            "010102030405060708090a0b0c0d0e0f"
+        )
+        # Below the threshold the interpolation yields unrelated bytes.
+        assert combine_shares([first, second]).hex() == (
+            "dd5246778f030d9784e764eb7f4d783b"
+        )
+
+
+class TestObfuscationKnownAnswers:
+    """The ``obfuscate:t`` balance function and variant fingerprints at
+    ``t`` = 1, 3, 8 (balance key ``seed=7``): which ciphertext variant an
+    occurrence maps to decides every dedup decision downstream."""
+
+    FINGERPRINTS = (bytes(range(20)), b"chunk-fingerprint-01", b"\x00" * 20)
+    OFFSETS = {1: [0, 0, 0], 3: [0, 2, 0], 8: [4, 2, 3]}
+    VARIANT_FINGERPRINTS = {
+        (0, 8): "ac6040c099671a07",
+        (2, 8): "6ec27c542d699f66",
+        (7, 8): "ae45aa65e06d7bff",
+        (7, 20): "ae45aa65e06d7bff1bc1788f407958c8e3a509ac",
+    }
+    # Six occurrences: chunk 1 four times, chunks 0 and 2 once each.
+    STREAM = (1, 0, 1, 1, 2, 1)
+    CIPHERTEXT = {
+        "obfuscate:1": (
+            "ac6040c099671a07 a49a9f1721e97e40 ac6040c099671a07 "
+            "ac6040c099671a07 ea30fd2388a5aebc ac6040c099671a07"
+        ),
+        "obfuscate:3": (
+            "6ec27c542d699f66 a49a9f1721e97e40 ac6040c099671a07 "
+            "319427c7c8df85a4 ea30fd2388a5aebc 6ec27c542d699f66"
+        ),
+        "obfuscate:8": (
+            "6ec27c542d699f66 4996b17072d5c47c 15b73267839feb0c "
+            "84240c10f4270fed a58093bc5a9fbdef 489b50da393fb480"
+        ),
+    }
+
+    @pytest.mark.parametrize("variants", sorted(OFFSETS))
+    def test_offset_and_assign(self, variants):
+        obfuscator = FrequencyObfuscator(variants, seed=7)
+        offsets = [obfuscator.offset(fp) for fp in self.FINGERPRINTS]
+        assert offsets == self.OFFSETS[variants]
+        for fingerprint, offset in zip(self.FINGERPRINTS, offsets):
+            assert [obfuscator.assign(fingerprint, k) for k in range(10)] == [
+                (offset + k) % variants for k in range(10)
+            ]
+
+    @pytest.mark.parametrize("variant,length", sorted(VARIANT_FINGERPRINTS))
+    def test_variant_fingerprint(self, variant, length):
+        assert (
+            FrequencyObfuscator.variant_fingerprint(
+                self.FINGERPRINTS[1], variant, length
+            ).hex()
+            == self.VARIANT_FINGERPRINTS[variant, length]
+        )
+
+    @pytest.mark.parametrize("scheme", sorted(CIPHERTEXT))
+    def test_pipeline_ciphertext_stream(self, scheme):
+        backup = Backup(
+            label="kat",
+            fingerprints=[self.FINGERPRINTS[index] for index in self.STREAM],
+            sizes=[100, 4096, 100, 100, 15, 100],
+        )
+        encrypted = DefensePipeline(scheme, seed=7).encrypt_backup(backup)
+        assert [
+            fingerprint.hex()[:16]
+            for fingerprint in encrypted.ciphertext.fingerprints
+        ] == self.CIPHERTEXT[scheme].split()
+        assert encrypted.ciphertext.sizes == [112, 4112, 112, 112, 16, 112]
 
 
 class TestKernelAgainstOracle:

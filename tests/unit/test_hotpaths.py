@@ -5,32 +5,47 @@ Every optimized loop must be byte-identical to its reference oracle:
 * chunker ``cut_points`` (vectorized and pure-Python skip-ahead) vs
   ``cut_points_reference`` — random / all-zero / repeated data, forced
   ``max_size`` cuts, inputs shorter than ``min_size``;
-* interned COUNT (array-backed and Counter-backed) vs
-  ``count_with_neighbors`` vs ``StreamingCount`` on the same streams,
-  including table iteration order (the tie-break-sensitive part);
+* the three COUNT sources (in-RAM ``interned_count``, ``sharded_count``
+  over a columnar trace, ``StreamingCount``) vs ``count_with_neighbors``
+  on the same streams, including table iteration order (the
+  tie-break-sensitive part) and the array stats' partial rankings;
 * the engine's batched unique-ingest vs the per-chunk S1–S4 path, and a
   seeded search over the three entry points of the one DDFS chunk path.
 """
 
 import hashlib
 import random
+import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
-from repro.attacks.frequency import count_frequencies, count_with_neighbors
+from repro.attacks.frequency import (
+    FINGERPRINT,
+    INSERTION,
+    classify_by_blocks,
+    count_frequencies,
+    count_with_neighbors,
+    freq_analysis,
+    rank_by_frequency,
+    sized_freq_analysis,
+)
 from repro.attacks.interning import (
     ChunkVocabulary,
-    InternedCount,
     interned_count,
+    seed_freq_pairs,
+    sized_seed_pairs,
 )
-from repro.attacks.streaming import StreamingCount
+from repro.attacks.sharded import sharded_count
+from repro.attacks.streaming import CountStores, StreamingCount
 from repro.chunking import ChunkerSpec, GearChunker, RabinChunker
 from repro.chunking import fastscan
 from repro.common import accel
 from repro.common.errors import ConfigurationError
+from repro.datasets.columnar import ColumnarTrace, ColumnarTraceWriter
 from repro.datasets.model import Backup
+from repro.index.backends import open_backend
 
 SPEC = ChunkerSpec(min_size=64, avg_size=256, max_size=1024)
 
@@ -45,16 +60,6 @@ def scan_mode(request, monkeypatch):
     if request.param == "fallback":
         monkeypatch.setattr(fastscan, "numpy", None)
     elif fastscan.numpy is None:
-        pytest.skip("numpy unavailable; accelerated path cannot run")
-    return request.param
-
-
-@pytest.fixture(params=["accelerated", "fallback"])
-def count_mode(request, monkeypatch):
-    """Run COUNT equivalence under both ingest implementations."""
-    if request.param == "fallback":
-        monkeypatch.setattr(accel, "numpy", None)
-    elif accel.numpy is None:
         pytest.skip("numpy unavailable; accelerated path cannot run")
     return request.param
 
@@ -214,16 +219,23 @@ class TestCountEquivalence:
         tokens = [rng.randbytes(8) for _ in range(20)]
         fingerprints = [rng.choice(tokens) for _ in range(800)]
         sizes = [rng.randrange(1, 500) for _ in fingerprints]
-        whole = InternedCount()
+        whole = StreamingCount(batch_size=len(fingerprints))
         whole.ingest(fingerprints, sizes)
-        split = InternedCount()
+        split = StreamingCount(batch_size=11)
         for start in range(0, len(fingerprints), 37):
             split.ingest(
                 fingerprints[start : start + 37], sizes[start : start + 37]
             )
-        assert whole.stats().frequencies == split.stats().frequencies
-        assert whole.stats().sizes == split.stats().sizes
         assert whole.total_chunks == split.total_chunks == len(fingerprints)
+        whole_stats, split_stats = whole.finalize(), split.finalize()
+        assert whole_stats.frequencies == split_stats.frequencies
+        assert list(whole_stats.frequencies) == list(split_stats.frequencies)
+        assert whole_stats.sizes == split_stats.sizes
+        for fingerprint in tokens:
+            for side in ("left", "right"):
+                ours = getattr(whole_stats, side).get(fingerprint)
+                theirs = getattr(split_stats, side).get(fingerprint)
+                assert ours == theirs and list(ours) == list(theirs)
 
     def test_count_frequencies_counter_semantics(self):
         backup = Backup(
@@ -235,6 +247,166 @@ class TestCountEquivalence:
         assert frequencies == {b"b": 3, b"a": 1, b"c": 1}
         # First-occurrence order is what the insertion tie-break relies on.
         assert list(frequencies) == [b"b", b"a", b"c"]
+
+
+def assert_equals_oracle(stats, oracle):
+    """All four tables and their iteration order; backend-resident
+    neighbor tables (per-key, not iterable) are probed in oracle order."""
+    assert dict(stats.frequencies.items()) == oracle.frequencies
+    assert list(stats.frequencies) == list(oracle.frequencies)
+    assert dict(stats.sizes.items()) == oracle.sizes
+    assert list(stats.sizes) == list(oracle.sizes)
+    assert stats.unique_chunks == oracle.unique_chunks
+    for side in ("left", "right"):
+        ours, theirs = getattr(stats, side), getattr(oracle, side)
+        if hasattr(ours, "items"):
+            assert list(ours) == list(theirs)
+            assert len(ours) == len(theirs)
+        for fingerprint in oracle.frequencies:
+            expected = theirs.get(fingerprint, {})
+            assert list((ours.get(fingerprint) or {}).items()) == list(
+                expected.items()
+            )
+            if hasattr(ours, "items"):
+                assert (fingerprint in ours) == (fingerprint in theirs)
+
+
+def assert_rankings_equal_oracle(stats, oracle, limit, block_size):
+    """``top_ranked``/``class_tops`` (and the seed pairings built on
+    them) against the dict rankings, for both tie-breaks."""
+    for tie_break in (INSERTION, FINGERPRINT):
+        ranked = rank_by_frequency(oracle.frequencies, tie_break)
+        assert stats.top_ranked(limit, tie_break) == ranked[:limit]
+        assert stats.top_ranked(None, tie_break) == ranked
+        assert seed_freq_pairs(stats, stats, limit, tie_break) == freq_analysis(
+            oracle.frequencies, oracle.frequencies, limit, tie_break
+        )
+        for is_plaintext in (False, True):
+            classes = classify_by_blocks(
+                oracle.frequencies, oracle.sizes, block_size, is_plaintext
+            )
+            tops, populations = stats.class_tops(
+                limit, block_size, is_plaintext, tie_break
+            )
+            assert tops == {
+                blocks: rank_by_frequency(bucket, tie_break)[:limit]
+                for blocks, bucket in classes.items()
+            }
+            assert populations == {
+                blocks: len(bucket) for blocks, bucket in classes.items()
+            }
+        assert sized_seed_pairs(
+            stats, stats, limit, block_size, tie_break
+        ) == sized_freq_analysis(
+            oracle.frequencies,
+            oracle.frequencies,
+            oracle.sizes,
+            oracle.sizes,
+            limit,
+            block_size,
+            tie_break,
+        )
+
+
+TOKENS = [bytes([value]) * 8 for value in range(12)]
+
+
+class TestThreeSourceDifferential:
+    """One stream, three sources, one oracle."""
+
+    @seed(15)
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(TOKENS), st.integers(1, 200)),
+            max_size=120,
+        ),
+        st.sampled_from([1, 2, 3, 7]),
+        st.integers(1, 40),
+        st.integers(1, 5),
+    )
+    @example([], 3, 4, 2)  # empty backup
+    @example([(TOKENS[0], 7)], 7, 1, 1)  # one chunk
+    @example([(TOKENS[3], 33)] * 9, 2, 4, 3)  # one repeated chunk
+    # A shard (and a batch) boundary on every position.
+    @example([(TOKENS[i % 5], 16 * i + 1) for i in range(7)], 7, 1, 2)
+    def test_sources_equal_oracle(
+        self, count_mode, records, jobs, batch_size, limit
+    ):
+        backup = Backup(
+            label="d",
+            fingerprints=[fingerprint for fingerprint, _ in records],
+            sizes=[size for _, size in records],
+        )
+        oracle = count_with_neighbors(backup)
+        counted = [interned_count(backup)]
+        with tempfile.TemporaryDirectory() as directory:
+            with ColumnarTraceWriter(
+                directory, name="d", fingerprint_bytes=8
+            ) as writer:
+                writer.add_backup(backup)
+            trace = ColumnarTrace.open(directory)
+            try:
+                counted.append(sharded_count(trace.view(0), jobs=jobs))
+                for stats in counted:
+                    assert_equals_oracle(stats, oracle)
+                    if count_mode == "accelerated":
+                        assert_rankings_equal_oracle(stats, oracle, limit, 16)
+            finally:
+                trace.close()
+        for spec in ("memory", "sqlite"):
+            stores = CountStores(*(open_backend(spec) for _ in range(3)))
+            counter = StreamingCount(stores, batch_size=batch_size)
+            counter.ingest_backup(backup)
+            assert counter.total_chunks == len(backup)
+            assert_equals_oracle(counter.finalize(), oracle)
+            stores.close()
+
+    @pytest.mark.skipif(accel.numpy is None, reason="interning needs numpy")
+    def test_vocabulary_growing_after_a_count(self):
+        vocabulary = ChunkVocabulary()
+        first_backup = Backup(
+            label="1", fingerprints=[b"a", b"b", b"a"], sizes=[5, 6, 5]
+        )
+        first = interned_count(first_backup, vocabulary)
+        first.left  # grouped (offsets sized) before the vocabulary grows
+        second = interned_count(
+            Backup(label="2", fingerprints=[b"c", b"a", b"d"], sizes=[1, 5, 2]),
+            vocabulary,
+        )
+        assert len(vocabulary) == 4
+        # Fingerprints interned by the later count are unknown to the
+        # first: default, not an index past its rank/offset arrays.
+        for late in (b"c", b"d"):
+            assert first.left.get(late) is None
+            assert first.right.get(late, {}) == {}
+            assert late not in first.left
+            assert late not in first.frequencies
+            assert first.sizes.get(late) is None
+        assert_equals_oracle(first, count_with_neighbors(first_backup))
+        assert_rankings_equal_oracle(
+            first, count_with_neighbors(first_backup), 2, 4
+        )
+        assert second.frequencies == {b"c": 1, b"a": 1, b"d": 1}
+        assert second.left.get(b"a") == {b"c": 1}
+
+    def test_streaming_count_rejects_populated_stores(self):
+        stores = CountStores.in_memory()
+        counter = StreamingCount(stores)
+        counter.ingest([b"a", b"b"], [1, 2])
+        counter.finalize()
+        # Counting into the leftovers would resume without the carried
+        # previous chunk or the chunk total, then rewrite every record.
+        with pytest.raises(ConfigurationError, match="load_chunk_stats"):
+            StreamingCount(stores)
+        left_only = CountStores.in_memory()
+        left_only.left.put(b"a", b"")
+        with pytest.raises(ConfigurationError, match="empty stores"):
+            StreamingCount(left_only)
 
 
 class TestChunkVocabulary:
@@ -250,17 +422,22 @@ class TestChunkVocabulary:
 
     def test_shared_vocabulary_across_counters(self):
         vocabulary = ChunkVocabulary()
-        first = InternedCount(vocabulary)
-        first.ingest([b"x", b"y"], [1, 2])
-        second = InternedCount(vocabulary)
-        second.ingest([b"y", b"z"], [3, 4])
-        assert len(vocabulary) == 3
-        assert second.stats().frequencies == {b"y": 1, b"z": 1}
-        assert second.stats().sizes == {b"y": 3, b"z": 4}
+        interned_count(
+            Backup(label="1", fingerprints=[b"x", b"y"], sizes=[1, 2]),
+            vocabulary,
+        )
+        second = interned_count(
+            Backup(label="2", fingerprints=[b"y", b"z"], sizes=[3, 4]),
+            vocabulary,
+        )
+        if accel.numpy is not None:  # the reference COUNT interns nothing
+            assert len(vocabulary) == 3
+        assert second.frequencies == {b"y": 1, b"z": 1}
+        assert second.sizes == {b"y": 3, b"z": 4}
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            InternedCount().ingest([b"a"], [])
+            StreamingCount().ingest([b"a"], [])
 
 
 class TestBatchedUniqueIngest:
