@@ -15,12 +15,18 @@ is exactly the locality-based attack (the paper's VM results).
 from __future__ import annotations
 
 from repro.attacks.frequency import INSERTION, ChunkStats, sized_freq_analysis
-from repro.attacks.interning import sized_seed_pairs
 from repro.attacks.locality import LocalityAttack
 
 
 class AdvancedLocalityAttack(LocalityAttack):
-    """Locality-based attack augmented with the chunk-size side channel."""
+    """Locality-based attack augmented with the chunk-size side channel.
+
+    Algorithm 3 size-classifies every FREQ-ANALYSIS of Algorithm 2, the
+    seeding one included (the paper modifies the call at Algorithm 2's
+    line 5): ``u`` and ``v`` top pairs are taken per block-count class.
+    Setting ``block_size`` is what classifies the id steps; the table
+    steps classify in :meth:`_analyse`.
+    """
 
     name = "advanced"
 
@@ -40,6 +46,7 @@ class AdvancedLocalityAttack(LocalityAttack):
         ciphertext_table: dict[bytes, int],
         plaintext_table: dict[bytes, int],
         limit: int,
+        tie_break: str,
         ciphertext_stats: ChunkStats,
         plaintext_stats: ChunkStats,
     ) -> list[tuple[bytes, bytes]]:
@@ -50,33 +57,5 @@ class AdvancedLocalityAttack(LocalityAttack):
             plaintext_stats.sizes,
             limit,
             self.block_size,
-            self.tie_break,
-        )
-
-    def _seed_analyse(
-        self,
-        ciphertext_stats: ChunkStats,
-        plaintext_stats: ChunkStats,
-    ) -> list[tuple[bytes, bytes]]:
-        # Algorithm 3 also size-classifies the seeding analysis (the paper
-        # modifies the FREQ-ANALYSIS called at Algorithm 2's line 5): the u
-        # top-frequency pairs are taken per block-count class.
-        if hasattr(ciphertext_stats, "class_tops") and hasattr(
-            plaintext_stats, "class_tops"
-        ):
-            return sized_seed_pairs(
-                ciphertext_stats,
-                plaintext_stats,
-                self.u,
-                self.block_size,
-                self.seed_tie_break,
-            )
-        return sized_freq_analysis(
-            ciphertext_stats.frequencies,
-            plaintext_stats.frequencies,
-            ciphertext_stats.sizes,
-            plaintext_stats.sizes,
-            self.u,
-            self.block_size,
-            self.seed_tie_break,
+            tie_break,
         )

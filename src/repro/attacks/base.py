@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from operator import eq
 
 from repro.datasets.model import Backup
 
@@ -27,6 +28,11 @@ class AttackResult:
 
     def __len__(self) -> int:
         return len(self.pairs)
+
+    def correct_pairs(self, truth) -> int:
+        """How many inferred pairs the ground truth (anything with a
+        ``ciphertext -> plaintext`` ``get``) confirms."""
+        return sum(map(eq, map(truth.get, self.pairs), self.pairs.values()))
 
 
 class Attack(ABC):

@@ -10,7 +10,7 @@ frequencies — but it motivates and seeds the locality-based attack.
 from __future__ import annotations
 
 from repro.attacks.base import Attack, AttackResult
-from repro.attacks.frequency import FINGERPRINT, count_frequencies, freq_analysis
+from repro.attacks.frequency import FINGERPRINT, check_tie_breaks, count_frequencies, freq_analysis
 from repro.datasets.model import Backup
 
 
@@ -26,6 +26,7 @@ class BasicAttack(Attack):
     name = "basic"
 
     def __init__(self, tie_break: str = FINGERPRINT):
+        check_tie_breaks(tie_break)
         self.tie_break = tie_break
 
     def run(

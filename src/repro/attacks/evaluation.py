@@ -148,12 +148,6 @@ class AttackEvaluator:
         result = attack.run(
             encrypted_target.ciphertext, plaintext_aux, leaked or None
         )
-        truth = encrypted_target.truth
-        correct = sum(
-            1
-            for cipher_fp, plain_fp in result.pairs.items()
-            if truth.get(cipher_fp) == plain_fp
-        )
         return InferenceReport(
             attack=result.attack_name,
             scheme=self.encrypted.scheme.value,
@@ -161,7 +155,7 @@ class AttackEvaluator:
             target_label=encrypted_target.label,
             unique_ciphertext_chunks=encrypted_target.unique_ciphertext_chunks,
             inferred_pairs=len(result.pairs),
-            correct_pairs=correct,
+            correct_pairs=result.correct_pairs(encrypted_target.truth),
             leakage_rate=leakage_rate,
             leaked_pairs=len(leaked),
             iterations=result.iterations,

@@ -50,6 +50,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+from repro.common.errors import ConfigurationError
 from repro.datasets.model import Backup
 
 
@@ -135,6 +136,16 @@ FINGERPRINT = "fingerprint"
 _TIE_BREAKS = (INSERTION, FINGERPRINT)
 
 
+def check_tie_breaks(*tie_breaks: str) -> None:
+    """Reject an unknown tie-break when an attack is configured, not at
+    its first non-empty ranking."""
+    for tie_break in tie_breaks:
+        if tie_break not in _TIE_BREAKS:
+            raise ConfigurationError(
+                f"unknown tie_break {tie_break!r}; use one of {_TIE_BREAKS}"
+            )
+
+
 def rank_by_frequency(
     table: dict[bytes, int], tie_break: str = INSERTION
 ) -> list[bytes]:
@@ -148,9 +159,8 @@ def rank_by_frequency(
     if tie_break == INSERTION:
         # dicts preserve insertion order and sorted() is stable.
         return sorted(table, key=lambda fp: -table[fp])
-    if tie_break == FINGERPRINT:
-        return sorted(table, key=lambda fp: (-table[fp], fp))
-    raise ValueError(f"unknown tie_break {tie_break!r}; use one of {_TIE_BREAKS}")
+    check_tie_breaks(tie_break)
+    return sorted(table, key=lambda fp: (-table[fp], fp))
 
 
 def freq_analysis(

@@ -27,14 +27,17 @@ shard whose lead is the carried previous chunk
 (:class:`repro.attacks.streaming.StreamingCount`); the table in
 :mod:`repro.attacks.frequency` lists the three side by side.
 
-Decoding back to fingerprint bytes happens only at the rank/report
-boundary: :class:`ArrayStats` exposes the same
-``frequencies``/``left``/``right``/``sizes`` mapping interface as
-:class:`~repro.attacks.frequency.ChunkStats`, so the locality/advanced
-attacks and FREQ-ANALYSIS run unchanged — and, because everything it
-materializes preserves first-occurrence order, with byte-identical
-output (pinned by the differential tests against
-``count_with_neighbors``).
+The locality/advanced attacks stay on ids after COUNT: over two
+:class:`ArrayStats` their BFS seeds from :func:`seed_pairs`, probes the
+neighbor tables :meth:`ArrayStats.ranked_neighbors` ranked once
+(:func:`neighbor_pairs`), and decodes fingerprint bytes only for the
+pairs it returns. :class:`ArrayStats` also presents the
+``frequencies``/``left``/``right``/``sizes`` mappings of
+:class:`~repro.attacks.frequency.ChunkStats` — for reports, for tests,
+and for an attack whose other side is not an array stats — and because
+everything preserves first-occurrence order, both forms give
+byte-identical output (pinned by the differential tests against
+``count_with_neighbors`` and the dict steps).
 """
 
 from __future__ import annotations
@@ -47,9 +50,9 @@ from functools import cached_property
 
 from repro import obs
 from repro.attacks.frequency import (
-    _TIE_BREAKS,
     FINGERPRINT,
     INSERTION,
+    check_tie_breaks,
     count_with_neighbors,
 )
 from repro.common import accel
@@ -64,8 +67,8 @@ __all__ = [
     "count_shard",
     "interned_count",
     "merge_shards",
-    "seed_freq_pairs",
-    "sized_seed_pairs",
+    "neighbor_pairs",
+    "seed_pairs",
 ]
 
 #: Adjacent chunk ids are packed two to an int for the pair counter, so a
@@ -76,6 +79,11 @@ __all__ = [
 #: to trace scale").
 PAIR_SHIFT = 32
 _PAIR_MASK = (1 << PAIR_SHIFT) - 1
+#: Bit of a ranked row's table id that tells a right neighbor table from
+#: a left one; the block class sits below it (a class past 2**40 would be
+#: a 16 TiB chunk at the 16-byte cipher block) and the rank is packed
+#: under both, which leaves it 22 bits.
+_SIDE_SHIFT = 40
 MAX_VOCABULARY = 1 << PAIR_SHIFT
 
 
@@ -358,10 +366,11 @@ class _ArrayNeighborView(Mapping):
     The pairs are stably sorted by owning id, so each id's neighbors sit
     in one contiguous segment (in first-occurrence order) addressed by
     per-id ``offsets``; a probe decodes only that slice of the parallel
-    ``neighbors``/``counts`` arrays (cached per fingerprint). The
-    first-occurrence iteration order the reference COUNT would have is
-    recovered from ``ordered_keys`` (owning ids in pair first-occurrence
-    order) only when something iterates the view.
+    ``neighbors``/``counts`` arrays. The first-occurrence iteration
+    order the reference COUNT would have is recovered from
+    ``ordered_keys`` (owning ids in pair first-occurrence order) only
+    when something iterates the view. (The attacks' BFS over two array
+    stats never comes here: :meth:`ArrayStats.ranked_neighbors`.)
     """
 
     __slots__ = (
@@ -371,7 +380,6 @@ class _ArrayNeighborView(Mapping):
         "_counts",
         "_ordered_keys",
         "_outer_keys",
-        "_decoded",
     )
 
     def __init__(self, vocabulary, vocab_size: int, own_ids, neighbor_ids, counts):
@@ -392,14 +400,10 @@ class _ArrayNeighborView(Mapping):
         self._counts = counts[segments]
         self._ordered_keys = own_ids
         self._outer_keys: list[int] | None = None
-        self._decoded: dict[bytes, dict[bytes, int]] = {}
 
     def get(
         self, fingerprint: bytes, default: dict[bytes, int] | None = None
     ) -> dict[bytes, int] | None:
-        decoded = self._decoded.get(fingerprint)
-        if decoded is not None:
-            return decoded
         chunk_id = self._vocabulary._ids.get(fingerprint)
         # Ids past the offsets were interned after this COUNT.
         if chunk_id is None or chunk_id + 1 >= len(self._offsets):
@@ -407,7 +411,7 @@ class _ArrayNeighborView(Mapping):
         low, high = self._offsets[chunk_id : chunk_id + 2].tolist()
         if low == high:
             return default
-        decoded = self._decoded[fingerprint] = dict(
+        return dict(
             zip(
                 map(
                     self._vocabulary._fingerprints.__getitem__,
@@ -416,7 +420,6 @@ class _ArrayNeighborView(Mapping):
                 self._counts[low:high].tolist(),
             )
         )
-        return decoded
 
     def __getitem__(self, fingerprint: bytes) -> dict[bytes, int]:
         table = self.get(fingerprint)
@@ -444,18 +447,18 @@ class ArrayStats:
     arrays in global first-occurrence order (the frequency table's
     insertion order): each present chunk id, its count, and the size of
     its first occurrence. ``ordered_pairs``/``ordered_pair_counts`` are
-    the aggregated packed adjacency pairs in pair-first-occurrence order;
-    the neighbor views group them on first access and decode per probed
-    fingerprint. Global frequency ranking goes through
-    :meth:`top_ranked`/:meth:`class_tops` — a C-level partial ranking
-    instead of sorting a full table.
+    the aggregated packed adjacency pairs in pair-first-occurrence order:
+    :meth:`ranked_neighbors` ranks them once for an attack's BFS, the
+    ``left``/``right`` views group them on first access and decode per
+    probed fingerprint. Global frequency ranking goes through
+    :meth:`top_ranked_ids`/:meth:`class_tops` — array sorts, decoded
+    (:meth:`top_ranked`) only for the prefix asked for.
 
     ``frequencies``/``sizes`` depend on where the vocabulary lives: over
     a resident :class:`ChunkVocabulary` (Python ``bytes`` already in RAM)
-    they materialize once as plain dicts, which is what the attacks' BFS
-    probes fastest; over a packed or mmapped vocabulary
-    (:class:`~repro.datasets.columnar.PackedVocabulary`) they are lazy
-    rank-indexed views, so nothing scales with the full table.
+    they materialize once as plain dicts; over a packed or mmapped
+    vocabulary (:class:`~repro.datasets.columnar.PackedVocabulary`) they
+    are lazy rank-indexed views, so nothing scales with the full table.
     """
 
     def __init__(
@@ -477,6 +480,7 @@ class ArrayStats:
         # or above this bound were never counted here.
         self._vocab_size = len(vocabulary)
         self._tie_orders: dict[str, object] = {}
+        self._tables: dict[str, dict[bytes, int]] = {}
 
     @property
     def unique_chunks(self) -> int:
@@ -492,34 +496,52 @@ class ArrayStats:
         )
         return lookup
 
+    def id_of(self, fingerprint: bytes) -> int | None:
+        """The chunk id of a fingerprint this COUNT saw, else ``None``."""
+        chunk_id = self.vocabulary._ids.get(fingerprint)
+        # Ids at or past the bound were interned after this COUNT.
+        if (
+            chunk_id is None
+            or chunk_id >= self._vocab_size
+            or self._rank_lookup[chunk_id] < 0
+        ):
+            return None
+        return chunk_id
+
     def _rank_of(self, fingerprint: bytes) -> int:
         """A fingerprint's frequency-table rank, -1 if it was not counted."""
-        chunk_id = self.vocabulary._ids.get(fingerprint)
-        if chunk_id is None or chunk_id >= self._vocab_size:
-            return -1
-        return int(self._rank_lookup[chunk_id])
+        chunk_id = self.id_of(fingerprint)
+        return -1 if chunk_id is None else int(self._rank_lookup[chunk_id])
 
-    def _table(self, values):
+    def _table(self, name: str, values):
+        """The ``fingerprint -> value`` mapping over one rank-aligned
+        array: a plain dict built once over a resident vocabulary, a lazy
+        view made per access over a packed one — stored on the stats it
+        points back to, the view would be a reference cycle, and a dropped
+        COUNT's arrays would live on until the cyclic collector runs
+        (which array code, allocating few objects, rarely triggers)."""
         if not isinstance(self.vocabulary, ChunkVocabulary):
             return _RankedView(self, values)
-        with _gc_paused():
-            return dict(
-                zip(
-                    map(
-                        self.vocabulary._fingerprints.__getitem__,
-                        self.ordered_ids.tolist(),
-                    ),
-                    values.tolist(),
+        if name not in self._tables:
+            with _gc_paused():
+                self._tables[name] = dict(
+                    zip(
+                        map(
+                            self.vocabulary._fingerprints.__getitem__,
+                            self.ordered_ids.tolist(),
+                        ),
+                        values.tolist(),
+                    )
                 )
-            )
+        return self._tables[name]
 
-    @cached_property
+    @property
     def frequencies(self):
-        return self._table(self.ordered_counts)
+        return self._table("frequencies", self.ordered_counts)
 
-    @cached_property
+    @property
     def sizes(self):
-        return self._table(self.first_sizes)
+        return self._table("sizes", self.first_sizes)
 
     @cached_property
     def _neighbors(self) -> tuple[_ArrayNeighborView, _ArrayNeighborView]:
@@ -564,24 +586,20 @@ class ArrayStats:
             numpy = accel.numpy
             if tie_break == INSERTION:
                 order = numpy.argsort(-self.ordered_counts, kind="stable")
-            elif tie_break == FINGERPRINT:
+            else:
+                check_tie_breaks(tie_break)
                 ranks = self.vocabulary._ids.sort_ranks()[self.ordered_ids]
                 order = numpy.lexsort((ranks, -self.ordered_counts))
-            else:
-                raise ValueError(
-                    f"unknown tie_break {tie_break!r}; use one of {_TIE_BREAKS}"
-                )
             self._tie_orders[tie_break] = order
         return order
 
-    def fingerprints_at(self, positions) -> list[bytes]:
-        """Decode the chunks at ``positions`` of the ordered arrays."""
-        return list(
-            map(
-                self.vocabulary._fingerprints.__getitem__,
-                self.ordered_ids[positions].tolist(),
-            )
-        )
+    def decode(self, ids) -> list[bytes]:
+        """The fingerprints behind an array of chunk ids."""
+        return list(map(self.vocabulary._fingerprints.__getitem__, ids.tolist()))
+
+    def top_ranked_ids(self, limit: int | None = None, tie_break: str = INSERTION):
+        """The ``limit`` top-frequency chunk ids under ``tie_break``."""
+        return self.ordered_ids[self._tie_order(tie_break)[:limit]]
 
     def top_ranked(
         self, limit: int | None = None, tie_break: str = INSERTION
@@ -589,7 +607,12 @@ class ArrayStats:
         """The ``limit`` top-frequency fingerprints, identical to
         ``rank_by_frequency(self.frequencies, tie_break)[:limit]`` but
         decoding only the returned prefix."""
-        return self.fingerprints_at(self._tie_order(tie_break)[:limit])
+        return self.decode(self.top_ranked_ids(limit, tie_break))
+
+    def _block_classes(self, block_size: int, is_plaintext: bool):
+        """The cipher-block count of each ordered chunk (CLASSIFY,
+        Algorithm 3; see :func:`~repro.attacks.frequency.classify_by_blocks`)."""
+        return self.first_sizes // block_size + int(is_plaintext)
 
     def class_tops(
         self,
@@ -597,9 +620,8 @@ class ArrayStats:
         block_size: int,
         is_plaintext: bool,
         tie_break: str = INSERTION,
-    ) -> tuple[dict[int, list[bytes]], dict[int, int]]:
-        """Per cipher-block-count class: the top-``limit`` fingerprints and
-        the class population.
+    ) -> dict[int, list[int]]:
+        """The top-``limit`` chunk ids of every cipher-block-count class.
 
         Because a stable sort of a subsequence equals the stably-sorted
         full sequence filtered to it, slicing the global ranking by class
@@ -608,29 +630,73 @@ class ArrayStats:
         materialized class buckets.
         """
         if not len(self.ordered_ids):
-            return {}, {}
+            return {}
         numpy = accel.numpy
         order = self._tie_order(tie_break)
-        blocks = self.first_sizes // block_size
-        if is_plaintext:
-            blocks = blocks + 1
-        ranked_blocks = blocks[order]
+        ranked_blocks = self._block_classes(block_size, is_plaintext)[order]
         class_order = numpy.argsort(ranked_blocks, kind="stable")
         sorted_blocks = ranked_blocks[class_order]
         boundaries = (
             numpy.flatnonzero(sorted_blocks[1:] != sorted_blocks[:-1]) + 1
         ).tolist()
-        tops: dict[int, list[bytes]] = {}
-        populations: dict[int, int] = {}
-        for low, high in zip(
-            [0, *boundaries], [*boundaries, len(sorted_blocks)]
-        ):
-            block = int(sorted_blocks[low])
-            populations[block] = high - low
-            tops[block] = self.fingerprints_at(
+        return {
+            int(sorted_blocks[low]): self.ordered_ids[
                 order[class_order[low : min(low + limit, high)]]
-            )
-        return tops, populations
+            ].tolist()
+            for low, high in zip([0, *boundaries], [*boundaries, len(sorted_blocks)])
+        }
+
+    def ranked_neighbors(
+        self, limit: int, tie_break: str, block_size: int | None, is_plaintext: bool
+    ):
+        """Every neighbor table a BFS can probe, ranked once.
+
+        A table is one chunk's left or right neighbors — of one block
+        class when ``block_size`` is given (Algorithm 3). One ``lexsort``
+        over the aggregated pairs, taken once per direction, ranks every
+        table by descending count with ``tie_break`` ties (``lexsort`` is
+        stable and the pairs are in first-occurrence order, so
+        ``insertion`` needs no key); rows ranked ``limit`` or later can
+        never pair and are dropped. Returns ``(offsets, ids, keys)``: the
+        rows of chunk ``c`` are ``offsets[c]:offsets[c + 1]``, left tables
+        before right, classes ascending, ``ids`` the ranked neighbors and
+        ``keys`` their ``(table, rank)`` packed into one int — equal keys
+        on the two sides of an attack are what FREQ-ANALYSIS pairs.
+        """
+        numpy = accel.numpy
+        if limit.bit_length() + _SIDE_SHIFT >= 63:
+            raise ConfigurationError("v is too large for the packed (table, rank) keys")
+        # Ids fit 32 bits (PAIR_SHIFT); the narrowing cast keeps the low half.
+        previous_ids = (self.ordered_pairs >> numpy.uint64(PAIR_SHIFT)).astype(numpy.uint32)
+        current_ids = self.ordered_pairs.astype(numpy.uint32)
+        own = numpy.concatenate((current_ids, previous_ids))
+        ids = numpy.concatenate((previous_ids, current_ids))
+        # A row's table within its chunk: right over left, then the class.
+        table = numpy.repeat(
+            numpy.array((0, 1 << _SIDE_SHIFT)), len(self.ordered_pairs)
+        )
+        if block_size is not None:
+            classes = numpy.zeros(self._vocab_size, dtype=numpy.int64)
+            classes[self.ordered_ids] = self._block_classes(block_size, is_plaintext)
+            table |= classes[ids]
+        # lexsort's last key is the primary one.
+        sort_keys = (numpy.tile(-self.ordered_pair_counts, 2), table, own)
+        if tie_break == FINGERPRINT:
+            sort_keys = (self.vocabulary._ids.sort_ranks()[ids], *sort_keys)
+        order = numpy.lexsort(sort_keys)
+        del sort_keys  # so that the unsorted columns go as they are replaced
+        own, ids, table = own[order], ids[order], table[order]
+        # Rank = a row's distance from the first row of its table.
+        starts = numpy.ones(len(own), dtype=bool)
+        starts[1:] = (own[1:] != own[:-1]) | (table[1:] != table[:-1])
+        position = numpy.arange(len(own))
+        rank = position - numpy.maximum.accumulate(position * starts)
+        keep = rank < limit
+        offsets = numpy.zeros(self._vocab_size + 1, dtype=numpy.int64)
+        numpy.cumsum(
+            numpy.bincount(own[keep], minlength=self._vocab_size), out=offsets[1:]
+        )
+        return offsets, ids[keep], ((table << limit.bit_length()) | rank)[keep]
 
     def with_vocabulary(self, vocabulary, first_sizes) -> "ArrayStats":
         """The same counted stream under another fingerprint decode.
@@ -652,51 +718,62 @@ class ArrayStats:
 
 
 # ---------------------------------------------------------------------------
-# Seed extraction over ranked stats (the attacks' _seed_analyse hooks)
+# FREQ-ANALYSIS on chunk ids (the attacks' steps over two ArrayStats)
 
 
-def seed_freq_pairs(
-    ciphertext_stats, plaintext_stats, limit: int | None, tie_break: str
-) -> list[tuple[bytes, bytes]]:
-    """FREQ-ANALYSIS over two full frequency tables without materializing
-    either: rank-``i`` ciphertext chunk pairs with rank-``i`` plaintext
-    chunk, identical to :func:`~repro.attacks.frequency.freq_analysis`
-    over the dict tables."""
-    pair_count = min(
-        ciphertext_stats.unique_chunks, plaintext_stats.unique_chunks
-    )
-    if limit is not None:
-        pair_count = min(pair_count, limit)
-    return list(
-        zip(
-            ciphertext_stats.top_ranked(pair_count, tie_break),
-            plaintext_stats.top_ranked(pair_count, tie_break),
-        )
-    )
-
-
-def sized_seed_pairs(
+def seed_pairs(
     ciphertext_stats,
     plaintext_stats,
-    limit: int,
-    block_size: int,
+    limit: int | None,
     tie_break: str,
-) -> list[tuple[bytes, bytes]]:
-    """Size-classified FREQ-ANALYSIS over the full tables (Algorithm 3's
-    seeding), identical to
-    :func:`~repro.attacks.frequency.sized_freq_analysis` over the dict
-    tables but pairing only the per-class top ``limit`` ranks."""
-    cipher_tops, _ = ciphertext_stats.class_tops(
-        limit, block_size, is_plaintext=False, tie_break=tie_break
-    )
-    plain_tops, _ = plaintext_stats.class_tops(
-        limit, block_size, is_plaintext=True, tie_break=tie_break
-    )
-    pairs: list[tuple[bytes, bytes]] = []
+    block_size: int | None = None,
+) -> list[tuple[int, int]]:
+    """FREQ-ANALYSIS over two full frequency tables without materializing
+    either, as ``(ciphertext id, plaintext id)`` pairs: equal ranks pair
+    (:func:`~repro.attacks.frequency.freq_analysis` before decoding) —
+    inside every block class when ``block_size`` is given (Algorithm 3's
+    seeding, :func:`~repro.attacks.frequency.sized_freq_analysis`)."""
+    if block_size is None:
+        return list(
+            zip(
+                ciphertext_stats.top_ranked_ids(limit, tie_break).tolist(),
+                plaintext_stats.top_ranked_ids(limit, tie_break).tolist(),
+            )
+        )
+    cipher_tops = ciphertext_stats.class_tops(limit, block_size, False, tie_break)
+    plain_tops = plaintext_stats.class_tops(limit, block_size, True, tie_break)
+    pairs: list[tuple[int, int]] = []
     for block in sorted(cipher_tops):
         # zip stops at the shorter class, like freq_analysis' pair count.
         pairs.extend(zip(cipher_tops[block], plain_tops.get(block, ())))
     return pairs
+
+
+def neighbor_pairs(
+    cipher_ranked, plain_ranked, cipher_id: int, plain_id: int
+) -> list[tuple[int, int]]:
+    """FREQ-ANALYSIS restricted to the neighbors of an inferred pair (the
+    BFS' inner step, left then right) over the two sides' ranked tables
+    (:meth:`ArrayStats.ranked_neighbors`): two row slices joined on equal
+    ``(table, rank)`` keys, in the ciphertext rows' order."""
+    cipher_offsets, cipher_ids, cipher_keys = cipher_ranked
+    plain_offsets, plain_ids, plain_keys = plain_ranked
+    cipher_low, cipher_high = cipher_offsets[cipher_id : cipher_id + 2].tolist()
+    plain_low, plain_high = plain_offsets[plain_id : plain_id + 2].tolist()
+    partner = dict(
+        zip(
+            plain_keys[plain_low:plain_high].tolist(),
+            plain_ids[plain_low:plain_high].tolist(),
+        )
+    )
+    return [
+        (chunk_id, partner[key])
+        for chunk_id, key in zip(
+            cipher_ids[cipher_low:cipher_high].tolist(),
+            cipher_keys[cipher_low:cipher_high].tolist(),
+        )
+        if key in partner
+    ]
 
 
 def interned_count(backup: Backup, vocabulary: ChunkVocabulary | None = None):

@@ -384,7 +384,9 @@ def sample_columnar_leakage(
     if numpy is not None:
         ranks = ciphertext_stats.vocabulary._ids.sort_ranks()
         by_fingerprint = numpy.argsort(ranks[ciphertext_stats.ordered_ids])
-        sampled = ciphertext_stats.fingerprints_at(by_fingerprint[positions])
+        sampled = ciphertext_stats.decode(
+            ciphertext_stats.ordered_ids[by_fingerprint[positions]]
+        )
     else:
         unique = sorted(ciphertext_stats.frequencies)
         sampled = [unique[position] for position in positions]
@@ -413,14 +415,14 @@ def _encrypted_stats(plain_stats, plain_vocabulary, cipher_vocabulary):
         zip(plain_vocabulary._fingerprints, cipher_vocabulary._fingerprints)
     )
 
-    def rekey(table: dict) -> dict:
-        return {cipher_of[plain_fp]: value for plain_fp, value in table.items()}
+    def rekey(table: dict, convert=lambda value: value) -> dict:
+        return {cipher_of[fp]: convert(value) for fp, value in table.items()}
 
     return ChunkStats(
         rekey(plain_stats.frequencies),
-        {cipher_of[fp]: rekey(table) for fp, table in plain_stats.left.items()},
-        {cipher_of[fp]: rekey(table) for fp, table in plain_stats.right.items()},
-        {cipher_of[fp]: padded_size(size) for fp, size in plain_stats.sizes.items()},
+        rekey(plain_stats.left, rekey),
+        rekey(plain_stats.right, rekey),
+        rekey(plain_stats.sizes, padded_size),
     )
 
 
@@ -485,11 +487,6 @@ def columnar_attack_report(
         result = built.run_counted(
             ciphertext_stats, auxiliary_stats, leaked or None
         )
-        correct = sum(
-            1
-            for cipher_fp, plain_fp in result.pairs.items()
-            if truth.get(cipher_fp) == plain_fp
-        )
         return InferenceReport(
             attack=result.attack_name,
             scheme=DefenseScheme.MLE.value,
@@ -497,7 +494,7 @@ def columnar_attack_report(
             target_label=target_view.label,
             unique_ciphertext_chunks=ciphertext_stats.unique_chunks,
             inferred_pairs=len(result.pairs),
-            correct_pairs=correct,
+            correct_pairs=result.correct_pairs(truth),
             leakage_rate=leakage_rate,
             leaked_pairs=len(leaked),
             iterations=result.iterations,

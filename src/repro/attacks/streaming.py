@@ -200,10 +200,11 @@ class BackendChunkStats:
     ``frequencies`` and ``sizes`` stay in memory (they are needed in full
     for the global ranking anyway); the much larger ``left``/``right``
     co-occurrence tables are loaded lazily per chunk. The interface
-    matches :class:`~repro.attacks.frequency.ChunkStats` where the attacks
-    use it, so :class:`~repro.attacks.locality.LocalityAttack` and
+    matches :class:`~repro.attacks.frequency.ChunkStats` where the attacks'
+    table steps use it (``LocalityAttack._table_steps``), so
+    :class:`~repro.attacks.locality.LocalityAttack` and
     :class:`~repro.attacks.advanced.AdvancedLocalityAttack` run against
-    any backend unchanged.
+    any backend, on fingerprints.
     """
 
     def __init__(

@@ -173,12 +173,6 @@ def evaluate_partial_view(
         )
 
     result = attack.run(shard, auxiliary, leaked or None)
-    truth = target.truth
-    correct = sum(
-        1
-        for cipher_fp, plain_fp in result.pairs.items()
-        if truth.get(cipher_fp) == plain_fp
-    )
     report = InferenceReport(
         attack=result.attack_name,
         scheme=scheme,
@@ -188,7 +182,7 @@ def evaluate_partial_view(
         # whole backup the compromised shard betrayed".
         unique_ciphertext_chunks=full_unique,
         inferred_pairs=len(result.pairs),
-        correct_pairs=correct,
+        correct_pairs=result.correct_pairs(target.truth),
         leakage_rate=leakage_rate,
         leaked_pairs=len(leaked),
         iterations=result.iterations,

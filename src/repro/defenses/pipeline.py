@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import rng_from
@@ -73,8 +74,10 @@ class EncryptedBackup:
     num_segments: int = 0
     restore_order: Backup | None = None
 
-    @property
+    @cached_property
     def unique_ciphertext_chunks(self) -> int:
+        # Counted once: the pipeline hands over a finished stream and
+        # nothing appends to ``ciphertext`` afterwards.
         return len(set(self.ciphertext.fingerprints))
 
     def logical_ciphertext(self) -> Backup:

@@ -92,6 +92,40 @@ class TestLocalityAttack:
             with pytest.raises(ConfigurationError):
                 LocalityAttack(**bad)
 
+    def test_unknown_tie_break_rejected_at_construction(self):
+        # Not from the first non-empty ranking, after both COUNT passes
+        # (and never at all when the tables are empty).
+        for build in (
+            lambda: LocalityAttack(tie_break="random"),
+            lambda: LocalityAttack(seed_tie_break="size"),
+            lambda: AdvancedLocalityAttack(tie_break="random"),
+            lambda: BasicAttack(tie_break=""),
+        ):
+            with pytest.raises(ConfigurationError, match="unknown tie_break"):
+                build()
+        for tie_break in ("insertion", "fingerprint"):
+            BasicAttack(tie_break=tie_break)
+            LocalityAttack(tie_break=tie_break, seed_tie_break=tie_break)
+
+    def test_repr_tells_configurations_apart(self):
+        assert repr(LocalityAttack(u=2, v=3, w=4)) == (
+            "LocalityAttack(u=2, v=3, w=4, tie_break='insertion', "
+            "seed_tie_break='fingerprint')"
+        )
+        assert repr(LocalityAttack()) != repr(
+            LocalityAttack(tie_break="fingerprint")
+        )
+        assert repr(LocalityAttack()) != repr(
+            LocalityAttack(seed_tie_break="insertion")
+        )
+        assert repr(AdvancedLocalityAttack(block_size=32)) == (
+            "AdvancedLocalityAttack(u=1, v=15, w=200000, block_size=32, "
+            "tie_break='insertion', seed_tie_break='fingerprint')"
+        )
+        assert repr(AdvancedLocalityAttack()) != repr(
+            AdvancedLocalityAttack(block_size=32)
+        )
+
     def test_chain_propagation_through_unique_run(self):
         # One shared frequent chunk seeds the walk; the rest is a run of
         # unique chunks in identical order. v=2 lets the expansion move

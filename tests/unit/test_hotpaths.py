@@ -16,14 +16,17 @@ Every optimized loop must be byte-identical to its reference oracle:
 import hashlib
 import random
 import tempfile
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
+from repro.attacks.advanced import AdvancedLocalityAttack
 from repro.attacks.frequency import (
     FINGERPRINT,
     INSERTION,
+    ChunkStats,
     classify_by_blocks,
     count_frequencies,
     count_with_neighbors,
@@ -34,9 +37,9 @@ from repro.attacks.frequency import (
 from repro.attacks.interning import (
     ChunkVocabulary,
     interned_count,
-    seed_freq_pairs,
-    sized_seed_pairs,
+    seed_pairs,
 )
+from repro.attacks.locality import LocalityAttack
 from repro.attacks.sharded import sharded_count
 from repro.attacks.streaming import CountStores, StreamingCount
 from repro.chunking import ChunkerSpec, GearChunker, RabinChunker
@@ -45,6 +48,7 @@ from repro.common import accel
 from repro.common.errors import ConfigurationError
 from repro.datasets.columnar import ColumnarTrace, ColumnarTraceWriter
 from repro.datasets.model import Backup
+from repro.defenses.pipeline import padded_size
 from repro.index.backends import open_backend
 
 SPEC = ChunkerSpec(min_size=64, avg_size=256, max_size=1024)
@@ -272,31 +276,36 @@ def assert_equals_oracle(stats, oracle):
 
 
 def assert_rankings_equal_oracle(stats, oracle, limit, block_size):
-    """``top_ranked``/``class_tops`` (and the seed pairings built on
-    them) against the dict rankings, for both tie-breaks."""
+    """``top_ranked``/``class_tops`` (and the id seed pairings built on
+    them, decoded) against the dict rankings, for both tie-breaks."""
+    fingerprints = stats.vocabulary._fingerprints
+
+    def decoded(id_pairs):
+        return [(fingerprints[c], fingerprints[m]) for c, m in id_pairs]
+
     for tie_break in (INSERTION, FINGERPRINT):
         ranked = rank_by_frequency(oracle.frequencies, tie_break)
         assert stats.top_ranked(limit, tie_break) == ranked[:limit]
         assert stats.top_ranked(None, tie_break) == ranked
-        assert seed_freq_pairs(stats, stats, limit, tie_break) == freq_analysis(
+        assert decoded(
+            seed_pairs(stats, stats, limit, tie_break)
+        ) == freq_analysis(
             oracle.frequencies, oracle.frequencies, limit, tie_break
         )
         for is_plaintext in (False, True):
             classes = classify_by_blocks(
                 oracle.frequencies, oracle.sizes, block_size, is_plaintext
             )
-            tops, populations = stats.class_tops(
-                limit, block_size, is_plaintext, tie_break
-            )
-            assert tops == {
+            tops = stats.class_tops(limit, block_size, is_plaintext, tie_break)
+            assert {
+                blocks: [fingerprints[chunk_id] for chunk_id in ids]
+                for blocks, ids in tops.items()
+            } == {
                 blocks: rank_by_frequency(bucket, tie_break)[:limit]
                 for blocks, bucket in classes.items()
             }
-            assert populations == {
-                blocks: len(bucket) for blocks, bucket in classes.items()
-            }
-        assert sized_seed_pairs(
-            stats, stats, limit, block_size, tie_break
+        assert decoded(
+            seed_pairs(stats, stats, limit, tie_break, block_size)
         ) == sized_freq_analysis(
             oracle.frequencies,
             oracle.frequencies,
@@ -309,6 +318,136 @@ def assert_rankings_equal_oracle(stats, oracle, limit, block_size):
 
 
 TOKENS = [bytes([value]) * 8 for value in range(12)]
+
+
+def edited_streams(seed):
+    """A plaintext auxiliary backup and an MLE-encrypted target derived
+    from it by random edits (file inserts, run deletes, fresh chunks), so
+    the streams share runs and the BFS has somewhere to spread; returns
+    ``(target ciphertext, auxiliary, truth)``."""
+    rng = random.Random(seed)
+    tokens = [rng.randbytes(8) for _ in range(rng.randrange(1, 50))]
+    size_of = {token: rng.choice((30, 100, 1000, 4096, 5000)) for token in tokens}
+    files = [
+        [rng.choice(tokens) for _ in range(rng.randrange(1, 12))]
+        for _ in range(rng.randrange(1, 8))
+    ]
+    auxiliary = [
+        token for _ in range(rng.randrange(0, 12)) for token in rng.choice(files)
+    ]
+    target = list(auxiliary)
+    for _ in range(rng.randrange(0, 8)):
+        at = rng.randrange(len(target) + 1)
+        edit = rng.randrange(3)
+        if edit == 0:
+            target[at:at] = rng.choice(files)
+        elif edit == 1:
+            del target[at : at + rng.randrange(1, 6)]
+        else:
+            fresh = rng.randbytes(8)
+            size_of[fresh] = rng.choice((30, 4096))
+            target[at : at + 1] = [fresh]
+    return encrypted_pair(target, auxiliary, size_of)
+
+
+def encrypted_pair(target, auxiliary, size_of):
+    cipher_of = {
+        token: hashlib.sha256(b"mle|" + token).digest()[:8] for token in target
+    }
+    return (
+        Backup(
+            label="target",
+            fingerprints=[cipher_of[token] for token in target],
+            sizes=[padded_size(size_of[token]) for token in target],
+        ),
+        Backup(
+            label="auxiliary",
+            fingerprints=list(auxiliary),
+            sizes=[size_of[token] for token in auxiliary],
+        ),
+        {cipher: token for token, cipher in cipher_of.items()},
+    )
+
+
+@contextmanager
+def counted_every_way(ciphertext, auxiliary, jobs=2, batch_size=7):
+    """Yields ``(oracle, others)``, each a ``(ciphertext stats, auxiliary
+    stats)`` pair — the dict COUNT, ``interned_count``, ``sharded_count``
+    over one written columnar trace (one mapped vocabulary under both
+    views; open while the block runs), and the KV-resident streaming
+    COUNT."""
+    backups = (ciphertext, auxiliary)
+    oracle = tuple(map(count_with_neighbors, backups))
+    others = {"interned": tuple(map(interned_count, backups))}
+    streamed = []
+    for backup in backups:
+        counter = StreamingCount(CountStores.in_memory(), batch_size=batch_size)
+        counter.ingest_backup(backup)
+        streamed.append(counter.finalize())
+    others["backend"] = tuple(streamed)
+    with tempfile.TemporaryDirectory() as directory:
+        with ColumnarTraceWriter(directory, name="a", fingerprint_bytes=8) as writer:
+            for backup in backups:
+                writer.add_backup(backup)
+        with ColumnarTrace.open(directory) as trace:
+            others["sharded"] = tuple(
+                sharded_count(trace.view(index), jobs=jobs) for index in (0, 1)
+            )
+            yield oracle, others
+
+
+def attack_grid(**params):
+    """locality and advanced x both tie-breaks x both seed tie-breaks."""
+    block_size = params.pop("block_size", 16)
+    for tie_break in (INSERTION, FINGERPRINT):
+        for seed_tie_break in (INSERTION, FINGERPRINT):
+            locality = LocalityAttack(
+                tie_break=tie_break, seed_tie_break=seed_tie_break, **params
+            )
+            advanced = AdvancedLocalityAttack(
+                tie_break=tie_break, block_size=block_size, **params
+            )
+            advanced.seed_tie_break = seed_tie_break
+            yield locality
+            yield advanced
+
+
+def assert_attacks_equal_dict_loop(oracle, others, leaked, **params):
+    """Every attack of the grid, ciphertext-only and with ``leaked``:
+    the same pairs in the same insertion order and the same iteration
+    count from every counted source as from the dict loop."""
+    assert all(isinstance(stats, ChunkStats) for stats in oracle)
+    compared = 0
+    for attack in attack_grid(**params):
+        for leaked_pairs in (None, leaked):
+            expected = attack.run_counted(*oracle, leaked_pairs)
+            for source, stats in others.items():
+                got = attack.run_counted(*stats, leaked_pairs)
+                context = (source, attack, leaked_pairs)
+                assert list(got.pairs.items()) == list(
+                    expected.pairs.items()
+                ), context
+                assert got.iterations == expected.iterations, context
+                assert got.attack_name == expected.attack_name
+            compared += expected.iterations
+    return compared
+
+
+def sample_leaked(truth, auxiliary, seed):
+    """A few true pairs (some of whose plaintexts the edits removed from
+    the auxiliary backup) plus one pair whose ciphertext the target never
+    held and one whose plaintext nobody counted."""
+    rng = random.Random(seed)
+    ciphers = sorted(truth)
+    leaked = {
+        cipher: truth[cipher]
+        for cipher in rng.sample(ciphers, min(len(ciphers), rng.randrange(1, 5)))
+    }
+    leaked[b"NOTARGET"] = (auxiliary.fingerprints or [b"nowhere!"])[0]
+    if ciphers:
+        leaked.setdefault(ciphers[0], b"NOAUXILI")
+    return leaked
+
 
 
 class TestThreeSourceDifferential:
@@ -365,6 +504,168 @@ class TestThreeSourceDifferential:
             assert counter.total_chunks == len(backup)
             assert_equals_oracle(counter.finalize(), oracle)
             stores.close()
+
+    @seed(16)
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from([1, 2, 5]),
+        st.sampled_from([1, 2, 15]),
+        st.sampled_from([1, 3, 200_000]),
+        st.sampled_from([16, 64, 4096]),
+    )
+    def test_attack_outputs_equal_dict_loop(
+        self, count_mode, stream_seed, u, v, w, block_size
+    ):
+        ciphertext, auxiliary, truth = edited_streams(stream_seed)
+        leaked = sample_leaked(truth, auxiliary, stream_seed)
+        with counted_every_way(
+            ciphertext, auxiliary, jobs=1 + stream_seed % 3
+        ) as (oracle, others):
+            assert_attacks_equal_dict_loop(
+                oracle, others, leaked, u=u, v=v, w=w, block_size=block_size
+            )
+
+    def test_attack_outputs_spread_and_hit_the_queue_bound(self, count_mode):
+        """The explicit corners, on streams long enough that every grid
+        runs the BFS for hundreds of iterations: ``w`` in {1, 3} drops
+        pending pairs, ``v = 1``, ``u`` above every class population."""
+        rng = random.Random(21)
+        tokens = [rng.randbytes(8) for _ in range(300)]
+        size_of = {token: rng.choice((100, 1000, 4096)) for token in tokens}
+        auxiliary = tokens[:5] * 4 + tokens
+        target = tokens[:5] * 5 + tokens[:150] + tokens[160:]
+        ciphertext, auxiliary, truth = encrypted_pair(target, auxiliary, size_of)
+        leaked = sample_leaked(truth, auxiliary, 3)
+        # Five seeds pending: under w = 1 what the first pops discover is
+        # inferred but dropped from the queue, so the walk ends earlier.
+        seeds = {
+            cipher: plain
+            for cipher, plain in truth.items()
+            if plain in tokens[20:300:60]
+        }
+        with counted_every_way(ciphertext, auxiliary, jobs=3) as (oracle, others):
+            for params in (
+                {"u": 1, "v": 15, "w": 200_000},
+                {"u": 1, "v": 15, "w": 1},
+                {"u": 2, "v": 2, "w": 3},
+                {"u": 1, "v": 1, "w": 200_000},
+                {"u": 1_000, "v": 3, "w": 200_000},
+            ):
+                iterations = assert_attacks_equal_dict_loop(
+                    oracle, others, leaked, **params
+                )
+                assert iterations > 500, params
+            bounded, free = (
+                LocalityAttack(u=1, v=15, w=w).run_counted(
+                    *others["interned"], seeds
+                )
+                for w in (1, 200_000)
+            )
+        assert len(seeds) < bounded.iterations < free.iterations
+
+    @pytest.mark.parametrize(
+        "target, auxiliary",
+        [
+            ([], []),  # empty backups
+            ([], ["a", "b"]),
+            (["a", "b"], []),
+            (["a"], ["a"]),  # a single chunk
+            (["a"] * 4, ["b"] * 3),
+            (["a", "b", "a", "c"], ["a", "b", "a", "c"]),
+        ],
+    )
+    def test_attack_outputs_on_degenerate_streams(
+        self, count_mode, target, auxiliary
+    ):
+        size_of = {"a": 100, "b": 100, "c": 5000}
+        ciphertext, plaintext, truth = encrypted_pair(
+            [token.encode() * 8 for token in target],
+            [token.encode() * 8 for token in auxiliary],
+            {token.encode() * 8: size for token, size in size_of.items()},
+        )
+        leaked = sample_leaked(truth, plaintext, 0)
+        with counted_every_way(ciphertext, plaintext) as (oracle, others):
+            assert_attacks_equal_dict_loop(oracle, others, leaked, u=2, v=2, w=5)
+
+    def test_leaked_pairs_outside_either_backup_are_recorded_not_propagated(
+        self, count_mode
+    ):
+        tokens = [bytes([value]) * 8 for value in range(1, 9)]
+        size_of = dict.fromkeys(tokens, 100)
+        ciphertext, auxiliary, truth = encrypted_pair(tokens, tokens[:6], size_of)
+        cipher_of = {plain: cipher for cipher, plain in truth.items()}
+        leaked = {
+            cipher_of[tokens[7]]: tokens[7],  # plaintext not in the auxiliary
+            b"NOTARGET": tokens[2],  # ciphertext not in the target
+            cipher_of[tokens[1]]: tokens[1],  # the one that propagates
+        }
+        with counted_every_way(ciphertext, auxiliary) as (oracle, others):
+            assert_attacks_equal_dict_loop(oracle, others, leaked, u=1, v=1, w=10)
+            result = LocalityAttack(u=1, v=1, w=10).run_counted(
+                *others["interned"], leaked
+            )
+        assert list(result.pairs.items())[:3] == list(leaked.items())
+        # tokens[6] neighbors only the pair that cannot propagate; the
+        # chunk that cannot propagate is still never re-inferred.
+        assert cipher_of[tokens[6]] not in result.pairs
+        assert result.pairs[cipher_of[tokens[0]]] == tokens[0]
+        assert result.pairs[cipher_of[tokens[5]]] == tokens[5]
+
+    def test_attack_outputs_without_a_shared_size_class(self, count_mode):
+        tokens = [bytes([value]) * 8 for value in range(1, 30)]
+        stream = tokens[:3] * 3 + tokens
+        # Unpadded 4096-byte "ciphertext" against 100-byte plaintext: at
+        # block 16 no block-count class holds a chunk of both sides
+        # (256 vs 7), at block 4000 one class holds them all (1 vs 0 + 1).
+        ciphertext = Backup(
+            "target", [token[:7] + b"c" for token in stream], [4096] * len(stream)
+        )
+        auxiliary = Backup("auxiliary", list(stream), [100] * len(stream))
+        leaked = {ciphertext.fingerprints[4]: stream[4]}
+        with counted_every_way(ciphertext, auxiliary) as (oracle, others):
+            for block_size in (16, 4000):
+                assert_attacks_equal_dict_loop(
+                    oracle, others, leaked, u=1, v=2, w=50, block_size=block_size
+                )
+            for stats in others.values():
+                assert not AdvancedLocalityAttack().run_counted(*stats).pairs
+                spread = AdvancedLocalityAttack(block_size=4000).run_counted(*stats)
+                assert len(spread.pairs) > 3
+
+    @pytest.mark.skipif(accel.numpy is None, reason="interning needs numpy")
+    def test_id_steps_refuse_a_v_their_keys_cannot_hold(self):
+        ciphertext, auxiliary, _ = edited_streams(5)
+        stats = tuple(map(interned_count, (ciphertext, auxiliary)))
+        dicts = tuple(map(count_with_neighbors, (ciphertext, auxiliary)))
+        widest = LocalityAttack(v=(1 << 22) - 1)
+        assert list(widest.run_counted(*stats).pairs.items()) == list(
+            widest.run_counted(*dicts).pairs.items()
+        )
+        with pytest.raises(ConfigurationError, match="too large"):
+            LocalityAttack(v=1 << 22).run_counted(*stats)
+        LocalityAttack(v=1 << 22).run_counted(*dicts)
+
+    @pytest.mark.skipif(accel.numpy is None, reason="interning needs numpy")
+    def test_attack_over_one_vocabulary_that_grew_between_the_counts(self):
+        ciphertext, auxiliary, truth = edited_streams(5)
+        oracle = tuple(map(count_with_neighbors, (ciphertext, auxiliary)))
+        leaked = sample_leaked(truth, auxiliary, 5)
+        for first, second in ((0, 1), (1, 0)):
+            vocabulary = ChunkVocabulary()
+            stats = [None, None]
+            backups = (ciphertext, auxiliary)
+            stats[first] = interned_count(backups[first], vocabulary)
+            stats[first].left  # grouped before the vocabulary grows
+            stats[second] = interned_count(backups[second], vocabulary)
+            assert len(vocabulary) > stats[first]._vocab_size
+            assert_attacks_equal_dict_loop(
+                oracle, {"shared": tuple(stats)}, leaked, u=2, v=3, w=100
+            )
 
     @pytest.mark.skipif(accel.numpy is None, reason="interning needs numpy")
     def test_vocabulary_growing_after_a_count(self):
