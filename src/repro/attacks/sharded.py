@@ -29,11 +29,11 @@ and scores against the vocabulary-level ground truth.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from itertools import islice
 from multiprocessing import get_context
 
 from repro import faults, obs
@@ -58,7 +58,12 @@ from repro.datasets.columnar import (
     PackedVocabulary,
     _u32_array,
 )
-from repro.defenses.pipeline import DefenseScheme, padded_size
+from repro.defenses.pipeline import (
+    MLE_PREFIX,
+    DefenseScheme,
+    cipher_fingerprint,
+    padded_size,
+)
 
 __all__ = [
     "columnar_attack_report",
@@ -309,6 +314,8 @@ def sharded_count(view: ColumnarBackupView, jobs: int = 1):
 # ---------------------------------------------------------------------------
 # MLE ciphertext side at the vocabulary level
 
+_ENCRYPT_BLOCK = 4096
+
 
 def encrypt_vocabulary(trace: ColumnarTrace) -> PackedVocabulary:
     """The trace's vocabulary under the MLE pipeline's deterministic
@@ -322,15 +329,16 @@ def encrypt_vocabulary(trace: ColumnarTrace) -> PackedVocabulary:
     the pipeline rejects it.
     """
     width = trace.fingerprint_bytes
-    blob = bytearray(width * trace.num_unique)
-    sha256 = hashlib.sha256
-    offset = 0
-    for fingerprint in trace.vocabulary._fingerprints:
-        blob[offset : offset + width] = sha256(
-            b"mle|" + fingerprint
-        ).digest()[:width]
-        offset += width
-    vocabulary = PackedVocabulary(bytes(blob), width, trace.num_unique)
+    # Block-joined: a vocabulary is already distinct, so it takes no memo
+    # (a ``CipherMap`` would hold a second copy of it), and one block of
+    # digests at a time keeps the transient objects in cache.
+    fingerprints = iter(trace.vocabulary._fingerprints)
+    blocks = []
+    while block := list(islice(fingerprints, _ENCRYPT_BLOCK)):
+        blocks.append(
+            b"".join([cipher_fingerprint(MLE_PREFIX, fp, width) for fp in block])
+        )
+    vocabulary = PackedVocabulary(b"".join(blocks), width, trace.num_unique)
     if vocabulary._ids.has_duplicates():
         raise ConfigurationError(
             "ciphertext fingerprint collision; increase fingerprint_bytes"

@@ -12,6 +12,7 @@ while still letting the attacks iterate ``(fingerprint, size)`` records.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -66,15 +67,18 @@ class Backup:
     def unique_fingerprints(self) -> set[bytes]:
         return set(self.fingerprints)
 
+    def first_sizes(self) -> dict[bytes, int]:
+        """Each distinct fingerprint's size at its first occurrence, in
+        first-occurrence order."""
+        sizes: dict[bytes, int] = {}
+        # ``setdefault`` keeps the first; the empty deque drains the map
+        # without a Python-level loop.
+        deque(map(sizes.setdefault, self.fingerprints, self.sizes), maxlen=0)
+        return sizes
+
     def unique_bytes(self) -> int:
         """Bytes after intra-backup deduplication."""
-        seen: set[bytes] = set()
-        total = 0
-        for fingerprint, size in zip(self.fingerprints, self.sizes):
-            if fingerprint not in seen:
-                seen.add(fingerprint)
-                total += size
-        return total
+        return sum(self.first_sizes().values())
 
     def size_of(self, fingerprint: bytes) -> int:
         """Size of the first occurrence of ``fingerprint`` (all occurrences

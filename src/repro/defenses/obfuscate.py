@@ -121,25 +121,39 @@ class FrequencyObfuscator:
         self._phase_key = b"obf-balance|" + seed.to_bytes(
             8, "big", signed=True
         )
+        self._phases: dict[bytes, int] = {}
 
     def offset(self, plaintext_fp: bytes) -> int:
-        """The keyed starting phase of one chunk's round-robin."""
+        """The keyed starting phase of one chunk's round-robin (hashed
+        once per distinct chunk, then remembered)."""
         if self.variants == 1:
             return 0
-        digest = hashlib.sha256(self._phase_key + plaintext_fp).digest()
-        return int.from_bytes(digest[:4], "big") % self.variants
+        phase = self._phases.get(plaintext_fp)
+        if phase is None:
+            digest = hashlib.sha256(self._phase_key + plaintext_fp).digest()
+            phase = int.from_bytes(digest[:4], "big") % self.variants
+            self._phases[plaintext_fp] = phase
+        return phase
 
     def assign(self, plaintext_fp: bytes, occurrence: int) -> int:
         """Variant index of a chunk's ``occurrence``-th appearance."""
         return (self.offset(plaintext_fp) + occurrence) % self.variants
 
     @staticmethod
+    def variant_prefix(variant: int) -> bytes:
+        """Key prefix of one variant's ciphertext map."""
+        return b"obf|" + variant.to_bytes(4, "big") + b"|"
+
+    @staticmethod
     def variant_fingerprint(
         plaintext_fp: bytes, variant: int, length: int
     ) -> bytes:
         """Ciphertext fingerprint of one (chunk, variant) pair."""
-        prefix = b"obf|" + variant.to_bytes(4, "big") + b"|"
-        return hashlib.sha256(prefix + plaintext_fp).digest()[:length]
+        from repro.defenses.pipeline import cipher_fingerprint
+
+        return cipher_fingerprint(
+            FrequencyObfuscator.variant_prefix(variant), plaintext_fp, length
+        )
 
 
 def frequency_kld(fingerprints: Iterable[bytes]) -> float:

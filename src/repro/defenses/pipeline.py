@@ -5,8 +5,8 @@ This is the trace-driven methodology of §7.1. The datasets carry
 fingerprints rather than content, so encryption is simulated exactly as the
 paper does:
 
-* **MLE** (baseline): ciphertext fingerprint = H("mle" ∥ plaintext fp),
-  a fixed bijection — deterministic encryption.
+* **MLE** (baseline): ciphertext fingerprint = truncate(SHA-256("mle|" ∥
+  plaintext fp)), a fixed bijection — deterministic encryption.
 * **MinHash**: segment the stream, compute the segment's minimum
   fingerprint *h*, then ciphertext fingerprint = truncate(SHA-256(h ∥
   plaintext fp)). Identical plaintext chunks under the same *h* deduplicate;
@@ -26,6 +26,15 @@ is what the advanced attack observes.
 
 Every encrypted backup records the ground-truth map (ciphertext fingerprint
 → plaintext fingerprint) used solely by the evaluator to score attacks.
+
+Every scheme is thus one truncated hash (:func:`cipher_fingerprint`) of
+the *distinct* chunk under a small key prefix — ``"mle|"``, the segment
+minimum, the variant — so a pipeline keeps one :class:`CipherMap` per
+prefix for as long as it lives and hashes a chunk the first time the map
+misses it; what is left per *occurrence* (the stream, the padded sizes,
+the scrambled order, the ground truth and its collision rule) is C-level
+``map`` / ``zip`` / ``dict`` calls. The per-occurrence loops this replaced
+are the differential oracle in ``tests/unit/test_pipeline_oracle.py``.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import rng_from
@@ -44,7 +54,7 @@ from repro.defenses.obfuscate import (
     FrequencyObfuscator,
     parse_scheme,
 )
-from repro.defenses.scramble import DEQUE, scramble_indices
+from repro.defenses.scramble import DEQUE, check_scramble_mode, scramble_indices
 from repro.defenses.segmentation import SegmentationSpec, segment_stream
 
 
@@ -117,12 +127,77 @@ def padded_size(plaintext_size: int, block_size: int = BLOCK_SIZE) -> int:
     return (plaintext_size // block_size + 1) * block_size
 
 
+#: Key prefix of the deterministic (MLE) map; MinHash keys its maps with
+#: the segment minimum, ``obfuscate:t`` with
+#: :meth:`~repro.defenses.obfuscate.FrequencyObfuscator.variant_prefix`.
+MLE_PREFIX = b"mle|"
+_DIGEST_BYTES = hashlib.sha256().digest_size
+
+
+def cipher_fingerprint(prefix: bytes, plaintext_fp: bytes, length: int) -> bytes:
+    """§7.1's simulated encryption, the one place it is spelt:
+    ``SHA-256(prefix ∥ plaintext fingerprint)`` truncated to ``length``
+    bytes — and never silently to fewer than were asked for."""
+    if not 0 <= length <= _DIGEST_BYTES:
+        raise ConfigurationError(
+            f"cannot truncate a {_DIGEST_BYTES}-byte digest to {length} "
+            "bytes; set fingerprint_bytes"
+        )
+    return hashlib.sha256(prefix + plaintext_fp).digest()[:length]
+
+
+class CipherMap(dict):
+    """Plaintext → ciphertext fingerprints under one key prefix, each
+    computed the first time it is asked for.
+
+    Deterministic encryption is a function of the *distinct* chunk, so a
+    stream is encrypted with ``map(cipher_map.__getitem__, fingerprints)``
+    and only a chunk this map has never seen reaches Python. Every
+    occurrence then shares one ``bytes`` object. ``length=None`` keeps
+    each plaintext fingerprint's own width.
+    """
+
+    __slots__ = ("prefix", "length")
+
+    def __init__(self, prefix: bytes, length: int | None):
+        self.prefix = prefix
+        self.length = length
+
+    def __missing__(self, plaintext_fp: bytes) -> bytes:
+        cipher_fp = self[plaintext_fp] = cipher_fingerprint(
+            self.prefix, plaintext_fp, self.length or len(plaintext_fp)
+        )
+        return cipher_fp
+
+
+def _ground_truth(cipher: list[bytes], plain: Sequence[bytes]) -> dict[bytes, bytes]:
+    """One backup's ciphertext → plaintext map, in first-occurrence order.
+
+    The single collision rule: a truncated fingerprint width that sends
+    two distinct plaintext chunks of this backup to one ciphertext
+    fingerprint would make ``truth`` stop being a function (and break the
+    restore round trip), so it is rejected whatever the scheme — the map
+    must send every occurrence's ciphertext back to its own plaintext.
+    """
+    truth = dict(zip(cipher, plain))
+    if list(map(truth.__getitem__, cipher)) != list(plain):
+        raise ConfigurationError(
+            "ciphertext fingerprint collision; increase fingerprint_bytes"
+        )
+    return truth
+
+
 class DefensePipeline:
     """Encrypts plaintext backup streams under a chosen defense scheme.
 
     ``scheme`` accepts a :class:`DefenseScheme`, a plain scheme name, or
     a parameterized obfuscation spec (``"obfuscate:4"``); a spec's knob
     overrides ``obfuscate_variants``.
+
+    The pipeline owns one :class:`CipherMap` per key prefix for its whole
+    lifetime, so the backups of a series and the uploads of a service
+    hash each distinct chunk once; the maps are a cache of a pure
+    function and change no output.
     """
 
     def __init__(
@@ -135,6 +210,14 @@ class DefensePipeline:
         obfuscate_variants: int = DEFAULT_VARIANTS,
     ):
         self.scheme, spec_variants = parse_scheme(scheme)
+        check_scramble_mode(scramble_mode)
+        if fingerprint_bytes is not None and not (
+            1 <= fingerprint_bytes <= _DIGEST_BYTES
+        ):
+            raise ConfigurationError(
+                f"fingerprint_bytes must be in 1..{_DIGEST_BYTES} (a "
+                f"truncated SHA-256), got {fingerprint_bytes}"
+            )
         self.segmentation = segmentation or SegmentationSpec()
         self.seed = seed
         self.scramble_mode = scramble_mode
@@ -148,53 +231,68 @@ class DefensePipeline:
         self._obfuscator = FrequencyObfuscator(
             variants=self.obfuscate_variants, seed=seed
         )
+        self._maps: dict[bytes, CipherMap] = {}
 
-    # -- fingerprint-level encryption ---------------------------------------
-
-    def _output_length(self, plaintext_fp: bytes) -> int:
-        if self.fingerprint_bytes is not None:
-            return self.fingerprint_bytes
-        return len(plaintext_fp)
-
-    @staticmethod
-    def _mle_fingerprint(plaintext_fp: bytes, length: int) -> bytes:
-        return hashlib.sha256(b"mle|" + plaintext_fp).digest()[:length]
-
-    @staticmethod
-    def _minhash_fingerprint(
-        minimum_fp: bytes, plaintext_fp: bytes, length: int
-    ) -> bytes:
-        # §7.1: concatenate the segment minimum with the chunk fingerprint,
-        # hash with SHA-256, truncate to the dataset's fingerprint width.
-        return hashlib.sha256(minimum_fp + plaintext_fp).digest()[:length]
-
-    @staticmethod
-    def _record_truth(
-        truth: dict[bytes, bytes], cipher_fp: bytes, plaintext_fp: bytes
-    ) -> None:
-        """Record one ground-truth pair, rejecting ciphertext collisions.
-
-        Every encryption path funnels through this one check, so a
-        truncated fingerprint width that maps two distinct plaintext
-        chunks to the same ciphertext fingerprint fails identically
-        whatever the scheme (or scheme order) — the restore round-trip
-        guarantee requires ``truth`` to stay a function.
-        """
-        existing = truth.get(cipher_fp)
-        if existing is not None and existing != plaintext_fp:
-            raise ConfigurationError(
-                "ciphertext fingerprint collision; increase "
-                "fingerprint_bytes"
-            )
-        truth[cipher_fp] = plaintext_fp
+    def _map(self, prefix: bytes) -> CipherMap:
+        found = self._maps.get(prefix)
+        if found is None:
+            found = self._maps[prefix] = CipherMap(prefix, self.fingerprint_bytes)
+        return found
 
     def encrypt_backup(self, backup: Backup, backup_index: int = 0) -> EncryptedBackup:
         """Encrypt one plaintext backup stream."""
-        if self.scheme is DefenseScheme.MLE:
-            return self._encrypt_plain_mle(backup)
-        if self.scheme is DefenseScheme.OBFUSCATE:
-            return self._encrypt_obfuscated(backup)
-        return self._encrypt_segmented(backup, backup_index)
+        scheme = self.scheme
+        minhash = scheme in (DefenseScheme.MINHASH, DefenseScheme.COMBINED)
+        scramble = scheme in (DefenseScheme.SCRAMBLE, DefenseScheme.COMBINED)
+        plain = backup.fingerprints
+        segments: list = []
+        if minhash or scramble:
+            segments = segment_stream(plain, backup.sizes, self.segmentation)
+        if scheme is DefenseScheme.OBFUSCATE:
+            cipher = self._obfuscated(plain)
+        elif minhash:
+            # §7.1: the segment minimum keys every chunk of the segment.
+            cipher = []
+            for segment in segments:
+                block = plain[segment.start : segment.end]
+                cipher += map(self._map(min(block)).__getitem__, block)
+        else:
+            cipher = list(map(self._map(MLE_PREFIX).__getitem__, plain))
+        truth = _ground_truth(cipher, plain)
+        # ``padded_size`` inlined: one call per occurrence is what this
+        # method exists to avoid.
+        sizes = [(size // BLOCK_SIZE + 1) * BLOCK_SIZE for size in backup.sizes]
+        logical = Backup(label=backup.label, fingerprints=cipher, sizes=sizes)
+        if not scramble:
+            return EncryptedBackup(
+                label=backup.label,
+                ciphertext=logical,
+                truth=truth,
+                num_segments=len(segments),
+            )
+        # Algorithm 5 per segment, as one index list over the stream; the
+        # recipe (``restore_order``) keeps the logical order.
+        rng = rng_from(self.seed, "scramble", backup.label, backup_index)
+        order: list[int] = []
+        for segment in segments:
+            start = segment.start
+            order += [
+                start + offset
+                for offset in scramble_indices(
+                    len(segment), rng, self.scramble_mode
+                )
+            ]
+        return EncryptedBackup(
+            label=backup.label,
+            ciphertext=Backup(
+                label=backup.label,
+                fingerprints=list(map(cipher.__getitem__, order)),
+                sizes=list(map(sizes.__getitem__, order)),
+            ),
+            truth=truth,
+            num_segments=len(segments),
+            restore_order=logical,
+        )
 
     def encrypt_series(self, series: BackupSeries) -> EncryptedSeries:
         """Encrypt every backup of a series."""
@@ -205,102 +303,28 @@ class DefensePipeline:
             encrypted.backups.append(self.encrypt_backup(backup, index))
         return encrypted
 
-    # -- internals ----------------------------------------------------------
-
-    def _encrypt_plain_mle(self, backup: Backup) -> EncryptedBackup:
-        ciphertext = Backup(label=backup.label)
-        truth: dict[bytes, bytes] = {}
-        cache: dict[bytes, bytes] = {}
-        for plaintext_fp, size in zip(backup.fingerprints, backup.sizes):
-            cipher_fp = cache.get(plaintext_fp)
-            if cipher_fp is None:
-                cipher_fp = self._mle_fingerprint(
-                    plaintext_fp, self._output_length(plaintext_fp)
-                )
-                self._record_truth(truth, cipher_fp, plaintext_fp)
-                cache[plaintext_fp] = cipher_fp
-            ciphertext.append(cipher_fp, padded_size(size))
-        return EncryptedBackup(
-            label=backup.label, ciphertext=ciphertext, truth=truth
-        )
-
-    def _encrypt_obfuscated(self, backup: Backup) -> EncryptedBackup:
+    def _obfuscated(self, plain: list[bytes]) -> list[bytes]:
         """Relaxed MLE: round-robin each chunk's occurrences over its
         ``t`` keyed variants (see :mod:`repro.defenses.obfuscate`).  The
         occurrence counter resets per backup, so encryption stays a pure
         function of the plaintext stream — identical uploads produce
         identical ciphertexts and cross-user dedup survives per variant.
         """
-        ciphertext = Backup(label=backup.label)
-        truth: dict[bytes, bytes] = {}
         obfuscator = self._obfuscator
         variants = obfuscator.variants
-        # The variant each chunk's next occurrence takes: the keyed
-        # phase is hashed once per distinct chunk, then stepped — the
-        # k-th occurrence lands on ``assign(fp, k)`` all the same.
+        lookups = [
+            self._map(obfuscator.variant_prefix(variant)).__getitem__
+            for variant in range(variants)
+        ]
+        # The variant each chunk's next occurrence takes: the keyed phase
+        # (memoised per distinct chunk by the obfuscator), then stepped —
+        # the k-th occurrence lands on ``assign(fp, k)`` all the same.
         upcoming: dict[bytes, int] = {}
-        variant_cache: dict[tuple[bytes, int], bytes] = {}
-        for plaintext_fp, size in zip(backup.fingerprints, backup.sizes):
+        cipher = []
+        for plaintext_fp in plain:
             variant = upcoming.get(plaintext_fp)
             if variant is None:
                 variant = obfuscator.offset(plaintext_fp)
             upcoming[plaintext_fp] = (variant + 1) % variants
-            cipher_fp = variant_cache.get((plaintext_fp, variant))
-            if cipher_fp is None:
-                cipher_fp = obfuscator.variant_fingerprint(
-                    plaintext_fp, variant, self._output_length(plaintext_fp)
-                )
-                self._record_truth(truth, cipher_fp, plaintext_fp)
-                variant_cache[(plaintext_fp, variant)] = cipher_fp
-            ciphertext.append(cipher_fp, padded_size(size))
-        return EncryptedBackup(
-            label=backup.label, ciphertext=ciphertext, truth=truth
-        )
-
-    def _encrypt_segmented(
-        self, backup: Backup, backup_index: int
-    ) -> EncryptedBackup:
-        segments = segment_stream(
-            backup.fingerprints, backup.sizes, self.segmentation
-        )
-        scramble = self.scheme in (DefenseScheme.SCRAMBLE, DefenseScheme.COMBINED)
-        minhash = self.scheme in (DefenseScheme.MINHASH, DefenseScheme.COMBINED)
-        rng = rng_from(self.seed, "scramble", backup.label, backup_index)
-
-        ciphertext = Backup(label=backup.label)
-        logical = Backup(label=backup.label) if scramble else None
-        truth: dict[bytes, bytes] = {}
-        for segment in segments:
-            indices = list(range(segment.start, segment.end))
-            cipher_fps: dict[int, bytes] = {}
-            if minhash:
-                minimum_fp = min(
-                    backup.fingerprints[segment.start : segment.end]
-                )
-            for index in indices:
-                plaintext_fp = backup.fingerprints[index]
-                length = self._output_length(plaintext_fp)
-                if minhash:
-                    cipher_fp = self._minhash_fingerprint(
-                        minimum_fp, plaintext_fp, length
-                    )
-                else:
-                    cipher_fp = self._mle_fingerprint(plaintext_fp, length)
-                self._record_truth(truth, cipher_fp, plaintext_fp)
-                cipher_fps[index] = cipher_fp
-                if logical is not None:
-                    logical.append(cipher_fp, padded_size(backup.sizes[index]))
-            if scramble:
-                order = scramble_indices(len(indices), rng, self.scramble_mode)
-                indices = [segment.start + offset for offset in order]
-            for index in indices:
-                ciphertext.append(
-                    cipher_fps[index], padded_size(backup.sizes[index])
-                )
-        return EncryptedBackup(
-            label=backup.label,
-            ciphertext=ciphertext,
-            truth=truth,
-            num_segments=len(segments),
-            restore_order=logical,
-        )
+            cipher.append(lookups[variant](plaintext_fp))
+        return cipher

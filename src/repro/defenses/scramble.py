@@ -30,6 +30,15 @@ FISHER_YATES = "fisher-yates"
 _MODES = (DEQUE, FISHER_YATES)
 
 
+def check_scramble_mode(mode: str) -> None:
+    """Reject an unknown scramble mode when a pipeline is configured,
+    not inside its first segmented backup."""
+    if mode not in _MODES:
+        raise ConfigurationError(
+            f"unknown scramble mode {mode!r}; use one of {_MODES}"
+        )
+
+
 def scramble_indices(
     length: int, rng: random.Random, mode: str = DEQUE
 ) -> list[int]:
@@ -47,11 +56,10 @@ def scramble_indices(
             else:
                 output.append(index)
         return list(output)
-    if mode == FISHER_YATES:
-        order = list(range(length))
-        rng.shuffle(order)
-        return order
-    raise ConfigurationError(f"unknown scramble mode {mode!r}; use one of {_MODES}")
+    check_scramble_mode(mode)
+    order = list(range(length))
+    rng.shuffle(order)
+    return order
 
 
 def scramble_segmented(

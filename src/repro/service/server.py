@@ -56,6 +56,7 @@ from repro.defenses.pipeline import (
     DefensePipeline,
     DefenseScheme,
     EncryptedBackup,
+    padded_size,
 )
 from repro.defenses.segmentation import SegmentationSpec
 from repro.storage.ddfs import DDFSEngine
@@ -344,17 +345,18 @@ class DedupService:
             raise ConfigurationError(
                 f"tenant {tenant} already stored an upload labelled {label!r}"
             )
+        if state.quota_bytes is not None:
+            # Checked before any work is spent on the upload: the
+            # ciphertext's logical bytes are the padded plaintext sizes.
+            logical_bytes = sum(map(padded_size, backup.sizes))
+            if state.logical_bytes + logical_bytes > state.quota_bytes:
+                raise QuotaExceededError(
+                    f"tenant {tenant} quota {state.quota_bytes} B exceeded "
+                    f"by upload {label!r} ({logical_bytes} B logical)"
+                )
         encrypted = self.pipeline.encrypt_backup(backup, self._request_counter)
         stream = encrypted.ciphertext
         logical_bytes = stream.logical_bytes
-        if (
-            state.quota_bytes is not None
-            and state.logical_bytes + logical_bytes > state.quota_bytes
-        ):
-            raise QuotaExceededError(
-                f"tenant {tenant} quota {state.quota_bytes} B exceeded by "
-                f"upload {label!r} ({logical_bytes} B logical)"
-            )
 
         metadata_before = self._tier.metadata_bytes
 
@@ -362,10 +364,7 @@ class DedupService:
         # in-memory state first, then one batched probe of the on-disk
         # index for the rest (amortized through the KV backend; per owning
         # node when the tier is a cluster).
-        unique: dict[bytes, int] = {}
-        for fingerprint, size in zip(stream.fingerprints, stream.sizes):
-            if fingerprint not in unique:
-                unique[fingerprint] = size
+        unique = stream.first_sizes()
         needed = self._tier.dedup_response(unique)
 
         # Transfer: only the needed chunks cross the wire, as one batch
@@ -374,14 +373,9 @@ class DedupService:
         # the index — so they skip the per-chunk S1–S4 chain and take the
         # tier's batched unique-ingest path, with identical dedup
         # decisions and metered bytes.
-        needed_fingerprints: list[bytes] = []
-        needed_sizes: list[int] = []
-        transferred_bytes = 0
-        for fingerprint, size in unique.items():
-            if fingerprint in needed:
-                needed_fingerprints.append(fingerprint)
-                needed_sizes.append(size)
-                transferred_bytes += size
+        needed_fingerprints = [fp for fp in unique if fp in needed]
+        needed_sizes = [unique[fp] for fp in needed_fingerprints]
+        transferred_bytes = sum(needed_sizes)
         self._tier.ingest(needed_fingerprints, needed_sizes)
         stored_chunks = len(needed_fingerprints)
 
@@ -443,9 +437,7 @@ class DedupService:
             )
         state.restores += 1
         logical_bytes = recipe.logical_bytes
-        unique_sizes: dict[bytes, int] = {}
-        for fingerprint, size in zip(recipe.fingerprints, recipe.sizes):
-            unique_sizes.setdefault(fingerprint, size)
+        unique_sizes = recipe.first_sizes()
         observables = RequestObservables(
             kind=RESTORE,
             tenant=tenant,

@@ -331,6 +331,19 @@ class TestColumnarAttackEquivalence:
         ]
         assert pipeline.truth == dict(zip(encrypted, plain))
 
+    def test_vocabulary_wider_than_the_digest_is_rejected(self, tmp_path):
+        # A 40-byte vocabulary cannot keep its width under a truncated
+        # SHA-256: refused, not packed as 32-byte records read 40 apart.
+        backup = Backup(label="wide", fingerprints=[b"\x01" * 40], sizes=[1])
+        trace = write_series(
+            BackupSeries(name="wide", backups=[backup]), tmp_path / "trace"
+        )
+        try:
+            with pytest.raises(ConfigurationError, match="40 bytes"):
+                encrypt_vocabulary(trace)
+        finally:
+            trace.close()
+
     def test_rejects_unknown_attack_and_bad_index(self, tmp_path):
         trace = write_series(small_series(), tmp_path / "trace")
         trace.close()

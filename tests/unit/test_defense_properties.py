@@ -25,7 +25,12 @@ from repro.defenses.obfuscate import (
     parse_scheme,
     scheme_spec,
 )
-from repro.defenses.pipeline import DefensePipeline, DefenseScheme
+from repro.defenses.pipeline import (
+    MLE_PREFIX,
+    DefensePipeline,
+    DefenseScheme,
+    cipher_fingerprint,
+)
 
 KNOBS = (1, 2, 4, 8)
 SCHEMES = ("mle", "minhash", "scramble", "combined", "obfuscate:2")
@@ -250,7 +255,7 @@ def _colliding_tokens(pipeline: DefensePipeline) -> list[str]:
                 token.encode(), 0, 1
             )
         else:
-            cipher_fp = pipeline._mle_fingerprint(token.encode(), 1)
+            cipher_fp = cipher_fingerprint(MLE_PREFIX, token.encode(), 1)
         if cipher_fp in seen:
             return [seen[cipher_fp], token]
         seen[cipher_fp] = token
@@ -258,9 +263,11 @@ def _colliding_tokens(pipeline: DefensePipeline) -> list[str]:
 
 
 class TestUnifiedCollisionCheck:
-    """All three encryption paths funnel through one truth-map collision
-    check (``DefensePipeline._record_truth``); a regression on any path
-    must fail the same way."""
+    """Every scheme ends in one truth-map collision check
+    (``repro.defenses.pipeline._ground_truth``); a regression on any path
+    must fail the same way. The segment-keyed paths (``minhash``,
+    ``combined``) need a collision under a fixed segment minimum and are
+    in ``test_pipeline_oracle.py::TestCollisionRule``."""
 
     @pytest.mark.parametrize(
         "scheme", ["mle", "scramble", "obfuscate:1"]

@@ -5,8 +5,10 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.datasets.model import Backup
 from repro.defenses.pipeline import (
+    MLE_PREFIX,
     DefensePipeline,
     DefenseScheme,
+    cipher_fingerprint,
     padded_size,
 )
 from repro.defenses.segmentation import SegmentationSpec
@@ -167,7 +169,7 @@ def _colliding_tokens(pipeline: DefensePipeline) -> list[str]:
     seen: dict[bytes, str] = {}
     for index in range(10_000):
         token = f"t{index}"
-        cipher_fp = pipeline._mle_fingerprint(token.encode(), 1)
+        cipher_fp = cipher_fingerprint(MLE_PREFIX, token.encode(), 1)
         if cipher_fp in seen:
             return [seen[cipher_fp], token]
         seen[cipher_fp] = token
@@ -197,3 +199,37 @@ class TestCollisionDetection:
         pipeline = DefensePipeline(DefenseScheme.MLE, fingerprint_bytes=8)
         encrypted = pipeline.encrypt_backup(backup(["a", "b", "a", "a"]))
         assert len(encrypted.truth) == 2
+
+
+class TestConfigurationValidatedUpFront:
+    """Bad knobs fail where the pipeline is built, and nothing is ever
+    silently truncated to SHA-256's 32 bytes."""
+
+    @pytest.mark.parametrize("width", [-1, 0, 33, 40])
+    def test_fingerprint_bytes_outside_the_digest_rejected(self, width):
+        with pytest.raises(ConfigurationError, match="fingerprint_bytes"):
+            DefensePipeline(DefenseScheme.MLE, fingerprint_bytes=width)
+
+    @pytest.mark.parametrize("width", [1, 32])
+    def test_fingerprint_bytes_bounds_accepted(self, width):
+        pipeline = DefensePipeline(DefenseScheme.MLE, fingerprint_bytes=width)
+        encrypted = pipeline.encrypt_backup(backup(["a"]))
+        assert len(encrypted.ciphertext.fingerprints[0]) == width
+
+    @pytest.mark.parametrize(
+        "scheme", ["mle", "minhash", "scramble", "combined", "obfuscate:2"]
+    )
+    def test_plaintext_fingerprint_wider_than_the_digest_rejected(self, scheme):
+        source = Backup(label="b", fingerprints=[b"\x01" * 64], sizes=[4096])
+        pipeline = DefensePipeline(scheme, segmentation=SPEC)
+        with pytest.raises(ConfigurationError, match="64 bytes"):
+            pipeline.encrypt_backup(source)
+        # An explicit width makes the same stream encryptable.
+        pipeline = DefensePipeline(scheme, segmentation=SPEC, fingerprint_bytes=32)
+        encrypted = pipeline.encrypt_backup(source)
+        assert len(encrypted.ciphertext.fingerprints[0]) == 32
+
+    @pytest.mark.parametrize("scheme", ["mle", "combined"])
+    def test_unknown_scramble_mode_rejected_at_construction(self, scheme):
+        with pytest.raises(ConfigurationError, match="scramble mode"):
+            DefensePipeline(scheme, scramble_mode="bogus")

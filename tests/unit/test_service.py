@@ -215,6 +215,23 @@ class TestDedupService:
         usage = service.tenant_usage(1)
         assert usage["logical_bytes"] > 0
 
+    def test_quota_checked_before_the_upload_is_encrypted(self, monkeypatch):
+        service = DedupService(default_quota_bytes=10_000)
+        service.upload(0, tiny_backup(["a", "b"]), "ok")
+        before = service.tenant_usage(0), service.stored_bytes
+        calls = []
+        monkeypatch.setattr(
+            service.pipeline, "encrypt_backup", lambda *args: calls.append(args)
+        )
+        with pytest.raises(QuotaExceededError, match="4112 B logical"):
+            service.upload(0, tiny_backup(["c"]), "over")
+        assert calls == []
+        assert not service.has_upload(0, "over")
+        assert (service.tenant_usage(0), service.stored_bytes) == before
+        # The label-taken check still comes first.
+        with pytest.raises(ConfigurationError):
+            service.upload(0, tiny_backup(["c"]), "ok")
+
     def test_explicit_registration_conflict(self):
         service = DedupService()
         service.register_tenant(7, quota_bytes=None)
