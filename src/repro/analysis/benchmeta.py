@@ -1,14 +1,14 @@
-"""Shared metadata envelope and memory probes for the ``BENCH_*.json`` files.
+"""Shared metadata envelope and memory probes for measured reports.
 
-Every committed bench baseline carries the same ``env`` envelope so the
-bench trajectory stays machine-comparable across PRs: schema version,
-interpreter/numpy versions, CPU count and a generation timestamp. The
-RSS helpers exist because the trace-scale COUNT story is memory-bound,
-not just time-bound: ``peak_rss_bytes`` reads the process high-water
-mark, and ``run_isolated`` runs one bench phase in a forked child so its
-peak RSS is attributable to that phase alone (a parent-process
-``ru_maxrss`` only ever grows, so phases measured in-process would
-shadow each other).
+``python3 -m bench`` results and ``freqdedup frontier`` reports carry the
+same ``env`` envelope, so numbers recorded on different hosts and commits
+stay machine-comparable: schema version, source revision, interpreter/numpy
+versions, CPU count and a generation timestamp. The RSS helpers exist
+because the trace-scale COUNT story is memory-bound, not just time-bound:
+``peak_rss_bytes`` reads the process high-water mark, and ``run_isolated``
+runs one bench phase in a forked child so its peak RSS is attributable to
+that phase alone (a parent-process ``ru_maxrss`` only ever grows, so
+phases measured in-process would shadow each other).
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def git_revision() -> tuple[str | None, bool | None]:
 
 
 def metadata_envelope() -> dict[str, Any]:
-    """The shared ``env`` block every ``BENCH_*.json`` baseline embeds."""
+    """The shared ``env`` block a benchmark result or frontier report embeds."""
     commit, dirty = git_revision()
     return {
         "schema": ENVELOPE_SCHEMA,

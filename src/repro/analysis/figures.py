@@ -4,9 +4,9 @@ Each driver declares its experiment grid as a
 :class:`~repro.scenarios.spec.Scenario` (see ``FIGURE_SCENARIOS``) and runs
 it through the scenario engine (:mod:`repro.scenarios`), returning a
 :class:`~repro.analysis.reporting.FigureResult` holding the same series the
-paper plots.  The benchmarks render and persist these under ``results/``
-and assert the paper's qualitative claims (see DESIGN.md §4 for the shape
-criteria).
+paper plots.  ``freqdedup figure --save DIR`` renders and persists these,
+and ``tests/experiments/test_figures.py`` asserts the paper's qualitative
+claims about each (the shape criteria are in its docstrings).
 
 Every driver accepts ``jobs`` (worker processes; results are merged in
 spec order, so the output is byte-identical at any job count) and

@@ -2,9 +2,9 @@
 
 Every experiment driver in :mod:`repro.analysis.figures` returns a
 :class:`FigureResult` — the series the corresponding paper figure plots,
-as rows. Benches render these as aligned ASCII tables (written under
-``results/``) so paper-vs-measured comparisons in EXPERIMENTS.md can be
-regenerated with one command.
+as rows. ``freqdedup figure --save DIR`` renders these as aligned ASCII
+tables under ``DIR`` (``results/`` by convention), so paper-vs-measured
+comparisons can be regenerated with one command.
 """
 
 from __future__ import annotations

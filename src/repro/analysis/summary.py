@@ -1,6 +1,6 @@
 """Cross-figure summary: condense ``results/`` into one digest.
 
-After ``pytest benchmarks/ --benchmark-only`` has populated the results
+After ``freqdedup figure all --save results`` has populated the results
 directory, :func:`summarize_results` extracts the headline number of every
 reproduced figure and pairs it with the paper's reported value, producing
 the table EXPERIMENTS.md quotes. Exposed as ``freqdedup report``.
@@ -156,7 +156,7 @@ def summarize_results(directory: str | os.PathLike = "results") -> list[SummaryL
     if not lines:
         raise ConfigurationError(
             f"no figure results under {directory}; run "
-            "`pytest benchmarks/ --benchmark-only` first"
+            "`freqdedup figure all --save DIR` first"
         )
     return lines
 

@@ -1,4 +1,4 @@
-"""Canonical bench-scale workloads shared by benchmarks, examples and the CLI.
+"""Canonical bench-scale workloads shared by experiments, examples and the CLI.
 
 One place defines the exact dataset and pipeline configurations every
 reproduced figure uses, so EXPERIMENTS.md numbers are regenerable

@@ -19,7 +19,7 @@ are broken matters (the paper discusses this in §4.1):
   between the auxiliary and target backups wherever content is unmodified.
 * ``fingerprint`` — ties ordered by fingerprint bytes. Ciphertext and
   plaintext fingerprints of the same chunk are unrelated, so tied ranks pair
-  essentially at random; the ablation bench quantifies how much of the
+  essentially at random; the tie-break ablation quantifies how much of the
   locality-based attack's power this destroys.
 
 Both orders are deterministic, so every experiment is exactly reproducible.

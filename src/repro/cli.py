@@ -20,9 +20,6 @@ Subcommands:
   dedup-response shaping) into a leakage/cost tradeoff frontier with
   cost columns sourced from the ``repro.obs`` metrics layer.
 * ``storage`` — run the DDFS metadata-access experiment.
-* ``bench`` — time the hot paths (chunking, COUNT, service ingest)
-  against their reference implementations and write the
-  ``BENCH_hotpaths.json`` perf baseline.
 * ``obs`` — render or diff the metrics snapshot JSON the ``--metrics``
   flag exports.
 
@@ -327,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     attack.add_argument(
         "--shards",
-        type=int,
+        type=_positive_int,
         default=4,
         help="shard count for --backend sharded (default 4)",
     )
@@ -746,11 +743,7 @@ def _build_parser() -> argparse.ArgumentParser:
     frontier.add_argument(
         "--output",
         metavar="FILE",
-        default=None,
-        help=(
-            "write the JSON report to FILE "
-            "(default BENCH_defense_frontier.json; '-' skips the write)"
-        ),
+        help="also write the JSON report to FILE",
     )
     frontier.add_argument(
         "--compare",
@@ -768,49 +761,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache", choices=("small", "large"), default="small"
     )
 
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark the hot paths and write BENCH_hotpaths.json",
-        description=(
-            "Time content-defined chunking, the attacks' COUNT pass, and "
-            "multi-tenant service ingest on pinned workloads, assert the "
-            "fast paths are byte-identical to their references, and write "
-            "the perf baseline JSON."
-        ),
-    )
-    bench.add_argument(
-        "--quick", action="store_true", help="small workloads (CI smoke)"
-    )
-    bench.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help=(
-            "worker processes for the trace-scale sharded-COUNT section "
-            "(identity is asserted at every job count)"
-        ),
-    )
-    bench.add_argument(
-        "--repeats",
-        type=_positive_int,
-        default=3,
-        help="best-of-N timing repeats (default 3)",
-    )
-    bench.add_argument(
-        "--output",
-        default=None,
-        metavar="FILE",
-        help="output JSON path (default: BENCH_hotpaths.json in the cwd)",
-    )
-    bench.add_argument(
-        "--compare",
-        metavar="FILE",
-        help="soft-report deltas vs a committed baseline JSON",
-    )
-
     report = sub.add_parser(
-        "report", help="summarize reproduced figures (after running benches)"
+        "report", help="summarize figures saved by 'figure all --save DIR'"
     )
     report.add_argument(
         "--results", default="results", help="results directory"
@@ -1274,9 +1226,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-#: The committed frontier baseline the CI drift gate compares against.
-FRONTIER_OUTPUT = "BENCH_defense_frontier.json"
-
 #: The CI smoke grid: two obfuscation knobs x two attacks, one shaping
 #: policy against its honest anchor.
 _FRONTIER_SMOKE = {
@@ -1293,7 +1242,6 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
     from repro.analysis.frontier import compare_reports, frontier_report
     from repro.analysis.reporting import FigureResult
     from repro.defenses.obfuscate import parse_scheme
-    from repro.scenarios.cells import KNOWN_ATTACKS
     from repro.service.shaping import parse_policy
 
     if args.smoke:
@@ -1316,9 +1264,6 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
             parse_policy(policy)
     except ConfigurationError as error:
         raise SystemExit(str(error)) from None
-    for attack_name in attacks:
-        if attack_name not in KNOWN_ATTACKS:
-            raise SystemExit(f"unknown attack {attack_name!r}")
 
     report = frontier_report(
         datasets=datasets,
@@ -1371,12 +1316,11 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
 
-    output = args.output if args.output is not None else FRONTIER_OUTPUT
-    if output != "-":
-        with open(output, "w", encoding="utf-8") as handle:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
             json_module.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        print(f"wrote -> {output}", file=sys.stderr)
+        print(f"wrote -> {args.output}", file=sys.stderr)
     if args.compare:
         with open(args.compare, encoding="utf-8") as handle:
             baseline = json_module.load(handle)
@@ -1696,18 +1640,6 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
     return 0 if not args.identity or report["identical"] else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.analysis.hotpaths import DEFAULT_OUTPUT, run_and_report
-
-    return run_and_report(
-        quick=args.quick,
-        repeats=args.repeats,
-        output=args.output if args.output is not None else DEFAULT_OUTPUT,
-        compare=args.compare,
-        jobs=args.jobs,
-    )
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     import json as json_module
     from dataclasses import asdict
@@ -1757,7 +1689,6 @@ _HANDLERS = {
     "serve-net": _cmd_serve_net,
     "frontier": _cmd_frontier,
     "storage": _cmd_storage,
-    "bench": _cmd_bench,
     "report": _cmd_report,
     "obs": _cmd_obs,
 }

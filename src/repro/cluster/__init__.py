@@ -16,7 +16,8 @@ space.  This package provides that setting:
   attack run over one compromised node's shard, scored against the full
   target so inference rates compare across cluster sizes;
 * :mod:`repro.cluster.cells` — the ``cluster`` scenario cell kind and
-  the ``nodes × routing × defense`` grid the cluster bench sweeps.
+  the ``nodes × routing × defense`` grid the cluster experiment
+  (``tests/experiments/test_cluster_scale.py``) sweeps.
 
 ``DedupService`` runs on top of this tier when configured with
 ``nodes > 1`` (see :mod:`repro.service.server`); ``freqdedup serve-sim

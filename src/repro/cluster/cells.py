@@ -10,7 +10,7 @@ workload from the memoised canonical registry, a router built from
 ``(nodes, routing)``, and one paper attack run over the compromised
 node's shard of the target backup (:mod:`repro.cluster.partial`).
 :func:`cluster_grid_cells` expands the ``nodes × routing × defense``
-grid the cluster bench sweeps; the cells run — parallel, cached,
+grid the cluster experiment sweeps; the cells run — parallel, cached,
 byte-identical at any job count — through the standard
 :class:`~repro.scenarios.runner.Runner` like every other kind.
 """

@@ -117,7 +117,7 @@ class RebalanceReport:
 
     def within_bound(self, slack: float = 1.5, absolute: int = 16) -> bool:
         """Whether the move stayed within ``theoretical × slack + absolute``
-        keys — the acceptance check the cluster bench and tests assert
+        keys — the acceptance check the cluster experiment and tests assert
         for ring routing (vnode placement has variance, hence the slack)."""
         bound = self.theoretical_fraction * self.total_keys * slack + absolute
         return self.moved_keys <= bound
@@ -516,7 +516,7 @@ class DedupCluster:
         Only keys whose route changed move — for ring routing that is
         exactly the keys the new node's virtual points stole, an
         expected ``K/N`` of ``K`` stored keys (asserted against
-        :meth:`RebalanceReport.within_bound` by the cluster bench).
+        :meth:`RebalanceReport.within_bound` by the cluster experiment).
         """
         if node_id is None:
             node_id = max(self.nodes) + 1

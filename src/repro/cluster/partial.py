@@ -21,7 +21,7 @@ whole target:
   the shard betrayed" and is comparable across cluster sizes;
 * under ring routing a node's shard only shrinks as the cluster grows
   (shard nesting, see :mod:`repro.cluster.ring`), which is why the
-  pinned-seed sweep in ``benchmarks/bench_cluster_scale.py`` is
+  pinned-seed sweep in ``tests/experiments/test_cluster_scale.py`` is
   monotonically non-increasing in node count.
 """
 

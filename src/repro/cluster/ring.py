@@ -15,7 +15,7 @@ Two policies are provided:
   makes the partial-view leakage sweep monotone in cluster size.
 * :class:`ModuloRouter` — the naive baseline: ``crc32(fp) % N``.  Uniform
   placement, but resizing from N to N+1 remaps an expected ``N/(N+1)`` of
-  all keys; the rebalance bench quantifies the gap against the ring.
+  all keys; the cluster experiment quantifies the gap against the ring.
 
 Both are deterministic across processes and reruns (no dependence on
 ``PYTHONHASHSEED``), which the routing-determinism tests pin down.

@@ -10,7 +10,7 @@ restores are unaffected, and because reordering happens within segments
 The paper's algorithm builds the scrambled segment by appending each chunk
 to either the front or the back of a deque by a random bit. We implement
 that exactly, plus a Fisher–Yates full shuffle as an ablation alternative
-(benchmarked in ``bench_ablation_scramble``).
+(compared in ``tests/experiments/test_ablations.py``).
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 The runner takes the cells a :class:`~repro.scenarios.spec.Scenario`
 expands to and produces their rows **in spec order**, whatever executes
 where: results are merged back positionally, so the output is
-byte-identical at ``jobs=1`` and ``jobs=N`` (the figure benches assert
-this).  Three layers of work avoidance stack:
+byte-identical at ``jobs=1`` and ``jobs=N`` (``tests/unit/test_scenarios.py``
+asserts this).  Three layers of work avoidance stack:
 
 1. **Result cache** — cells whose content hash is already on disk
    (:class:`~repro.scenarios.cache.ResultCache`) are never executed;

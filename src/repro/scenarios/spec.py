@@ -11,9 +11,10 @@ Expansion nests the axes in one canonical order —
     datasets → schemes → attacks → params → anchor pairs → leakage rates
 
 — which reproduces the row order of every figure driver in
-:mod:`repro.analysis.figures` (verified byte-for-byte by the figure
-benches).  Figures that interleave axes differently (e.g. Figure 4's
-per-parameter sweeps) concatenate several specs instead.
+:mod:`repro.analysis.figures` (pinned by ``TestScenarioSpecExpansion``
+in ``tests/unit/test_scenarios.py``).  Figures that interleave axes
+differently (e.g. Figure 4's per-parameter sweeps) concatenate several
+specs instead.
 
 Everything here is a frozen dataclass of primitives and tuples: hashable,
 picklable (cells cross process boundaries), and JSON-canonicalizable (cells

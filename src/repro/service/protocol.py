@@ -5,7 +5,8 @@ Frames are length-prefixed: a 4-byte big-endian unsigned length, then a
 covers the kind byte plus the payload, so an empty-payload frame is 3
 bytes of body behind a 4-byte header.  Fingerprints cross the wire as
 lowercase hex strings (the shared chunk space uses short fingerprints,
-so hex costs 2x — the throughput bench measures the real price).
+so hex costs 2x — ``python3 -m bench`` reports the real price as
+``protocol.bytes_per_chunk``).
 
 Request kinds (client → server):
 

@@ -130,8 +130,7 @@ def _traffic_config(config: ServiceConfig) -> TrafficConfig:
 
 # Per-process traffic memo: the synthesized request stream depends only on
 # (seed, TrafficConfig), not on the service/backend/attack knobs, so one
-# stream serves every backend variant of the same population (the
-# throughput bench sweeps three backends over identical traffic). Requests
+# stream serves every backend variant of the same population. Requests
 # are treated read-only by the service, so sharing the list is safe.
 _TRAFFIC_CACHE: OrderedDict[tuple[int, TrafficConfig], list] = OrderedDict()
 _TRAFFIC_CACHE_SIZE = 4
@@ -180,17 +179,6 @@ def simulate(config: ServiceConfig) -> ServiceTrace:
         _, evicted = _TRACE_CACHE.popitem(last=False)
         _evict_trace(evicted)
     return trace
-
-
-def _clear_trace_cache() -> None:
-    """Close and drop every memoised trace (bench/test hook)."""
-    while _TRACE_CACHE:
-        _, evicted = _TRACE_CACHE.popitem(last=False)
-        _evict_trace(evicted)
-
-
-# Keep the lru_cache-style hook the throughput bench uses.
-simulate.cache_clear = _clear_trace_cache
 
 
 def traffic_requests(config: ServiceConfig) -> list:

@@ -9,8 +9,8 @@ number of container reads during a sequential restore, barely changes.
 order a file-recipe-driven restore fetches chunks in) against the container
 layout produced by the DDFS engine, with an LRU cache of open containers,
 and counts container reads. Comparing deterministic MLE with the combined
-defense quantifies the claim; the ``bench_ablation_restore_locality``
-benchmark asserts it.
+defense quantifies the claim; the restore-locality ablation in
+``tests/experiments/test_ablations.py`` asserts it.
 """
 
 from __future__ import annotations

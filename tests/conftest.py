@@ -11,6 +11,12 @@ import pytest
 from repro.common import accel
 from repro.datasets.fsl import FSLConfig, FSLDatasetGenerator
 
+# tests/experiments/ (the paper's figures at canonical scale, ~35 s) stays
+# out of a run unless a command-line argument names it: pytest applies
+# ``collect_ignore`` only to paths it reaches by walking, never to ones
+# it was given.
+collect_ignore = ["experiments"]
+
 
 # Longest call phase any single tier-1 test may take under
 # ``--duration-budget`` (CI's tier-1 step). The slowest test of a full

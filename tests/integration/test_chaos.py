@@ -35,7 +35,12 @@ from repro.datasets.columnar import StreamConfig, ensure_stream_columnar
 from repro.faults import FaultPlan, WorkerCrashError
 from repro.service import protocol as wire
 from repro.service.frontend import identity_check
-from repro.service.loadgen import FrontendClient, RetryPolicy, replay_stream
+from repro.service.loadgen import (
+    FrontendClient,
+    RetryPolicy,
+    replay_stream,
+    run_loadgen,
+)
 from repro.service.simulate import ServiceConfig
 
 from tests.integration.test_serve_frontend import make_backup, served
@@ -159,6 +164,54 @@ class TestServeChaos:
         assert frontend.final_stats is not None
         assert frontend.final_stats["uploads"] == 1
         assert frontend.final_stats["sessions_opened"] == 1
+
+
+# -- multi-process load generation --------------------------------------------
+
+
+class TestLoadgenProcesses:
+    """``run_loadgen`` from two client processes against one frontend:
+    one connection per tenant session, clean and under fire."""
+
+    CONFIG = ServiceConfig(
+        tenants=12, rounds=2, files_per_tenant=4, mean_file_chunks=8, seed=11
+    )
+
+    def test_clean_run_serves_every_session(self):
+        with served(self.CONFIG) as (frontend, address):
+            report = run_loadgen(address, self.CONFIG, processes=2)
+        assert report["processes"] == 2
+        assert report["errors"] == {}
+        assert report["ok"] == report["requests"] > 0
+        assert report["sessions"] == (
+            self.CONFIG.tenants * self.CONFIG.rounds
+        )
+        assert "retries" not in report
+
+    def test_every_request_survives_drops_and_stalls(self):
+        # All server-side, so one plan covers both client processes
+        # without coordinating injector state across forks: periodic
+        # connection drops, one lost answer (served, never delivered —
+        # the rid-replay case) and periodic stalls.
+        injector = install(
+            {"site": "serve.drop", "every": 9, "times": 4},
+            {"site": "serve.drop", "at": 13, "times": 1, "when": "after"},
+            {"site": "serve.stall", "every": 17, "times": 2, "delay_s": 0.005},
+            seed=7,
+        )
+        with served(self.CONFIG) as (frontend, address):
+            report = run_loadgen(
+                address, self.CONFIG, processes=2, retry=RetryPolicy(seed=1)
+            )
+        sites = injector.summary()["sites"]
+        assert sites["serve.drop"]["fired"] == 5
+        assert sites["serve.stall"]["fired"] == 2
+        assert report["retries"]["gave_up"] == 0
+        assert report["ok"] == report["requests"] > 0, report["errors"]
+        # Retry amplification as an invariant: an injected drop costs at
+        # most one retry (a drop that lands on a session's closing frame
+        # costs none).
+        assert 0 < report["retries"]["retries"] <= sites["serve.drop"]["fired"]
 
 
 # -- cluster failover ---------------------------------------------------------

@@ -61,7 +61,10 @@ class TestFrontierDeterminism:
         first = tmp_path / "first.json"
         second = tmp_path / "second.json"
         args = ["frontier", "--smoke", "--output"]
-        assert main(args + [str(first)]) == 0
+        # Row-exact against the committed smoke report, then against a
+        # second run of itself.
+        golden = f"{GOLDEN_DIR}/golden_frontier_smoke.json"
+        assert main(args + [str(first), "--compare", golden]) == 0
         capsys.readouterr()
         assert main(args + [str(second), "--compare", str(first)]) == 0
         capsys.readouterr()
@@ -87,7 +90,5 @@ class TestFrontierDeterminism:
         doctored["storage"][0]["inference_rate"] += 1.0
         drifted = tmp_path / "drifted.json"
         drifted.write_text(json.dumps(doctored))
-        assert main(
-            args[:-2] + ["--output", "-", "--compare", str(drifted)]
-        ) == 1
+        assert main(args[:-2] + ["--compare", str(drifted)]) == 1
         assert "drift" in capsys.readouterr().err

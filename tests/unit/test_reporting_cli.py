@@ -206,6 +206,7 @@ class TestCLI:
             ["sweep", "--datasets", "fsl", "--pairs", "0:99"],
             ["sweep", "--datasets", "fsl", "--leakage-rates", "1.5"],
             ["figure", "1", "--jobs", "0"],
+            ["attack", "fsl", "--backend", "sharded", "--shards", "0"],
         ],
     )
     def test_bad_axis_values_exit_cleanly(self, argv):

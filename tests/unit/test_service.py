@@ -312,6 +312,28 @@ class TestSideChannelMeter:
         assert high_rate > 0.0
         assert high_rate > low_rate
 
+    def test_report_identical_across_index_backends(self, tmp_path):
+        # The index backend decides where fingerprints live, never a
+        # dedup decision, a metered byte or an attack row.
+        from dataclasses import replace
+
+        reports = {}
+        for backend, path in (
+            ("memory", None),
+            ("kvstore", str(tmp_path / "index.kv")),
+            ("sqlite", str(tmp_path / "index.db")),
+            ("sharded:3", str(tmp_path / "shards")),
+        ):
+            report = service_report(
+                replace(SMALL_SIM, backend=backend, backend_path=path)
+            )
+            assert report["config"].pop("backend") == backend
+            del report["config"]["backend_path"]
+            reports[backend] = json.dumps(report, sort_keys=True)
+        assert tmp_path.joinpath("shards", "shard-02.db").exists()
+        for backend, report in reports.items():
+            assert report == reports["memory"], backend
+
 
 class TestServiceCells:
     def test_lazy_kind_registration(self):
