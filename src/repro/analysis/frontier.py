@@ -109,9 +109,8 @@ def _unique_bytes(backups: Iterable) -> int:
 def _run_storage_cell(params: dict) -> tuple:
     """COUNT leakage vs. storage cost for one dataset x scheme x attack."""
     from repro.analysis.workloads import encrypted_series
-    from repro.attacks.evaluation import AttackEvaluator
     from repro.defenses.obfuscate import frequency_kld
-    from repro.scenarios.cells import build_attack
+    from repro.scenarios.cells import attack_report
 
     dataset = params["dataset"]
     scheme = params["scheme"]
@@ -124,17 +123,7 @@ def _run_storage_cell(params: dict) -> tuple:
     for backup in encrypted.backups:
         fingerprints.extend(backup.ciphertext.fingerprints)
 
-    evaluator = AttackEvaluator(encrypted)
-    attack = build_attack(
-        params["attack"], params["u"], params["v"], params["w"]
-    )
-    report = evaluator.run(
-        attack,
-        auxiliary=params["auxiliary"],
-        target=params["target"],
-        leakage_rate=params["leakage_rate"],
-        seed=params["seed"],
-    )
+    report = attack_report(params)
 
     obs.counter(
         "frontier.stored_bytes", stored, dataset=dataset, scheme=scheme,
@@ -147,7 +136,7 @@ def _run_storage_cell(params: dict) -> tuple:
     overhead = stored / baseline_stored - 1.0 if baseline_stored else 0.0
     return (
         (
-            ("inference_rate", round(report.inference_rate, 5)),
+            *report.row("inference_rate"),
             ("kld_bits", round(frequency_kld(fingerprints), 4)),
             ("storage_overhead", round(overhead, 4)),
         ),

@@ -5,20 +5,25 @@
   (Algorithm 2) with parameters ``u``, ``v``, ``w``.
 * :class:`AdvancedLocalityAttack` — adds the chunk-size side channel
   (Algorithm 3) for variable-size chunking.
-* :class:`AttackEvaluator` / :class:`InferenceReport` — run attacks against
-  encrypted series in ciphertext-only or known-plaintext mode and compute
-  inference rates.
+* :func:`evaluate` over an :class:`AttackSource` — the one place an attack
+  is run and scored into an :class:`InferenceReport`, in ciphertext-only
+  or known-plaintext mode; :class:`AttackEvaluator` is its source over an
+  encrypted series, :func:`build_attack` the attacks by name.
 * :class:`StreamingCount` / :func:`streaming_count` — batch-ingesting COUNT
-  flushing through a pluggable :class:`~repro.index.backends.KVBackend`,
-  with the persistent attack variants running on top of it.
+  flushing through a pluggable :class:`~repro.index.backends.KVBackend`;
+  :func:`backend_count` hands it to :func:`evaluate` as its ``count=``.
 """
 
 from repro.attacks.advanced import AdvancedLocalityAttack
 from repro.attacks.base import Attack, AttackResult
 from repro.attacks.basic import BasicAttack
 from repro.attacks.evaluation import (
+    KNOWN_ATTACKS,
     AttackEvaluator,
+    AttackSource,
     InferenceReport,
+    build_attack,
+    evaluate,
     sample_leakage,
 )
 from repro.attacks.frequency import (
@@ -37,8 +42,7 @@ from repro.attacks.interning import (
 )
 from repro.attacks.locality import LocalityAttack
 from repro.attacks.persistent import (
-    PersistentAdvancedAttack,
-    PersistentLocalityAttack,
+    backend_count,
     load_chunk_stats,
     persist_chunk_stats,
 )
@@ -55,8 +59,7 @@ __all__ = [
     "CountStores",
     "StreamingCount",
     "streaming_count",
-    "PersistentAdvancedAttack",
-    "PersistentLocalityAttack",
+    "backend_count",
     "load_chunk_stats",
     "persist_chunk_stats",
     "columnar_attack_report",
@@ -65,8 +68,12 @@ __all__ = [
     "Attack",
     "AttackResult",
     "BasicAttack",
+    "KNOWN_ATTACKS",
     "AttackEvaluator",
+    "AttackSource",
     "InferenceReport",
+    "build_attack",
+    "evaluate",
     "sample_leakage",
     "ChunkStats",
     "ArrayStats",

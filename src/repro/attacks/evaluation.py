@@ -7,16 +7,66 @@ correctly. In known-plaintext mode an adversary additionally knows a small
 fraction of ciphertext–plaintext pairs of the target (the *leakage rate*,
 relative to the unique ciphertext chunk count); leaked pairs count toward
 the inference rate, as in the paper's Figs. 8–10.
+
+:func:`evaluate` is the one place an attack is run and scored. What
+differs between adversaries — what they observed of the target, what
+they know besides, what the truth is and what the rate is relative to —
+is an :class:`AttackSource`; every driver (:class:`AttackEvaluator`,
+:func:`repro.attacks.sharded.columnar_attack_report`,
+:func:`repro.cluster.partial.evaluate_partial_view`) only builds one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Collection, Sequence
 
+from repro.attacks.advanced import AdvancedLocalityAttack
 from repro.attacks.base import Attack
+from repro.attacks.basic import BasicAttack
+from repro.attacks.locality import LocalityAttack
 from repro.common.errors import ConfigurationError
 from repro.common.rng import rng_from
+from repro.datasets.model import Backup, resolve_index
 from repro.defenses.pipeline import EncryptedBackup, EncryptedSeries
+
+#: ``count(backup, side)`` with ``side`` ``"ciphertext"`` or
+#: ``"auxiliary"``: the COUNT pass of a counted-stats attack, when it
+#: should not be the attack's own in-RAM one (see
+#: :func:`repro.attacks.persistent.backend_count`).
+Count = Callable[[Backup, str], Any]
+
+# The attacks build_attack knows; CLI validation derives from this.
+KNOWN_ATTACKS = ("basic", "locality", "advanced")
+
+
+def build_attack(
+    name: str, u: int = 1, v: int = 15, w: int = 200_000, block_size: int = 16
+) -> Attack:
+    """Instantiate a paper attack by CLI-friendly name.
+
+    Args:
+        name: one of :data:`KNOWN_ATTACKS` (``"basic"`` ignores the
+            other parameters).
+        u / v / w: the locality-attack knobs of §4 (seed pairs, accepted
+            co-occurrence pairs per neighbor analysis, queue bound).
+        block_size: cipher block size of the advanced attack's size
+            classes.
+
+    Raises:
+        ConfigurationError: the name is not a known attack, or a knob is
+            out of range.
+    """
+    if name == "basic":
+        return BasicAttack()
+    if name == "locality":
+        return LocalityAttack(u=u, v=v, w=w)
+    if name == "advanced":
+        return AdvancedLocalityAttack(u=u, v=v, w=w, block_size=block_size)
+    raise ConfigurationError(
+        f"unknown attack {name!r}; choose from {sorted(KNOWN_ATTACKS)}"
+    )
 
 
 @dataclass(frozen=True)
@@ -65,6 +115,24 @@ class InferenceReport:
             return 0.0
         return self.correct_pairs / self.inferred_pairs
 
+    def row(self, *names: str) -> tuple[tuple[str, object], ...]:
+        """The report as ``(field, value)`` pairs, rates rounded to 5
+        decimals: the row of an ``attack`` cell — or, given ``names``,
+        just those fields in that order, which is how the other cell
+        kinds and JSON reports take theirs."""
+        fields = {
+            "auxiliary": self.auxiliary_label,
+            "target": self.target_label,
+            "inference_rate": round(self.inference_rate, 5),
+            "precision": round(self.precision, 5),
+            "correct_pairs": self.correct_pairs,
+            "inferred_pairs": self.inferred_pairs,
+            "unique_ciphertext_chunks": self.unique_ciphertext_chunks,
+            "leaked_pairs": self.leaked_pairs,
+            "iterations": self.iterations,
+        }
+        return tuple((name, fields[name]) for name in names or fields)
+
     def __str__(self) -> str:
         return (
             f"{self.attack} [{self.scheme}] aux={self.auxiliary_label} "
@@ -75,16 +143,46 @@ class InferenceReport:
         )
 
 
+def leaked_positions(
+    unique_chunks: int, target_label: str, leakage_rate: float, seed: int = 0
+) -> list[int]:
+    """The one known-plaintext draw: which of a target's unique ciphertext
+    chunks leak, as positions into its *sorted* unique ciphertext
+    fingerprints.
+
+    ``leakage_rate`` is relative to ``unique_chunks``; the sample is
+    uniform over them (stolen-device leakage does not favour any
+    particular chunk). ``random.sample`` picks positions independently of
+    the population's values, so a source that cannot afford the sorted
+    fingerprint list (a columnar trace) maps the same positions through
+    its own index and leaks the identical set.
+
+    Raises:
+        ConfigurationError: if ``leakage_rate`` is outside ``[0, 1]``.
+    """
+    if not 0.0 <= leakage_rate <= 1.0:
+        raise ConfigurationError("leakage_rate must be in [0, 1]")
+    count = int(round(leakage_rate * unique_chunks))
+    if count == 0:
+        return []
+    rng = rng_from(seed, "leakage", target_label, leakage_rate)
+    return rng.sample(range(unique_chunks), min(count, unique_chunks))
+
+
+def _pairs_at(target: EncryptedBackup, positions: Sequence[int]) -> dict[bytes, bytes]:
+    if not positions:
+        return {}
+    unique = sorted(set(target.ciphertext.fingerprints))
+    return {unique[at]: target.truth[unique[at]] for at in positions}
+
+
 def sample_leakage(
     target: EncryptedBackup,
     leakage_rate: float,
     seed: int = 0,
 ) -> dict[bytes, bytes]:
-    """Sample leaked ciphertext–plaintext pairs of the target backup.
-
-    ``leakage_rate`` is relative to the number of unique ciphertext chunks;
-    the sample is drawn uniformly over unique ciphertext chunks (stolen-
-    device leakage does not favour any particular chunk).
+    """Sample leaked ciphertext–plaintext pairs of the target backup
+    (:func:`leaked_positions` over an in-RAM backup).
 
     Args:
         target: the encrypted backup whose pairs leak.
@@ -99,17 +197,126 @@ def sample_leakage(
     Raises:
         ConfigurationError: if ``leakage_rate`` is outside ``[0, 1]``.
     """
-    if not 0.0 <= leakage_rate <= 1.0:
-        raise ConfigurationError("leakage_rate must be in [0, 1]")
-    if leakage_rate == 0.0:
-        return {}
-    unique = sorted(set(target.ciphertext.fingerprints))
-    count = int(round(leakage_rate * len(unique)))
-    if count == 0:
-        return {}
-    rng = rng_from(seed, "leakage", target.label, leakage_rate)
-    sampled = rng.sample(unique, min(count, len(unique)))
-    return {cipher_fp: target.truth[cipher_fp] for cipher_fp in sampled}
+    return _pairs_at(
+        target,
+        leaked_positions(
+            target.unique_ciphertext_chunks, target.label, leakage_rate, seed
+        ),
+    )
+
+
+@dataclass(frozen=True)
+class AttackSource:
+    """What one adversary observed of one target, and what scores it.
+
+    Attributes:
+        scheme: defense scheme label for the report.
+        auxiliary_label / target_label: backup labels for the report.
+        observed: the ciphertext the adversary saw — a :class:`Backup`
+            (the whole target stream, or the part of it one adversary
+            model exposes), or already-counted stats.
+        auxiliary: the adversary's plaintext knowledge, in the same form.
+        truth: ground truth, anything with a ``ciphertext -> plaintext``
+            ``get``.
+        unique_ciphertext_chunks: unique ciphertext chunks of the *whole*
+            target — the inference rate's denominator and the population
+            known-plaintext leakage is drawn from, whatever part of it
+            ``observed`` is.
+        pairs_at: the ciphertext–plaintext pairs at the given positions of
+            the target's sorted unique ciphertext fingerprints.
+        visible: the ciphertext fingerprints a leaked pair must be among
+            (an adversary cannot be leaked what it does not hold);
+            ``None`` when it observed the whole target.
+    """
+
+    scheme: str
+    auxiliary_label: str
+    target_label: str
+    observed: Any
+    auxiliary: Any
+    truth: Any
+    unique_ciphertext_chunks: int
+    pairs_at: Callable[[Sequence[int]], dict[bytes, bytes]]
+    visible: Collection[bytes] | None = None
+
+    @classmethod
+    def of_backups(
+        cls,
+        scheme: str,
+        target: EncryptedBackup,
+        auxiliary: Backup,
+        observed: Backup | None = None,
+    ) -> "AttackSource":
+        """The source over an in-RAM encrypted backup: the adversary saw
+        the whole ciphertext stream, or only its sub-stream ``observed``."""
+        return cls(
+            scheme=scheme,
+            auxiliary_label=auxiliary.label,
+            target_label=target.label,
+            observed=target.ciphertext if observed is None else observed,
+            auxiliary=auxiliary,
+            truth=target.truth,
+            unique_ciphertext_chunks=target.unique_ciphertext_chunks,
+            pairs_at=partial(_pairs_at, target),
+            visible=None if observed is None else set(observed.fingerprints),
+        )
+
+
+def evaluate(
+    attack: Attack,
+    source: AttackSource,
+    leakage_rate: float = 0.0,
+    seed: int = 0,
+    count: Count | None = None,
+) -> InferenceReport:
+    """Run ``attack`` over ``source`` and score it.
+
+    Draws the known-plaintext sample (:func:`leaked_positions`) and
+    restricts it to what the adversary can see; runs ``attack.run`` over
+    two backups — or ``attack.run_counted`` over their ``count`` passes,
+    for an attack that has one — or ``attack.run_counted`` over a source
+    that is counted already; scores the result against the source's truth
+    and denominator.
+
+    Args:
+        leakage_rate: fraction of the target's unique ciphertext chunks
+            leaked as known pairs (0 = ciphertext-only mode).
+        seed: determinises the leakage sample.
+        count: the COUNT pass to use instead of the attack's own.
+    """
+    leaked = source.pairs_at(
+        leaked_positions(
+            source.unique_ciphertext_chunks, source.target_label, leakage_rate, seed
+        )
+    )
+    if source.visible is not None:
+        leaked = {
+            cipher_fp: plain_fp
+            for cipher_fp, plain_fp in leaked.items()
+            if cipher_fp in source.visible
+        }
+    observed, auxiliary = source.observed, source.auxiliary
+    known = leaked or None  # nothing leaked selects ciphertext-only mode
+    if not isinstance(observed, Backup):
+        result = attack.run_counted(observed, auxiliary, known)
+    elif count is None or not hasattr(attack, "run_counted"):
+        result = attack.run(observed, auxiliary, known)
+    else:
+        result = attack.run_counted(
+            count(observed, "ciphertext"), count(auxiliary, "auxiliary"), known
+        )
+    return InferenceReport(
+        attack=result.attack_name,
+        scheme=source.scheme,
+        auxiliary_label=source.auxiliary_label,
+        target_label=source.target_label,
+        unique_ciphertext_chunks=source.unique_ciphertext_chunks,
+        inferred_pairs=len(result.pairs),
+        correct_pairs=result.correct_pairs(source.truth),
+        leakage_rate=leakage_rate,
+        leaked_pairs=len(leaked),
+        iterations=result.iterations,
+    )
 
 
 class AttackEvaluator:
@@ -118,6 +325,19 @@ class AttackEvaluator:
     def __init__(self, encrypted: EncryptedSeries):
         self.encrypted = encrypted
 
+    def pair(self, auxiliary: int, target: int) -> tuple[Backup, EncryptedBackup]:
+        """The plaintext auxiliary and the encrypted target at two series
+        positions (negative indices count from the end).
+
+        Raises:
+            ConfigurationError: an index falls outside the series.
+        """
+        encrypted = self.encrypted
+        return (
+            encrypted.plaintext[resolve_index(auxiliary, len(encrypted.plaintext))],
+            encrypted[resolve_index(target, len(encrypted))],
+        )
+
     def run(
         self,
         attack: Attack,
@@ -125,6 +345,7 @@ class AttackEvaluator:
         target: int,
         leakage_rate: float = 0.0,
         seed: int = 0,
+        count: Count | None = None,
     ) -> InferenceReport:
         """Run ``attack`` with backup ``auxiliary`` as the adversary's prior
         knowledge against backup ``target``.
@@ -137,26 +358,15 @@ class AttackEvaluator:
             leakage_rate: fraction of the target's unique ciphertext chunks
                 leaked as known pairs (0 = ciphertext-only mode).
             seed: determinises the leakage sample.
+            count: the COUNT pass to use instead of the attack's own
+                (see :func:`evaluate`).
 
         Returns:
             An :class:`InferenceReport` scoring the attack's output pairs
             against the series' ground truth.
         """
-        plaintext_aux = self.encrypted.plaintext[auxiliary]
-        encrypted_target = self.encrypted[target]
-        leaked = sample_leakage(encrypted_target, leakage_rate, seed)
-        result = attack.run(
-            encrypted_target.ciphertext, plaintext_aux, leaked or None
+        plaintext_aux, encrypted_target = self.pair(auxiliary, target)
+        source = AttackSource.of_backups(
+            self.encrypted.scheme.value, encrypted_target, plaintext_aux
         )
-        return InferenceReport(
-            attack=result.attack_name,
-            scheme=self.encrypted.scheme.value,
-            auxiliary_label=plaintext_aux.label,
-            target_label=encrypted_target.label,
-            unique_ciphertext_chunks=encrypted_target.unique_ciphertext_chunks,
-            inferred_pairs=len(result.pairs),
-            correct_pairs=result.correct_pairs(encrypted_target.truth),
-            leakage_rate=leakage_rate,
-            leaked_pairs=len(leaked),
-            iterations=result.iterations,
-        )
+        return evaluate(attack, source, leakage_rate, seed, count)

@@ -84,11 +84,7 @@ class LocalityAttack(Attack):
         self.tie_break = tie_break
         self.seed_tie_break = seed_tie_break
 
-    # Subclass hooks ---------------------------------------------------------
-
-    def _count(self, backup: Backup) -> ChunkStats:
-        # Byte-identical to count_with_neighbors (the reference COUNT).
-        return interned_count(backup)  # type: ignore[return-value]
+    # Subclass hook ----------------------------------------------------------
 
     def _analyse(
         self,
@@ -181,10 +177,11 @@ class LocalityAttack(Attack):
         auxiliary: Backup,
         leaked_pairs: dict[bytes, bytes] | None = None,
     ) -> AttackResult:
-        # COUNT the target, then the auxiliary (the persistent attacks'
-        # ``_count`` tells the two apart by call order).
+        # In-RAM COUNT, byte-identical to count_with_neighbors (the
+        # reference); any other COUNT enters at run_counted (see
+        # repro.attacks.evaluation.evaluate's ``count``).
         return self.run_counted(
-            self._count(ciphertext), self._count(auxiliary), leaked_pairs
+            interned_count(ciphertext), interned_count(auxiliary), leaked_pairs
         )
 
     def run_counted(

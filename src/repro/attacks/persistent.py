@@ -18,26 +18,23 @@ lives in :mod:`repro.attacks.streaming`):
 * :func:`load_chunk_stats` — reopens persisted stores via the completion
   marker written when a COUNT run finishes (partial state from an
   interrupted run is never loaded — it is wiped and recounted);
-* :class:`PersistentLocalityAttack` / :class:`PersistentAdvancedAttack` —
-  the locality-based attacks running against on-disk state, on any
-  backend. Results are bit-identical to the in-memory attacks
-  (property-tested).
+* :func:`backend_count` — the ``count=`` argument of
+  :func:`repro.attacks.evaluation.evaluate` that runs the locality-based
+  attacks against on-disk state, on any backend. Reports are bit-identical
+  to the in-memory COUNT's (property-tested).
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import shutil
+from array import array
 from pathlib import Path
 
-from repro.attacks.advanced import AdvancedLocalityAttack
-from repro.attacks.base import AttackResult
-from repro.attacks.frequency import ChunkStats
-from repro.attacks.locality import LocalityAttack
 from repro.attacks.streaming import (
     BackendChunkStats,
     CountStores,
-    NeighborStore,
     StreamingCount,
 )
 from repro.common.errors import ConfigurationError
@@ -46,20 +43,14 @@ from repro.datasets.model import Backup
 from repro.index.backends import DEFAULT_SHARDS
 
 __all__ = [
-    "NeighborStore",
-    "PersistentAdvancedAttack",
-    "PersistentChunkStats",
-    "PersistentLocalityAttack",
+    "backend_count",
     "load_chunk_stats",
     "persist_chunk_stats",
 ]
 
-# Backwards-compatible name: the stats object now lives in the streaming
-# module and works over any backend, not just the WAL KVStore.
-PersistentChunkStats = BackendChunkStats
-
-# Written (with the backend spec as content) only after a COUNT run
-# completes; its absence marks a directory as empty or partial.
+# Written only after a COUNT run completes — the backend spec on its
+# first line, the counted stream's identity on its second; its absence
+# marks a directory as empty or partial.
 _MARKER = "COUNT_STATE"
 _STORE_STEMS = ("meta", "left", "right")
 
@@ -71,6 +62,41 @@ def _canonical_spec(backend: str, shards: int | None) -> str:
     if shards is None:
         shards = int(option) if option else DEFAULT_SHARDS
     return f"sharded:{shards}"
+
+
+def _batches(source: Backup | ColumnarBackupView):
+    if isinstance(source, Backup):
+        return [(source.fingerprints, source.sizes)]
+    return source.iter_batches()
+
+
+class _StreamDigest:
+    """Running identity of a chunk stream: chunk count plus a SHA-256 over
+    its fingerprint and size sequences — what tells one counted stream
+    from another under the same label. Fed per batch, so a columnar view
+    never materialises, and independent of the batching."""
+
+    def __init__(self) -> None:
+        self._chunks = 0
+        self._fingerprints, self._sizes = hashlib.sha256(), hashlib.sha256()
+
+    def update(self, fingerprints, sizes) -> None:
+        self._chunks += len(fingerprints)
+        self._fingerprints.update(b"".join(fingerprints))
+        self._sizes.update(array("Q", sizes).tobytes())
+
+    def identity(self) -> str:
+        digest = hashlib.sha256(
+            self._fingerprints.digest() + self._sizes.digest()
+        )
+        return f"{self._chunks} {digest.hexdigest()}"
+
+
+def _stream_identity(source: Backup | ColumnarBackupView) -> str:
+    digest = _StreamDigest()
+    for fingerprints, sizes in _batches(source):
+        digest.update(fingerprints, sizes)
+    return digest.identity()
 
 
 def _clear_partial_state(directory: Path) -> None:
@@ -99,12 +125,13 @@ def persist_chunk_stats(
 ) -> BackendChunkStats:
     """Run the streaming COUNT over ``source``, persisted under ``directory``.
 
-    A completion marker (recording the backend spec) is written only after
-    the full stream is counted; a directory holding partial state from an
-    interrupted run is wiped and recounted, never loaded. Reopening a
-    completed directory later (:func:`load_chunk_stats`) skips the
-    counting pass — useful when the same auxiliary backup is attacked
-    against many targets, as in the Figure 6 sweep.
+    A completion marker (recording the backend spec and the stream's
+    identity) is written only after the full stream is counted; a
+    directory holding partial state from an interrupted run is wiped and
+    recounted, never loaded. Reopening a completed directory later
+    (:func:`load_chunk_stats`) skips the counting pass — useful when the
+    same auxiliary backup is attacked against many targets, as in the
+    Figure 6 sweep.
 
     Args:
         source: the logical chunk stream to count — an in-RAM backup, or
@@ -124,10 +151,6 @@ def persist_chunk_stats(
             :func:`load_chunk_stats` instead — recounting would merge
             into them and double every frequency).
     """
-    if isinstance(source, Backup):
-        batches = [(source.fingerprints, source.sizes)]
-    else:
-        batches = source.iter_batches()
     if not len(source):
         raise ConfigurationError("cannot persist stats of an empty backup")
     directory = Path(directory)
@@ -140,11 +163,13 @@ def persist_chunk_stats(
     _clear_partial_state(directory)
     spec = _canonical_spec(backend, shards)
     counter = StreamingCount(CountStores.open(directory, spec))
-    for fingerprints, sizes in batches:
+    digest = _StreamDigest()
+    for fingerprints, sizes in _batches(source):
+        digest.update(fingerprints, sizes)
         counter.ingest(fingerprints, sizes)
     stats = counter.finalize()
     if spec != "memory":
-        marker.write_text(spec + "\n")
+        marker.write_text(f"{spec}\n{digest.identity()}\n")
     return stats
 
 
@@ -163,85 +188,34 @@ def load_chunk_stats(directory: str | os.PathLike) -> BackendChunkStats:
         raise ConfigurationError(
             f"no completed persisted stats under {directory}"
         )
-    stores = CountStores.open(directory, marker.read_text().strip())
+    stores = CountStores.open(directory, marker.read_text().partition("\n")[0])
     return BackendChunkStats.from_stores(stores)
 
 
-class _PersistentCountMixin:
-    """Shares the backend-backed COUNT pass between the attack variants.
+def backend_count(
+    workdir: str | os.PathLike,
+    backend: str = "kvstore",
+    shards: int | None = None,
+):
+    """A ``count=`` for :func:`repro.attacks.evaluation.evaluate` that
+    keeps COUNT state in backend stores under ``workdir``.
 
-    ``workdir`` holds one store per (side, backup label); pre-existing
-    stores are reused, mirroring the paper's reuse of LevelDB state across
-    experiments (e.g. one auxiliary backup attacked against many targets).
+    One store per (side, backup label). A completed store is reused —
+    mirroring the paper's reuse of LevelDB state across experiments (e.g.
+    one auxiliary backup attacked against many targets) — only when its
+    marker records the identity of the stream being counted; the state of
+    any other stream (another scheme, dataset or seed under the same
+    label) is wiped and recounted like partial state.
     """
+    workdir = Path(workdir)
 
-    def _init_persistence(
-        self,
-        workdir: str | os.PathLike,
-        backend: str = "kvstore",
-        shards: int | None = None,
-    ) -> None:
-        self.workdir = Path(workdir)
-        self.backend = backend
-        self.shards = shards
-        self._side = "ciphertext"
+    def count(backup: Backup, side: str) -> BackendChunkStats:
+        directory = workdir / side / backup.label.replace(" ", "_")
+        marker = directory / _MARKER
+        if marker.exists():
+            if marker.read_text().splitlines()[1:] == [_stream_identity(backup)]:
+                return load_chunk_stats(directory)
+            marker.unlink()
+        return persist_chunk_stats(backup, directory, backend, shards)
 
-    def _count(self, backup: Backup) -> ChunkStats:
-        directory = self.workdir / self._side / backup.label.replace(" ", "_")
-        self._side = "auxiliary"  # second _count call is the auxiliary
-        try:
-            stats = load_chunk_stats(directory)
-        except ConfigurationError:
-            stats = persist_chunk_stats(
-                backup, directory, self.backend, self.shards
-            )
-        return stats  # type: ignore[return-value]
-
-    def run(
-        self,
-        ciphertext: Backup,
-        auxiliary: Backup,
-        leaked_pairs: dict[bytes, bytes] | None = None,
-    ) -> AttackResult:
-        self._side = "ciphertext"
-        result = super().run(ciphertext, auxiliary, leaked_pairs)  # type: ignore[misc]
-        result.attack_name = self.name
-        return result
-
-
-class PersistentLocalityAttack(_PersistentCountMixin, LocalityAttack):
-    """Locality-based attack with backend-backed COUNT state."""
-
-    name = "locality-persistent"
-
-    def __init__(
-        self,
-        workdir: str | os.PathLike,
-        u: int = 1,
-        v: int = 15,
-        w: int = 200_000,
-        backend: str = "kvstore",
-        shards: int | None = None,
-        **kwargs,
-    ):
-        super().__init__(u=u, v=v, w=w, **kwargs)
-        self._init_persistence(workdir, backend, shards)
-
-
-class PersistentAdvancedAttack(_PersistentCountMixin, AdvancedLocalityAttack):
-    """Advanced locality-based attack with backend-backed COUNT state."""
-
-    name = "advanced-persistent"
-
-    def __init__(
-        self,
-        workdir: str | os.PathLike,
-        u: int = 1,
-        v: int = 15,
-        w: int = 200_000,
-        backend: str = "kvstore",
-        shards: int | None = None,
-        **kwargs,
-    ):
-        super().__init__(u=u, v=v, w=w, **kwargs)
-        self._init_persistence(workdir, backend, shards)
+    return count

@@ -18,13 +18,14 @@ numpy the workers only read their shards and the reference loop
 (:func:`~repro.attacks.frequency.accumulate_counts`) counts them in
 stream order into a plain :class:`~repro.attacks.frequency.ChunkStats`.
 
-:func:`columnar_attack_report` is the end-to-end driver: it derives the
-MLE ciphertext side at the *vocabulary* level (the ciphertext id stream of
-a deterministic per-chunk encryption is the plaintext id stream, so the
-counted arrays are reused verbatim — only the fingerprint decode and the
-padded sizes differ), samples known-plaintext leakage without building the
-fingerprint set, runs the locality/advanced attack on the counted stats,
-and scores against the vocabulary-level ground truth.
+:func:`columnar_attack_report` builds the source the one driver
+(:func:`repro.attacks.evaluation.evaluate`) runs and scores: it derives
+the MLE ciphertext side at the *vocabulary* level (the ciphertext id
+stream of a deterministic per-chunk encryption is the plaintext id stream,
+so the counted arrays are reused verbatim — only the fingerprint decode
+and the padded sizes differ), maps the known-plaintext draw to leaked
+pairs without building the fingerprint set, and supplies the
+vocabulary-level ground truth.
 """
 
 from __future__ import annotations
@@ -33,24 +34,27 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from itertools import islice
 from multiprocessing import get_context
 
 from repro import faults, obs
 from repro.faults import WorkerCrashError
 
-from repro.attacks.advanced import AdvancedLocalityAttack
-from repro.attacks.evaluation import InferenceReport
+from repro.attacks.evaluation import (
+    AttackSource,
+    InferenceReport,
+    build_attack,
+    evaluate,
+)
 from repro.attacks.frequency import ChunkStats, accumulate_counts
 from repro.attacks.interning import (
     check_vocabulary_capacity,
     count_shard,
     merge_shards,
 )
-from repro.attacks.locality import LocalityAttack
 from repro.common import accel
 from repro.common.errors import ConfigurationError
-from repro.common.rng import rng_from
 from repro.datasets.columnar import (
     IDS_FILE,
     ColumnarBackupView,
@@ -362,47 +366,8 @@ class _VocabTruth:
         return self._plain._fingerprints[chunk_id]
 
 
-def sample_columnar_leakage(
-    ciphertext_stats,
-    truth: _VocabTruth,
-    target_label: str,
-    leakage_rate: float,
-    seed: int = 0,
-) -> dict[bytes, bytes]:
-    """Known-plaintext leakage over a columnar target, byte-identical to
-    :func:`~repro.attacks.evaluation.sample_leakage`.
-
-    The reference samples from the sorted unique ciphertext fingerprints;
-    ``random.sample`` picks *positions* independently of element values,
-    so sampling positions into the fingerprint-sorted present ids (via the
-    vocabulary index's lexicographic ranks) draws the identical leaked set
-    without materializing the fingerprint list. ``truth`` is the driver's
-    ciphertext → plaintext lookup (:class:`_VocabTruth`); this is a helper
-    of :func:`columnar_attack_report`, not part of the module's API.
-    """
-    if not 0.0 <= leakage_rate <= 1.0:
-        raise ConfigurationError("leakage_rate must be in [0, 1]")
-    total = ciphertext_stats.unique_chunks
-    count = int(round(leakage_rate * total))
-    if count == 0:
-        return {}
-    rng = rng_from(seed, "leakage", target_label, leakage_rate)
-    positions = rng.sample(range(total), min(count, total))
-    numpy = accel.numpy
-    if numpy is not None:
-        ranks = ciphertext_stats.vocabulary._ids.sort_ranks()
-        by_fingerprint = numpy.argsort(ranks[ciphertext_stats.ordered_ids])
-        sampled = ciphertext_stats.decode(
-            ciphertext_stats.ordered_ids[by_fingerprint[positions]]
-        )
-    else:
-        unique = sorted(ciphertext_stats.frequencies)
-        sampled = [unique[position] for position in positions]
-    return {cipher_fp: truth.get(cipher_fp) for cipher_fp in sampled}
-
-
 # ---------------------------------------------------------------------------
-# End-to-end driver
+# The columnar source of the evaluation driver
 
 
 def _encrypted_stats(plain_stats, plain_vocabulary, cipher_vocabulary):
@@ -434,15 +399,24 @@ def _encrypted_stats(plain_stats, plain_vocabulary, cipher_vocabulary):
     )
 
 
-def _build_attack(name: str, u: int, v: int, w: int, block_size: int):
-    if name == "locality":
-        return LocalityAttack(u=u, v=v, w=w)
-    if name == "advanced":
-        return AdvancedLocalityAttack(u=u, v=v, w=w, block_size=block_size)
-    raise ConfigurationError(
-        f"unknown columnar attack {name!r}; the sharded COUNT drives the "
-        "counted-stats attacks ('locality', 'advanced')"
-    )
+def _pairs_at(ciphertext_stats, truth: _VocabTruth, positions) -> dict[bytes, bytes]:
+    """The leaked pairs at ``positions`` of the sorted unique ciphertext
+    fingerprints (:func:`~repro.attacks.evaluation.leaked_positions`),
+    found through the vocabulary index's lexicographic ranks — the
+    fingerprint list itself is never built."""
+    if not positions:
+        return {}
+    numpy = accel.numpy
+    if numpy is not None:
+        ranks = ciphertext_stats.vocabulary._ids.sort_ranks()
+        by_fingerprint = numpy.argsort(ranks[ciphertext_stats.ordered_ids])
+        sampled = ciphertext_stats.decode(
+            ciphertext_stats.ordered_ids[by_fingerprint[positions]]
+        )
+    else:
+        unique = sorted(ciphertext_stats.frequencies)
+        sampled = [unique[position] for position in positions]
+    return {cipher_fp: truth.get(cipher_fp) for cipher_fp in sampled}
 
 
 def columnar_attack_report(
@@ -466,22 +440,23 @@ def columnar_attack_report(
     Equivalent to encrypting the series with the MLE
     :class:`~repro.defenses.pipeline.DefensePipeline` and scoring through
     :class:`~repro.attacks.evaluation.AttackEvaluator` — the differential
-    tests pin report equality at small scales — but the ciphertext side is
-    derived at the vocabulary level and both COUNT passes run sharded.
+    tests pin report equality at small scales — but the source it hands
+    :func:`~repro.attacks.evaluation.evaluate` is counted already: both
+    COUNT passes run sharded and the ciphertext side is derived at the
+    vocabulary level.
     """
+    built = build_attack(attack, u, v, w, block_size)
+    if not hasattr(built, "run_counted"):
+        raise ConfigurationError(
+            f"unknown columnar attack {attack!r}; the sharded COUNT drives the "
+            "counted-stats attacks ('locality', 'advanced')"
+        )
     opened = None
     if not isinstance(trace, ColumnarTrace):
         opened = trace = ColumnarTrace.open(trace)
     try:
-        built = _build_attack(attack, u, v, w, block_size)
-        try:
-            auxiliary_view = trace.view(auxiliary)
-            target_view = trace.view(target)
-        except IndexError:
-            raise ConfigurationError(
-                f"backup index out of range for the {len(trace.backups)}-"
-                f"backup trace (auxiliary={auxiliary}, target={target})"
-            ) from None
+        auxiliary_view = trace.view(auxiliary)
+        target_view = trace.view(target)
         target_plain_stats = sharded_count(target_view, jobs=jobs)
         auxiliary_stats = sharded_count(auxiliary_view, jobs=jobs)
         cipher_vocabulary = encrypt_vocabulary(trace)
@@ -489,109 +464,17 @@ def columnar_attack_report(
             target_plain_stats, trace.vocabulary, cipher_vocabulary
         )
         truth = _VocabTruth(cipher_vocabulary, trace.vocabulary)
-        leaked = sample_columnar_leakage(
-            ciphertext_stats, truth, target_view.label, leakage_rate, seed
-        )
-        result = built.run_counted(
-            ciphertext_stats, auxiliary_stats, leaked or None
-        )
-        return InferenceReport(
-            attack=result.attack_name,
+        source = AttackSource(
             scheme=DefenseScheme.MLE.value,
             auxiliary_label=auxiliary_view.label,
             target_label=target_view.label,
+            observed=ciphertext_stats,
+            auxiliary=auxiliary_stats,
+            truth=truth,
             unique_ciphertext_chunks=ciphertext_stats.unique_chunks,
-            inferred_pairs=len(result.pairs),
-            correct_pairs=result.correct_pairs(truth),
-            leakage_rate=leakage_rate,
-            leaked_pairs=len(leaked),
-            iterations=result.iterations,
+            pairs_at=partial(_pairs_at, ciphertext_stats, truth),
         )
+        return evaluate(built, source, leakage_rate, seed)
     finally:
         if opened is not None:
             opened.close()
-
-
-# ---------------------------------------------------------------------------
-# Scenario-engine integration: the ``columnar_attack`` cell kind
-
-
-def _cell_trace_directory(params: dict):
-    """Deterministic scratch directory for a cell's generated trace.
-
-    Cells must be re-runnable from any worker process, so the trace lives
-    at a path derived purely from the generation parameters — every cell
-    with the same trace knobs shares one on-disk trace (generate once,
-    mmap thereafter via :func:`ensure_columnar`'s manifest check).
-    """
-    import tempfile
-    from pathlib import Path
-
-    if params.get("directory"):
-        return Path(params["directory"])
-    key = "-".join(
-        str(params.get(name, default))
-        for name, default in (
-            ("trace_seed", 7),
-            ("chunks", 1_000_000),
-            ("backups", 2),
-            ("fingerprint_bytes", 16),
-        )
-    )
-    return Path(tempfile.gettempdir()) / f"repro-columnar-{key}"
-
-
-def _run_columnar_attack(params: dict):
-    """One ``columnar_attack`` cell: generate (once) an on-disk columnar
-    stream trace, then run the sharded-COUNT attack end-to-end over it.
-
-    Rows mirror the ``attack`` kind field-for-field, so sweep tooling and
-    caches treat trace-scale cells like any other attack cell.
-    """
-    from repro.datasets.columnar import StreamConfig, ensure_stream_columnar
-
-    config = StreamConfig(
-        chunks=params.get("chunks", 1_000_000),
-        backups=params.get("backups", 2),
-        fingerprint_bytes=params.get("fingerprint_bytes", 16),
-    )
-    trace = ensure_stream_columnar(
-        _cell_trace_directory(params), config, seed=params.get("trace_seed", 7)
-    )
-    try:
-        report = columnar_attack_report(
-            trace,
-            params.get("attack", "locality"),
-            auxiliary=params.get("auxiliary", -2),
-            target=params.get("target", -1),
-            leakage_rate=params.get("leakage_rate", 0.0),
-            seed=params.get("seed", 0),
-            u=params.get("u", 1),
-            v=params.get("v", 15),
-            w=params.get("w", 200_000),
-            jobs=params.get("jobs", 1),
-        )
-    finally:
-        trace.close()
-    return (
-        (
-            ("auxiliary", report.auxiliary_label),
-            ("target", report.target_label),
-            ("inference_rate", round(report.inference_rate, 5)),
-            ("precision", round(report.precision, 5)),
-            ("correct_pairs", report.correct_pairs),
-            ("inferred_pairs", report.inferred_pairs),
-            ("unique_ciphertext_chunks", report.unique_ciphertext_chunks),
-            ("leaked_pairs", report.leaked_pairs),
-            ("iterations", report.iterations),
-        ),
-    )
-
-
-def _register_cell_kind() -> None:
-    from repro.scenarios.cells import register_cell_kind
-
-    register_cell_kind("columnar_attack", _run_columnar_attack)
-
-
-_register_cell_kind()

@@ -45,12 +45,11 @@ from repro.analysis.workloads import (
     series_by_name,
 )
 from repro.attacks import (
-    AdvancedLocalityAttack,
+    KNOWN_ATTACKS,
     AttackEvaluator,
-    BasicAttack,
-    LocalityAttack,
-    PersistentAdvancedAttack,
-    PersistentLocalityAttack,
+    backend_count,
+    build_attack,
+    columnar_attack_report,
 )
 from repro.common.errors import ConfigurationError
 from repro.common.units import MiB, format_size
@@ -273,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     attack.add_argument(
         "--attack",
-        choices=("basic", "locality", "advanced"),
+        choices=KNOWN_ATTACKS,
         default="locality",
     )
     attack.add_argument(
@@ -493,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--attack",
-        choices=("basic", "locality", "advanced"),
+        choices=KNOWN_ATTACKS,
         default="advanced",
     )
     serve.add_argument(
@@ -923,19 +922,36 @@ def _shaping_spec(args: argparse.Namespace) -> str:
     """Validate and canonicalize the ``--shaping`` policy spec."""
     from repro.service.shaping import parse_policy
 
-    try:
-        return parse_policy(args.shaping).spec()
-    except ConfigurationError as error:
-        raise SystemExit(str(error)) from None
+    return parse_policy(args.shaping).spec()
 
 
-def _cmd_attack(args: argparse.Namespace) -> int:
+def _check_attack_flags(args: argparse.Namespace) -> None:
+    """Reject the flag sets ``attack`` has no source for; warn (stderr)
+    about flags the chosen source ignores."""
     if (args.dataset is None) == (args.columnar is None):
         raise SystemExit(
             "pick exactly one input: a dataset positional, or --columnar DIR"
         )
     if args.columnar is not None:
-        return _run_columnar_attack(args)
+        if args.scheme != "mle":
+            raise SystemExit(
+                "--columnar derives the ciphertext side at the vocabulary "
+                "level, which exists for the deterministic mle scheme only; "
+                "other schemes need the in-RAM pipeline (drop --columnar)"
+            )
+        if args.nodes > 1:
+            raise SystemExit(
+                "--columnar and --nodes > 1 are separate experiments; "
+                "drop one of the two"
+            )
+        if args.workdir:
+            raise SystemExit(
+                "--columnar keeps COUNT state in flat arrays, not backend "
+                "stores; --workdir does not apply (see "
+                "repro.attacks.persistent.persist_chunk_stats for "
+                "backend-backed columnar COUNT)"
+            )
+        return
     if args.jobs != 1:
         print(
             "warning: --jobs has no effect without --columnar",
@@ -961,74 +977,14 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             "--workdir COUNT persistence is not supported for partial-view "
             "(--nodes > 1) attacks; drop one of the two"
         )
-    if args.nodes > 1:
-        return _run_partial_view_attack(args)
-    evaluator = AttackEvaluator(
-        encrypted_series(args.dataset, _scheme_spec(args))
-    )
-    if args.attack == "basic":
-        attack = BasicAttack()
-    elif args.workdir and args.attack == "locality":
-        attack = PersistentLocalityAttack(
-            args.workdir,
-            u=args.u,
-            v=args.v,
-            w=args.w,
-            backend=args.backend,
-            shards=args.shards,
-        )
-    elif args.workdir:
-        attack = PersistentAdvancedAttack(
-            args.workdir,
-            u=args.u,
-            v=args.v,
-            w=args.w,
-            backend=args.backend,
-            shards=args.shards,
-        )
-    elif args.attack == "locality":
-        attack = LocalityAttack(u=args.u, v=args.v, w=args.w)
-    else:
-        attack = AdvancedLocalityAttack(u=args.u, v=args.v, w=args.w)
-    report = evaluator.run(
-        attack,
-        auxiliary=args.auxiliary,
-        target=args.target,
-        leakage_rate=args.leakage_rate,
-        seed=args.seed,
-    )
-    print(report)
-    return 0
 
 
-def _run_columnar_attack(args: argparse.Namespace) -> int:
-    """``attack --columnar DIR``: the trace-scale sharded-COUNT path."""
-    from repro.attacks.sharded import columnar_attack_report
-
-    if args.scheme != "mle":
-        raise SystemExit(
-            "--columnar derives the ciphertext side at the vocabulary "
-            "level, which exists for the deterministic mle scheme only; "
-            "other schemes need the in-RAM pipeline (drop --columnar)"
-        )
-    if args.attack not in ("locality", "advanced"):
-        raise SystemExit(
-            "--columnar drives the counted-stats attacks only "
-            "(--attack locality or advanced)"
-        )
-    if args.nodes > 1:
-        raise SystemExit(
-            "--columnar and --nodes > 1 are separate experiments; "
-            "drop one of the two"
-        )
-    if args.workdir:
-        raise SystemExit(
-            "--columnar keeps COUNT state in flat arrays, not backend "
-            "stores; --workdir does not apply (see "
-            "repro.attacks.persistent.persist_chunk_stats for "
-            "backend-backed columnar COUNT)"
-        )
-    try:
+def _cmd_attack(args: argparse.Namespace) -> int:
+    """One attack, one report: the flags pick the adversary's source — an
+    on-disk columnar trace, one compromised node's shard of a dataset's
+    target, or the whole target (its COUNT under ``--workdir`` if given)."""
+    _check_attack_flags(args)
+    if args.columnar is not None:
         report = columnar_attack_report(
             args.columnar,
             args.attack,
@@ -1041,41 +997,39 @@ def _run_columnar_attack(args: argparse.Namespace) -> int:
             w=args.w,
             jobs=args.jobs,
         )
-    except ConfigurationError as error:
-        raise SystemExit(str(error)) from None
+    else:
+        attack = build_attack(args.attack, args.u, args.v, args.w)
+        spec = _scheme_spec(args)
+        evaluator = AttackEvaluator(encrypted_series(args.dataset, spec))
+        if args.nodes > 1:
+            from repro.cluster import partial_view_report
+
+            auxiliary, target = evaluator.pair(args.auxiliary, args.target)
+            report = partial_view_report(
+                attack,
+                target,
+                auxiliary,
+                nodes=args.nodes,
+                routing=args.routing,
+                compromised_node=args.compromised_node,
+                scheme=spec,
+                leakage_rate=args.leakage_rate,
+                seed=args.seed,
+            )
+        else:
+            report = evaluator.run(
+                attack,
+                auxiliary=args.auxiliary,
+                target=args.target,
+                leakage_rate=args.leakage_rate,
+                seed=args.seed,
+                count=(
+                    backend_count(args.workdir, args.backend, args.shards)
+                    if args.workdir
+                    else None
+                ),
+            )
     print(report)
-    return 0
-
-
-def _run_partial_view_attack(args: argparse.Namespace) -> int:
-    """``attack --nodes N``: the adversary sees one node's shard only."""
-    from repro.cluster import partial_view_report
-    from repro.scenarios.cells import build_attack
-    from repro.scenarios.spec import _resolve_index
-
-    spec = _scheme_spec(args)
-    encrypted = encrypted_series(args.dataset, spec)
-    length = len(encrypted)
-
-    def resolve(index: int) -> int:
-        try:
-            return _resolve_index(index, length)
-        except ConfigurationError as error:
-            raise SystemExit(str(error)) from None
-
-    attack = build_attack(args.attack, args.u, args.v, args.w)
-    view = partial_view_report(
-        attack,
-        encrypted[resolve(args.target)],
-        encrypted.plaintext[resolve(args.auxiliary)],
-        nodes=args.nodes,
-        routing=args.routing,
-        compromised_node=args.compromised_node,
-        scheme=spec,
-        leakage_rate=args.leakage_rate,
-        seed=args.seed,
-    )
-    print(view)
     return 0
 
 
@@ -1126,19 +1080,10 @@ def _validate_sweep_axes(datasets, schemes, attacks) -> None:
     from repro.defenses.obfuscate import parse_scheme
 
     for scheme in schemes:
-        try:
-            # Accepts plain names and parameterized specs ("obfuscate:4").
-            parse_scheme(scheme)
-        except ConfigurationError as error:
-            raise SystemExit(str(error)) from None
-    from repro.scenarios.cells import KNOWN_ATTACKS
-
+        # Accepts plain names and parameterized specs ("obfuscate:4").
+        parse_scheme(scheme)
     for attack_name in attacks:
-        if attack_name not in KNOWN_ATTACKS:
-            raise SystemExit(
-                f"unknown attack {attack_name!r}; choose from "
-                f"{sorted(KNOWN_ATTACKS)}"
-            )
+        build_attack(attack_name)
 
 
 def _validate_leakage_rates(rates) -> None:
@@ -1191,12 +1136,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             leakage_rates=leakage_rates,
             seed=args.seed,
         )
-        try:
-            cells.extend(spec.expand())
-        except ConfigurationError as error:
-            # e.g. a --pairs index outside the series: same clean exit
-            # style as the other axis validations.
-            raise SystemExit(str(error)) from None
+        cells.extend(spec.expand())
     runner = Runner(jobs=args.jobs, cache=args.cache)
     results = runner.run_cells(cells)
     result = FigureResult(
@@ -1257,13 +1197,10 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
         policies = _split(args.policies, str)
         service_schemes = _split(args.service_schemes, str)
     _validate_sweep_axes(datasets, schemes, attacks)
-    try:
-        for scheme in service_schemes:
-            parse_scheme(scheme)
-        for policy in policies:
-            parse_policy(policy)
-    except ConfigurationError as error:
-        raise SystemExit(str(error)) from None
+    for scheme in service_schemes:
+        parse_scheme(scheme)
+    for policy in policies:
+        parse_policy(policy)
 
     report = frontier_report(
         datasets=datasets,
@@ -1700,6 +1637,9 @@ def main(argv: list[str] | None = None) -> int:
     _faults_install(args)
     try:
         return _HANDLERS[args.command](args)
+    except ConfigurationError as error:
+        # The one boundary: bad input exits with its one-line message.
+        raise SystemExit(str(error)) from None
     finally:
         faults.clear()
         _obs_export(args)

@@ -17,8 +17,10 @@ byte-identical at any job count — through the standard
 
 from __future__ import annotations
 
+from repro.attacks.evaluation import AttackEvaluator, build_attack
 from repro.cluster.partial import partial_view_report
-from repro.scenarios.cells import build_attack, register_cell_kind
+from repro.datasets.model import resolve_index
+from repro.scenarios.cells import register_cell_kind
 from repro.scenarios.spec import Cell, Tags
 
 # Row fields every `cluster` cell computes, in report-table order.
@@ -39,18 +41,18 @@ CLUSTER_GRID_COLUMNS = (
 def _run_cluster(params: dict) -> tuple[Tags, ...]:
     """Execute one partial-view cell (runnable in any worker process)."""
     from repro.analysis.workloads import encrypted_series
-    from repro.defenses.pipeline import DefenseScheme
 
-    encrypted = encrypted_series(
-        params["dataset"], DefenseScheme(params["scheme"])
-    )
+    # The scheme spec passes through verbatim ("obfuscate:4" included).
+    auxiliary, target = AttackEvaluator(
+        encrypted_series(params["dataset"], params["scheme"])
+    ).pair(params["auxiliary"], params["target"])
     attack = build_attack(
         params["attack"], params["u"], params["v"], params["w"]
     )
     view = partial_view_report(
         attack,
-        encrypted[params["target"]],
-        encrypted.plaintext[params["auxiliary"]],
+        target,
+        auxiliary,
         nodes=params["nodes"],
         routing=params["routing"],
         compromised_node=params["compromised_node"],
@@ -58,19 +60,19 @@ def _run_cluster(params: dict) -> tuple[Tags, ...]:
         leakage_rate=params.get("leakage_rate", 0.0),
         seed=params.get("seed", 0),
     )
-    report = view.report
     return (
         (
-            ("auxiliary", report.auxiliary_label),
-            ("target", report.target_label),
+            *view.report.row("auxiliary", "target"),
             ("shard_chunks", view.shard_chunks),
             ("shard_unique_chunks", view.shard_unique_chunks),
             ("shard_fraction", round(view.shard_fraction, 5)),
-            ("inference_rate", round(report.inference_rate, 5)),
-            ("precision", round(report.precision, 5)),
-            ("correct_pairs", report.correct_pairs),
-            ("inferred_pairs", report.inferred_pairs),
-            ("unique_ciphertext_chunks", report.unique_ciphertext_chunks),
+            *view.report.row(
+                "inference_rate",
+                "precision",
+                "correct_pairs",
+                "inferred_pairs",
+                "unique_ciphertext_chunks",
+            ),
         ),
     )
 
@@ -111,11 +113,10 @@ def cluster_grid_cells(
         seed: determinises the leakage sample.
     """
     from repro.analysis.workloads import series_length
-    from repro.scenarios.spec import _resolve_index
 
     length = series_length(dataset)
-    auxiliary = _resolve_index(auxiliary, length)
-    target = _resolve_index(target, length)
+    auxiliary = resolve_index(auxiliary, length)
+    target = resolve_index(target, length)
     cells = []
     for scheme in schemes:
         for attack in attacks:

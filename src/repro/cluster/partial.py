@@ -11,10 +11,11 @@ observes; a per-shard COUNT is exactly that experiment.
 arrival order — the compromised node sees its own chunks in the order
 they arrived, so *within-shard* adjacency survives and the locality
 attacks still have structure to traverse).  :func:`evaluate_partial_view`
-then runs any paper attack over the projected ciphertext with the
-adversary's **full** auxiliary knowledge (the prior backup is the
-adversary's own plaintext — nothing shards it), and scores against the
-whole target:
+then hands the one evaluation driver
+(:func:`repro.attacks.evaluation.evaluate`) a source whose observed
+ciphertext is the projection, with the adversary's **full** auxiliary
+knowledge (the prior backup is the adversary's own plaintext — nothing
+shards it), scored against the whole target:
 
 * the inference-rate denominator stays the *full* target's unique
   ciphertext chunk count, so the rate reads as "fraction of the backup
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.attacks.base import Attack
-from repro.attacks.evaluation import InferenceReport, sample_leakage
+from repro.attacks.evaluation import AttackSource, InferenceReport, evaluate
 from repro.cluster.ring import DEFAULT_VNODES, Router, open_router
 from repro.common.errors import ConfigurationError
 from repro.datasets.model import Backup
@@ -125,8 +126,8 @@ def evaluate_partial_view(
 
     Returns:
         A :class:`PartialViewReport`; a shard with zero observed chunks
-        scores an all-zero report instead of failing, so sweeps over
-        large clusters stay total.
+        scores an all-zero report (an attack over an empty stream infers
+        nothing), so sweeps over large clusters stay total.
     """
     if compromised_node not in router.node_ids:
         raise ConfigurationError(
@@ -134,67 +135,20 @@ def evaluate_partial_view(
             f"(nodes: {list(router.node_ids)})"
         )
     shard = shard_view(target.ciphertext, router, compromised_node)
+    # The source of a node compromise: the shard is what was observed and
+    # what can leak; the denominator stays the full target's, so the rate
+    # reads as "fraction of the whole backup the shard betrayed".
+    source = AttackSource.of_backups(scheme, target, auxiliary, observed=shard)
+    shard_unique = len(source.visible)
     full_unique = target.unique_ciphertext_chunks
-    shard_unique = len(set(shard.fingerprints))
-    shard_fraction = shard_unique / full_unique if full_unique else 0.0
-    nodes = len(router.node_ids)
-    routing = getattr(router, "policy", "ring")
-
-    leaked = sample_leakage(target, leakage_rate, seed)
-    if leaked:
-        visible = set(shard.fingerprints)
-        leaked = {
-            cipher_fp: plain_fp
-            for cipher_fp, plain_fp in leaked.items()
-            if cipher_fp in visible
-        }
-
-    if len(shard) == 0:
-        report = InferenceReport(
-            attack=attack.name,
-            scheme=scheme,
-            auxiliary_label=auxiliary.label,
-            target_label=target.label,
-            unique_ciphertext_chunks=full_unique,
-            inferred_pairs=0,
-            correct_pairs=0,
-            leakage_rate=leakage_rate,
-            leaked_pairs=0,
-            iterations=0,
-        )
-        return PartialViewReport(
-            report=report,
-            nodes=nodes,
-            routing=routing,
-            compromised_node=compromised_node,
-            shard_chunks=0,
-            shard_unique_chunks=0,
-            shard_fraction=0.0,
-        )
-
-    result = attack.run(shard, auxiliary, leaked or None)
-    report = InferenceReport(
-        attack=result.attack_name,
-        scheme=scheme,
-        auxiliary_label=auxiliary.label,
-        target_label=target.label,
-        # Full-target denominator: the rate reads as "fraction of the
-        # whole backup the compromised shard betrayed".
-        unique_ciphertext_chunks=full_unique,
-        inferred_pairs=len(result.pairs),
-        correct_pairs=result.correct_pairs(target.truth),
-        leakage_rate=leakage_rate,
-        leaked_pairs=len(leaked),
-        iterations=result.iterations,
-    )
     return PartialViewReport(
-        report=report,
-        nodes=nodes,
-        routing=routing,
+        report=evaluate(attack, source, leakage_rate, seed),
+        nodes=len(router.node_ids),
+        routing=getattr(router, "policy", "ring"),
         compromised_node=compromised_node,
         shard_chunks=len(shard),
         shard_unique_chunks=shard_unique,
-        shard_fraction=round(shard_fraction, 6),
+        shard_fraction=round(shard_unique / full_unique, 6) if full_unique else 0.0,
     )
 
 

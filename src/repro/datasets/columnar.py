@@ -45,7 +45,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from repro.common import accel
 from repro.common.errors import ConfigurationError
 from repro.common.rng import rng_from
-from repro.datasets.model import Backup, BackupSeries
+from repro.datasets.model import Backup, BackupSeries, resolve_index
 
 __all__ = [
     "ColumnarBackupView",
@@ -750,8 +750,10 @@ class ColumnarTrace:
         return [ColumnarBackupView(self, span) for span in self.backups]
 
     def view(self, index: int) -> ColumnarBackupView:
-        """One backup view by series position (negative indices wrap)."""
-        return ColumnarBackupView(self, self.backups[index])
+        """One backup view by series position (negative indices count
+        from the end; out of range is a ``ConfigurationError``)."""
+        span = self.backups[resolve_index(index, len(self.backups))]
+        return ColumnarBackupView(self, span)
 
     def labels(self) -> list[str]:
         return [span.label for span in self.backups]

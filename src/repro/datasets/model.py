@@ -19,6 +19,21 @@ from typing import Iterator
 from repro.common.errors import ConfigurationError
 
 
+def resolve_index(index: int, length: int) -> int:
+    """A backup's position in a series of ``length`` backups; negative
+    indices count from the end.
+
+    Raises:
+        ConfigurationError: the index falls outside the series.
+    """
+    resolved = index if index >= 0 else length + index
+    if not 0 <= resolved < length:
+        raise ConfigurationError(
+            f"backup index {index} out of range for series of length {length}"
+        )
+    return resolved
+
+
 @dataclass(frozen=True)
 class ChunkRecord:
     """One logical chunk occurrence: its fingerprint and plaintext size."""

@@ -1,12 +1,12 @@
 """Indexing substrate.
 
-* :class:`KVBackend` and its implementations (:class:`MemoryBackend`,
+* :class:`KVBackend` and its implementations (:class:`KVStore`,
   :class:`SQLiteBackend`, :class:`ShardedBackend`, built via
   :func:`open_backend`) — the pluggable backend seam every
   fingerprint-keyed table sits behind (the paper keeps these tables in
   LevelDB, §5.2).
 * :class:`KVStore` — an embedded, ordered key-value store with optional
-  write-ahead-log persistence; also satisfies :class:`KVBackend`.
+  write-ahead-log persistence; without a path, the in-memory backend.
 * :class:`BloomFilter` — the in-memory filter of the DDFS prototype
   (§7.4.1), parameterised by capacity and target false-positive rate;
   ``add`` is a test-and-set (one digest per key for DDFS step S2).
@@ -17,7 +17,6 @@
 from repro.index.backends import (
     BACKEND_SPECS,
     KVBackend,
-    MemoryBackend,
     ShardedBackend,
     SQLiteBackend,
     open_backend,
@@ -33,7 +32,6 @@ __all__ = [
     "KVBackend",
     "KVStore",
     "LRUCache",
-    "MemoryBackend",
     "ShardedBackend",
     "SQLiteBackend",
     "open_backend",

@@ -9,16 +9,16 @@ dict, a SQLite file, or a set of hash-partitioned shards.
 
 Backends:
 
-* :class:`MemoryBackend` — a plain dict. The default everywhere; keeps the
-  existing figure benches allocation-light and bit-identical.
+* :class:`~repro.index.kvstore.KVStore` — a dict memtable, ordered views
+  sorted on request, and a write-ahead log when given a path. Without a
+  path it is the in-memory backend: the default everywhere (``"memory"``),
+  allocation-light and bit-identical.
 * :class:`SQLiteBackend` — a single-table SQLite store (WAL journal when
   file-backed) that buffers writes and flushes them with ``executemany``.
   Spills tables larger than RAM to disk, like the paper's LevelDB.
 * :class:`ShardedBackend` — hash-partitions keys across N sub-backends
   (CRC32 of the key, deterministic across processes). The seam for
   multi-process or remote sharding in later work.
-* :class:`~repro.index.kvstore.KVStore` — the ordered WAL-log store also
-  satisfies the protocol (it predates it).
 
 Every backend preserves **first-insertion order** under
 :meth:`~KVBackend.insertion_items`, exactly like a Python dict: re-putting
@@ -51,7 +51,6 @@ __all__ = [
     "BACKEND_SPECS",
     "DEFAULT_SHARDS",
     "KVBackend",
-    "MemoryBackend",
     "SQLiteBackend",
     "ShardedBackend",
     "open_backend",
@@ -102,60 +101,6 @@ class KVBackend(Protocol):
 def _check_pair(key: bytes, value: bytes) -> None:
     if not isinstance(key, bytes) or not isinstance(value, bytes):
         raise StorageError("backend keys and values must be bytes")
-
-
-class MemoryBackend:
-    """Dict-backed backend: the allocation-light default, no persistence."""
-
-    def __init__(self) -> None:
-        self._data: dict[bytes, bytes] = {}
-
-    def get(self, key: bytes, default: bytes | None = None) -> bytes | None:
-        return self._data.get(key, default)
-
-    def put(self, key: bytes, value: bytes) -> None:
-        _check_pair(key, value)
-        self._data[key] = value
-
-    def put_batch(self, items: Iterable[tuple[bytes, bytes]]) -> None:
-        data = self._data
-        for key, value in items:
-            _check_pair(key, value)
-            data[key] = value
-
-    def delete(self, key: bytes) -> bool:
-        if key in self._data:
-            del self._data[key]
-            return True
-        return False
-
-    def __contains__(self, key: bytes) -> bool:
-        return key in self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def keys(self) -> Iterator[bytes]:
-        return iter(sorted(self._data))
-
-    def items(self) -> Iterator[tuple[bytes, bytes]]:
-        for key in sorted(self._data):
-            yield key, self._data[key]
-
-    def insertion_items(self) -> Iterator[tuple[bytes, bytes]]:
-        return iter(self._data.items())
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "MemoryBackend":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 # Bounded retry for "database is locked" write failures: attempts past
@@ -493,7 +438,8 @@ def open_backend(
 
     Specs:
 
-    * ``"memory"`` — :class:`MemoryBackend` (``path`` must be ``None``).
+    * ``"memory"`` — :class:`~repro.index.kvstore.KVStore` without a log
+      (``path`` must be ``None``).
     * ``"kvstore"`` — :class:`~repro.index.kvstore.KVStore`, WAL-persistent
       when ``path`` is given.
     * ``"sqlite"`` — :class:`SQLiteBackend`, file-backed when ``path`` is
@@ -513,7 +459,7 @@ def open_backend(
     if name == "memory":
         if path is not None:
             raise ConfigurationError("the memory backend does not persist")
-        return MemoryBackend()
+        return KVStore()
     if name == "kvstore":
         return KVStore(path)
     if name == "sqlite":
@@ -530,7 +476,7 @@ def open_backend(
         if count < 1:
             raise ConfigurationError("shard count must be >= 1")
         if path is None:
-            return ShardedBackend([MemoryBackend() for _ in range(count)])
+            return ShardedBackend([KVStore() for _ in range(count)])
         directory = Path(path)
         directory.mkdir(parents=True, exist_ok=True)
         return ShardedBackend(

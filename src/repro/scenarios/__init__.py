@@ -11,8 +11,6 @@ from repro.scenarios.cache import CACHE_VERSION, ResultCache, cell_key
 from repro.scenarios.cells import (
     CELL_EXECUTORS,
     CELL_WARMERS,
-    KNOWN_ATTACKS,
-    build_attack,
     ensure_cell_kind,
     execute_cell,
     known_cell_kinds,
@@ -43,14 +41,12 @@ __all__ = [
     "CELL_WARMERS",
     "Cell",
     "CellResult",
-    "KNOWN_ATTACKS",
     "ResultCache",
     "RunStats",
     "Runner",
     "Scenario",
     "ScenarioRun",
     "ScenarioSpec",
-    "build_attack",
     "cell_key",
     "ensure_cell_kind",
     "execute_cell",

@@ -8,9 +8,11 @@ dataset at most once, no matter how many of its cells it executes — and
 returns rows of plain ``(field, value)`` pairs, which survive the JSON
 round-trip through the on-disk result cache bit-for-bit.
 
-Rounding happens here (5 decimals for inference rates, 4 for storage and
-metadata figures, matching the pre-engine figure drivers) so cached and
-freshly-computed rows are byte-identical.
+Rounding happens here (4 decimals for storage and metadata figures; the
+attack row's 5 for inference rates is
+:meth:`~repro.attacks.evaluation.InferenceReport.row`), matching the
+pre-engine figure drivers, so cached and freshly-computed rows are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -32,39 +34,6 @@ from repro.scenarios.spec import (
 FieldRows = tuple[Tags, ...]
 CellExecutor = Callable[[dict], FieldRows]
 
-# The attacks build_attack knows; CLI validation derives from this.
-KNOWN_ATTACKS = ("basic", "locality", "advanced")
-
-
-def build_attack(name: str, u: int, v: int, w: int):
-    """Instantiate a paper attack by CLI-friendly name.
-
-    Args:
-        name: one of :data:`KNOWN_ATTACKS` (``"basic"`` ignores the
-            locality parameters).
-        u / v / w: the locality-attack knobs of §4 (seed pairs, accepted
-            co-occurrence pairs per neighbor analysis, queue bound).
-
-    Returns:
-        A ready-to-run :class:`~repro.attacks.base.Attack`.
-
-    Raises:
-        ConfigurationError: the name is not a known attack.
-    """
-    from repro.attacks.advanced import AdvancedLocalityAttack
-    from repro.attacks.basic import BasicAttack
-    from repro.attacks.locality import LocalityAttack
-
-    if name == "basic":
-        return BasicAttack()
-    if name == "locality":
-        return LocalityAttack(u=u, v=v, w=w)
-    if name == "advanced":
-        return AdvancedLocalityAttack(u=u, v=v, w=w)
-    raise ConfigurationError(
-        f"unknown attack {name!r}; choose from {sorted(KNOWN_ATTACKS)}"
-    )
-
 
 def _encrypted(dataset: str, scheme: str):
     # Scheme specs pass through verbatim (the pipeline parses plain
@@ -74,34 +43,27 @@ def _encrypted(dataset: str, scheme: str):
     return encrypted_series(dataset, scheme)
 
 
-def _run_attack(params: dict) -> FieldRows:
-    """One evaluator run: the ``attack`` kind behind Figs. 4–10."""
-    from repro.attacks.evaluation import AttackEvaluator
+def attack_report(params: dict):
+    """One evaluator run from attack-cell params: the ``attack`` kind
+    behind Figs. 4–10, and the attack inside any kind that adds columns
+    to it."""
+    from repro.attacks.evaluation import AttackEvaluator, build_attack
 
     evaluator = AttackEvaluator(_encrypted(params["dataset"], params["scheme"]))
     attack = build_attack(
         params["attack"], params["u"], params["v"], params["w"]
     )
-    report = evaluator.run(
+    return evaluator.run(
         attack,
         auxiliary=params["auxiliary"],
         target=params["target"],
         leakage_rate=params["leakage_rate"],
         seed=params.get("seed", 0),
     )
-    return (
-        (
-            ("auxiliary", report.auxiliary_label),
-            ("target", report.target_label),
-            ("inference_rate", round(report.inference_rate, 5)),
-            ("precision", round(report.precision, 5)),
-            ("correct_pairs", report.correct_pairs),
-            ("inferred_pairs", report.inferred_pairs),
-            ("unique_ciphertext_chunks", report.unique_ciphertext_chunks),
-            ("leaked_pairs", report.leaked_pairs),
-            ("iterations", report.iterations),
-        ),
-    )
+
+
+def _run_attack(params: dict) -> FieldRows:
+    return (attack_report(params).row(),)
 
 
 def _run_frequency(params: dict) -> FieldRows:
@@ -190,7 +152,6 @@ _LAZY_KIND_MODULES = {
     "service_attack": "repro.service.cells",
     "serve_net": "repro.service.cells",
     "cluster": "repro.cluster.cells",
-    "columnar_attack": "repro.attacks.sharded",
     "defense_frontier": "repro.analysis.frontier",
 }
 

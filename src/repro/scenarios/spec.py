@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from repro.common.errors import ConfigurationError
+from repro.datasets.model import resolve_index
 
 # Cell kinds understood by repro.scenarios.cells.
 ATTACK = "attack"
@@ -50,15 +51,6 @@ class AttackParams:
     u: int = 1
     v: int = 15
     w: int = 200_000
-
-
-def _resolve_index(index: int, length: int) -> int:
-    resolved = index if index >= 0 else length + index
-    if not 0 <= resolved < length:
-        raise ConfigurationError(
-            f"backup index {index} out of range for series of length {length}"
-        )
-    return resolved
 
 
 @dataclass(frozen=True)
@@ -108,19 +100,19 @@ class Anchor:
         if self.mode == PAIR:
             return [
                 (
-                    _resolve_index(self.auxiliary, length),
-                    _resolve_index(self.target, length),
+                    resolve_index(self.auxiliary, length),
+                    resolve_index(self.target, length),
                     (),
                 )
             ]
         if self.mode == VARY_AUXILIARY:
-            target = _resolve_index(self.target, length)
+            target = resolve_index(self.target, length)
             stop = target if self.max_auxiliary is None else min(
                 target, self.max_auxiliary
             )
             return [(aux, target, ()) for aux in range(stop)]
         if self.mode == VARY_TARGET:
-            auxiliary = _resolve_index(self.auxiliary, length)
+            auxiliary = resolve_index(self.auxiliary, length)
             return [
                 (auxiliary, target, ())
                 for target in range(auxiliary + 1, length)

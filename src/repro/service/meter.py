@@ -12,8 +12,8 @@ single-client trace path cannot express:
   share; :meth:`SideChannelMeter.overlap_matrix` quantifies it, and
   :meth:`SideChannelMeter.evaluate` replays the paper's frequency/
   locality attacks with one tenant's *plaintext* as auxiliary knowledge
-  against another tenant's *ciphertext* upload, through the standard
-  :class:`~repro.attacks.evaluation.AttackEvaluator`.
+  against another tenant's *ciphertext* upload, through the one
+  evaluation driver (:func:`repro.attacks.evaluation.evaluate`).
 
 The meter is evaluation harness, not server code: it also retains the
 plaintext streams (ground truth) so inference rates can be scored, which
@@ -23,14 +23,10 @@ a real adversary of course lacks.
 from __future__ import annotations
 
 from repro.attacks.base import Attack
-from repro.attacks.evaluation import AttackEvaluator, InferenceReport
-from repro.datasets.model import Backup, BackupSeries
+from repro.attacks.evaluation import AttackSource, InferenceReport, evaluate
+from repro.datasets.model import Backup
 from repro.common.errors import ConfigurationError
-from repro.defenses.pipeline import (
-    DefenseScheme,
-    EncryptedBackup,
-    EncryptedSeries,
-)
+from repro.defenses.pipeline import DefenseScheme, EncryptedBackup
 from repro.service.server import RequestObservables, UploadResult
 from repro.service.traffic import RESTORE, UPLOAD, Request
 
@@ -45,8 +41,7 @@ class SideChannelMeter:
 
     Args:
         scheme: the defense scheme the observed service encrypts under
-            (stamped into attack reports and the reconstructed
-            :class:`~repro.defenses.pipeline.EncryptedSeries`).
+            (stamped into attack reports).
     """
 
     def __init__(self, scheme: DefenseScheme = DefenseScheme.MLE):
@@ -207,8 +202,7 @@ class SideChannelMeter:
                 negative indices count from the end (default: last).
 
         Returns:
-            The upload's index in the meter's service-order trace (what
-            :meth:`encrypted_trace` feeds the evaluator).
+            The upload's index in the meter's service-order trace.
 
         Raises:
             ConfigurationError: the tenant completed no uploads.
@@ -238,30 +232,30 @@ class SideChannelMeter:
             population.sizes.extend(backup.sizes)
         return population
 
-    def encrypted_trace(
-        self, extra_plaintexts: list[Backup] | None = None
-    ) -> EncryptedSeries:
-        """The service-generated trace as an :class:`EncryptedSeries`.
+    def attack_pair(
+        self,
+        auxiliary_tenant: int | None,
+        target_tenant: int,
+        auxiliary_occurrence: int = -1,
+        target_occurrence: int = -1,
+    ) -> tuple[Backup, EncryptedBackup]:
+        """The adversary's plaintext knowledge and the victim's encrypted
+        upload, as :meth:`evaluate` pairs them. Auxiliary-information
+        streams such as the population auxiliary are never uploads
+        themselves.
 
-        Backups appear in service order (the interleaved upload stream),
-        so any (auxiliary, target) index pair — same tenant or cross-
-        tenant — runs through the unchanged
-        :class:`~repro.attacks.evaluation.AttackEvaluator`.
-        ``extra_plaintexts`` are appended to the *plaintext* side only
-        (auxiliary-information streams, e.g. the population auxiliary,
-        are never uploads themselves).
+        Raises:
+            ConfigurationError: either tenant completed no uploads.
         """
-        plaintext = BackupSeries(
-            name="service",
-            backups=list(self._plaintexts) + list(extra_plaintexts or ()),
-            chunking="variable",
-        )
-        return EncryptedSeries(
-            name="service",
-            scheme=self.scheme,
-            plaintext=plaintext,
-            backups=list(self._ciphertexts),
-        )
+        if auxiliary_tenant is None:
+            auxiliary = self.population_auxiliary(target_tenant)
+        else:
+            auxiliary = self._plaintexts[
+                self.upload_position(auxiliary_tenant, auxiliary_occurrence)
+            ]
+        return auxiliary, self._ciphertexts[
+            self.upload_position(target_tenant, target_occurrence)
+        ]
 
     def evaluate(
         self,
@@ -296,22 +290,11 @@ class SideChannelMeter:
         Raises:
             ConfigurationError: either tenant completed no uploads.
         """
-        if auxiliary_tenant is None:
-            extra = [self.population_auxiliary(target_tenant)]
-            evaluator = AttackEvaluator(self.encrypted_trace(extra))
-            auxiliary = len(self._plaintexts)
-        else:
-            evaluator = AttackEvaluator(self.encrypted_trace())
-            auxiliary = self.upload_position(
-                auxiliary_tenant, auxiliary_occurrence
-            )
-        return evaluator.run(
-            attack,
-            auxiliary=auxiliary,
-            target=self.upload_position(target_tenant, target_occurrence),
-            leakage_rate=leakage_rate,
-            seed=seed,
+        auxiliary, target = self.attack_pair(
+            auxiliary_tenant, target_tenant, auxiliary_occurrence, target_occurrence
         )
+        source = AttackSource.of_backups(self.scheme.value, target, auxiliary)
+        return evaluate(attack, source, leakage_rate, seed)
 
     def evaluate_partial(
         self,
@@ -354,16 +337,9 @@ class SideChannelMeter:
         """
         from repro.cluster.partial import evaluate_partial_view
 
-        if auxiliary_tenant is None:
-            auxiliary = self.population_auxiliary(target_tenant)
-        else:
-            position = self.upload_position(
-                auxiliary_tenant, auxiliary_occurrence
-            )
-            auxiliary = self._plaintexts[position]
-        target = self._ciphertexts[
-            self.upload_position(target_tenant, target_occurrence)
-        ]
+        auxiliary, target = self.attack_pair(
+            auxiliary_tenant, target_tenant, auxiliary_occurrence, target_occurrence
+        )
         return evaluate_partial_view(
             attack,
             target,

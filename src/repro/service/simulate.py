@@ -26,6 +26,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 from repro import obs
+from repro.attacks.evaluation import build_attack
 from repro.common.errors import QuotaExceededError
 from repro.scenarios.spec import Cell, Tags
 from repro.service.meter import SideChannelMeter
@@ -292,8 +293,6 @@ def evaluate_pair(
 
     Pairs that fail :func:`pair_served` score a zero row (see there).
     """
-    from repro.scenarios.cells import build_attack
-
     config = trace.config
     meter = trace.meter
     auxiliary = None if auxiliary_tenant < 0 else auxiliary_tenant
@@ -315,14 +314,17 @@ def evaluate_pair(
     return {
         "auxiliary_tenant": auxiliary_tenant,
         "target_tenant": target_tenant,
-        "auxiliary": report.auxiliary_label,
-        "target": report.target_label,
+        **dict(report.row("auxiliary", "target")),
         "overlap": round(trace.meter.overlap(auxiliary, target_tenant), 4),
-        "inference_rate": round(report.inference_rate, 5),
-        "precision": round(report.precision, 5),
-        "correct_pairs": report.correct_pairs,
-        "inferred_pairs": report.inferred_pairs,
-        "unique_ciphertext_chunks": report.unique_ciphertext_chunks,
+        **dict(
+            report.row(
+                "inference_rate",
+                "precision",
+                "correct_pairs",
+                "inferred_pairs",
+                "unique_ciphertext_chunks",
+            )
+        ),
     }
 
 
@@ -409,8 +411,6 @@ def cluster_report(
     shard (:meth:`~repro.service.meter.SideChannelMeter.evaluate_partial`).
     Computed in the calling process — deterministic at any ``jobs``.
     """
-    from repro.scenarios.cells import build_attack
-
     config = trace.config
     cluster = trace.service.cluster
     report = cluster.load_report()
@@ -443,7 +443,7 @@ def cluster_report(
                 "auxiliary_tenant": auxiliary_tenant,
                 "target_tenant": target_tenant,
                 "shard_fraction": round(view.shard_fraction, 5),
-                "inference_rate": round(view.report.inference_rate, 5),
+                **dict(view.report.row("inference_rate")),
             }
         )
         rates.append(view.report.inference_rate)

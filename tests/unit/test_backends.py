@@ -17,7 +17,6 @@ from repro.common.errors import ConfigurationError, StorageError
 from repro.datasets.model import Backup
 from repro.index.backends import (
     KVBackend,
-    MemoryBackend,
     ShardedBackend,
     SQLiteBackend,
     open_backend,
@@ -38,7 +37,7 @@ PERSISTENT_SPECS = ("kvstore-file", "sqlite-file", "sharded-file")
 
 def make_backend(spec: str, tmp_path) -> KVBackend:
     if spec == "memory":
-        return MemoryBackend()
+        return open_backend("memory")
     if spec == "kvstore":
         return KVStore()
     if spec == "kvstore-file":
@@ -48,7 +47,7 @@ def make_backend(spec: str, tmp_path) -> KVBackend:
     if spec == "sqlite-file":
         return SQLiteBackend(tmp_path / "store.db", batch_size=3)
     if spec == "sharded":
-        return ShardedBackend([MemoryBackend() for _ in range(3)])
+        return ShardedBackend([KVStore() for _ in range(3)])
     if spec == "sharded-file":
         return open_backend("sharded:3", tmp_path / "shards")
     raise AssertionError(spec)
@@ -113,13 +112,9 @@ class TestConformance:
     def test_put_batch_equals_sequential_puts(self, backend):
         items = [(b"b", b"1"), (b"a", b"2"), (b"c", b"3"), (b"a", b"4")]
         backend.put_batch(items)
-        reference = MemoryBackend()
-        for key, value in items:
-            reference.put(key, value)
-        assert list(backend.insertion_items()) == list(
-            reference.insertion_items()
-        )
-        assert list(backend.items()) == list(reference.items())
+        reference = dict(items)  # sequential puts: last value, first slot
+        assert list(backend.insertion_items()) == list(reference.items())
+        assert list(backend.items()) == sorted(reference.items())
 
     def test_delete(self, backend):
         backend.put(b"a", b"1")
@@ -258,7 +253,7 @@ class TestSQLiteLockedRetry:
 
 class TestShardedBackend:
     def test_partitions_across_shards(self):
-        shards = [MemoryBackend() for _ in range(4)]
+        shards = [KVStore() for _ in range(4)]
         store = ShardedBackend(shards)
         for i in range(64):
             store.put(b"key-%02d" % i, b"v")
@@ -271,7 +266,7 @@ class TestShardedBackend:
             ShardedBackend([])
 
     def test_global_insertion_order_across_shards(self):
-        store = ShardedBackend([MemoryBackend() for _ in range(5)])
+        store = ShardedBackend([KVStore() for _ in range(5)])
         keys = [b"k%03d" % i for i in range(40)]
         rng = random.Random(3)
         rng.shuffle(keys)

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.attacks import LocalityAttack
+from repro.attacks import KNOWN_ATTACKS, LocalityAttack, build_attack
 from repro.cli import main
 from repro.cluster import (
     DedupCluster,
@@ -224,9 +224,13 @@ class TestPartialView:
         assert view.report.inferred_pairs == full.inferred_pairs
         assert view.report.inference_rate == full.inference_rate
 
-    def test_empty_shard_scores_zero_without_failing(self):
+    @pytest.mark.parametrize("attack", KNOWN_ATTACKS)
+    def test_empty_shard_scores_zero_without_failing(self, attack, count_mode):
         # Acceptance edge case: a compromised node that happens to own
-        # none of the target's chunks observes nothing.
+        # none of the target's chunks observes nothing. partial.py has no
+        # empty-shard special case, so every attack must itself return
+        # nothing over an empty stream, in both accel modes — and nothing
+        # may leak from a node that stores nothing.
         class LonelyRouter:
             policy = "ring"
             node_ids = (0, 1)
@@ -238,16 +242,19 @@ class TestPartialView:
 
         encrypted = encrypted_fixture()
         view = evaluate_partial_view(
-            LocalityAttack(),
+            build_attack(attack),
             encrypted[-1],
             encrypted.plaintext[-2],
             LonelyRouter(),
             compromised_node=1,
+            leakage_rate=0.05,
         )
         assert view.shard_chunks == 0
         assert view.report.inference_rate == 0.0
         assert view.report.inferred_pairs == 0
         assert view.report.unique_ciphertext_chunks > 0
+        assert view.report.leaked_pairs == 0
+        assert view.report.attack == attack
 
     def test_unknown_node_rejected(self):
         encrypted = encrypted_fixture()
@@ -295,6 +302,29 @@ class TestClusterCells:
         assert len(cells) == 2 * 2 * 2
         kinds = {cell.kind for cell in cells}
         assert kinds == {"cluster"}
+
+    def test_parameterised_scheme_spec_passes_through(self):
+        # "obfuscate:4" is a spec, not a DefenseScheme member: the cell
+        # hands it to the workload registry verbatim, like attack cells —
+        # and at one node scores what the full-view evaluator scores.
+        from repro.analysis.workloads import encrypted_series
+        from repro.attacks import AttackEvaluator
+
+        cells = cluster_grid_cells(
+            dataset="synthetic", schemes=("obfuscate:4",), nodes=(1, 2),
+            leakage_rate=0.01,
+        )
+        rows = rows_from(Runner(jobs=1).run_cells(cells), CLUSTER_GRID_COLUMNS)
+        full = AttackEvaluator(encrypted_series("synthetic", "obfuscate:4")).run(
+            LocalityAttack(), -2, -1, leakage_rate=0.01
+        )
+        assert full.correct_pairs > full.leaked_pairs > 0
+        scheme, rate = (
+            CLUSTER_GRID_COLUMNS.index(name) for name in ("scheme", "inference_rate")
+        )
+        assert [row[scheme] for row in rows] == ["obfuscate:4"] * 2
+        assert rows[0][rate] == round(full.inference_rate, 5)
+        assert 0 < rows[1][rate] < rows[0][rate]
 
     def test_rows_monotone_and_deterministic_across_jobs(self):
         # Acceptance properties at unit scale: routing determinism

@@ -15,8 +15,6 @@ every seam:
   interrupt (manifest / completion marker as the only commit points).
 """
 
-import os
-
 import pytest
 
 from repro.attacks.evaluation import AttackEvaluator
@@ -27,7 +25,11 @@ from repro.attacks.interning import (
     check_vocabulary_capacity,
     interned_count,
 )
-from repro.attacks.persistent import load_chunk_stats, persist_chunk_stats
+from repro.attacks.persistent import (
+    _stream_identity,
+    load_chunk_stats,
+    persist_chunk_stats,
+)
 from repro.attacks.sharded import (
     columnar_attack_report,
     encrypt_vocabulary,
@@ -394,7 +396,12 @@ class TestPersistentColumnarCount:
             stats = persist_chunk_stats(view, state, backend="sqlite")
             reference = count_with_neighbors(view.to_backup())
             assert_backend_stats_identical(stats, reference)
-            assert (state / "COUNT_STATE").read_text().strip() == "sqlite"
+            marker = (state / "COUNT_STATE").read_text().splitlines()
+            assert marker[0] == "sqlite"
+            # The stream's identity: the view never materialised, yet it
+            # names the same stream as the backup it decodes to.
+            assert marker[1].split()[0] == str(len(view))
+            assert marker[1] == _stream_identity(view.to_backup())
             # Completed state refuses a recount (it would double-merge) …
             with pytest.raises(ConfigurationError, match="already persisted"):
                 persist_chunk_stats(view, state, backend="sqlite")
@@ -414,37 +421,3 @@ class TestPersistentColumnarCount:
                 persist_chunk_stats(trace.view(0), tmp_path / "state")
         finally:
             trace.close()
-
-
-class TestColumnarCellKind:
-    def test_cell_rows_are_deterministic(self, tmp_path):
-        from repro.scenarios.cells import ensure_cell_kind, execute_cell
-        from repro.scenarios.spec import Cell
-
-        assert ensure_cell_kind("columnar_attack")
-        cell = Cell(
-            kind="columnar_attack",
-            params=(
-                ("directory", os.fspath(tmp_path / "trace")),
-                ("chunks", 3_000),
-                ("backups", 2),
-                ("attack", "locality"),
-                ("jobs", 2),
-            ),
-            tags=(("scale", "unit"),),
-        )
-        first = execute_cell(cell)
-        second = execute_cell(cell)  # reopens the completed trace
-        assert first == second
-        fields = [name for name, _ in first[0]]
-        assert fields == [
-            "auxiliary",
-            "target",
-            "inference_rate",
-            "precision",
-            "correct_pairs",
-            "inferred_pairs",
-            "unique_ciphertext_chunks",
-            "leaked_pairs",
-            "iterations",
-        ]

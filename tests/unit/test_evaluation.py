@@ -78,6 +78,39 @@ class TestInferenceReport:
         text = str(report)
         assert "locality" in text and "aux" in text and "tgt" in text
 
+    def test_row_selects_fields_by_name(self):
+        report = InferenceReport(
+            attack="locality",
+            scheme="mle",
+            auxiliary_label="aux",
+            target_label="tgt",
+            unique_ciphertext_chunks=3,
+            inferred_pairs=2,
+            correct_pairs=1,
+            leakage_rate=0.0,
+            leaked_pairs=0,
+            iterations=7,
+        )
+        assert report.row() == (
+            ("auxiliary", "aux"),
+            ("target", "tgt"),
+            ("inference_rate", 0.33333),
+            ("precision", 0.5),
+            ("correct_pairs", 1),
+            ("inferred_pairs", 2),
+            ("unique_ciphertext_chunks", 3),
+            ("leaked_pairs", 0),
+            ("iterations", 7),
+        )
+        # Consumers name what they take, in their own order, so a field
+        # added to the full row cannot shift into their rows.
+        assert report.row("precision", "target") == (
+            ("precision", 0.5),
+            ("target", "tgt"),
+        )
+        with pytest.raises(KeyError):
+            report.row("rate")
+
 
 class TestSampleLeakage:
     def test_zero_rate_empty(self):
@@ -237,8 +270,7 @@ class TestCrossTenantEvaluation:
 
     def test_cross_tenant_leakage_sample_is_target_truth(self):
         trace = self.disjoint_trace()
-        encrypted = trace.meter.encrypted_trace()
-        target = encrypted[trace.meter.upload_position(1)]
+        _, target = trace.meter.attack_pair(0, 1)
         leaked = sample_leakage(target, 0.5, seed=3)
         assert leaked  # half the unique chunks
         for cipher_fp, plain_fp in leaked.items():
@@ -263,9 +295,5 @@ class TestCrossTenantEvaluation:
         trace = self.identical_trace()
         meter = trace.meter
         population = meter.population_auxiliary(excluding_tenant=0)
-        own = set(
-            meter.encrypted_trace()
-            .plaintext[meter.upload_position(1)]
-            .fingerprints
-        )
+        own = set(meter.attack_pair(1, 0)[0].fingerprints)
         assert own <= set(population.fingerprints)

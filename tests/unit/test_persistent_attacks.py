@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.attacks import AdvancedLocalityAttack, LocalityAttack
+from repro.attacks import AdvancedLocalityAttack, AttackEvaluator, LocalityAttack
 from repro.attacks.persistent import (
-    NeighborStore,
-    PersistentAdvancedAttack,
-    PersistentLocalityAttack,
+    backend_count,
     load_chunk_stats,
     persist_chunk_stats,
 )
+from repro.attacks.streaming import NeighborStore
 from repro.common.errors import ConfigurationError
 from repro.datasets.model import Backup
 from repro.index.kvstore import KVStore
@@ -79,51 +78,65 @@ class TestPersistChunkStats:
 
 
 class TestPersistentAttackEquivalence:
-    def test_locality_identical_to_in_memory(self, tmp_path, tiny_encrypted_mle, tiny_fsl_series):
-        cipher = tiny_encrypted_mle.backups[-1].ciphertext
-        aux = tiny_fsl_series.backups[-2]
-        in_memory = LocalityAttack(u=1, v=15, w=50_000).run(cipher, aux)
-        persistent = PersistentLocalityAttack(
-            tmp_path / "work", u=1, v=15, w=50_000
-        ).run(cipher, aux)
-        assert persistent.pairs == in_memory.pairs
+    """``count=backend_count(...)`` against the attacks' own in-RAM COUNT."""
 
-    def test_advanced_identical_to_in_memory(self, tmp_path, tiny_encrypted_mle, tiny_fsl_series):
-        cipher = tiny_encrypted_mle.backups[-1].ciphertext
-        aux = tiny_fsl_series.backups[-2]
-        in_memory = AdvancedLocalityAttack(u=1, v=15, w=50_000).run(cipher, aux)
-        persistent = PersistentAdvancedAttack(
-            tmp_path / "work", u=1, v=15, w=50_000
-        ).run(cipher, aux)
-        assert persistent.pairs == in_memory.pairs
+    @pytest.mark.parametrize("attack", [LocalityAttack, AdvancedLocalityAttack])
+    def test_identical_to_in_memory(self, attack, tmp_path, tiny_encrypted_mle):
+        evaluator = AttackEvaluator(tiny_encrypted_mle)
+        in_memory = evaluator.run(attack(u=1, v=15, w=50_000), -2, -1)
+        persistent = evaluator.run(
+            attack(u=1, v=15, w=50_000), -2, -1,
+            count=backend_count(tmp_path / "work"),
+        )
+        # Same report, name included: COUNT is an argument, not an attack.
+        assert persistent == in_memory
 
-    def test_second_run_reuses_state(self, tmp_path, tiny_encrypted_mle, tiny_fsl_series):
-        cipher = tiny_encrypted_mle.backups[-1].ciphertext
-        aux = tiny_fsl_series.backups[-2]
-        attack = PersistentLocalityAttack(tmp_path / "work", u=1, v=15, w=50_000)
-        first = attack.run(cipher, aux)
-        second = attack.run(cipher, aux)  # loads persisted stats
-        assert first.pairs == second.pairs
+    def test_second_run_reuses_state(self, tmp_path, tiny_encrypted_mle, monkeypatch):
+        from repro.attacks import persistent
 
-    def test_attack_name(self, tmp_path, tiny_encrypted_mle, tiny_fsl_series):
-        cipher = tiny_encrypted_mle.backups[-1].ciphertext
-        aux = tiny_fsl_series.backups[-2]
-        result = PersistentLocalityAttack(
-            tmp_path / "w", u=1, v=5, w=100
-        ).run(cipher, aux)
-        assert result.attack_name == "locality-persistent"
+        evaluator = AttackEvaluator(tiny_encrypted_mle)
+        attack = LocalityAttack(u=1, v=15, w=50_000)
+        count = backend_count(tmp_path / "work")
+        first = evaluator.run(attack, -2, -1, count=count)
+        # The second run loads the persisted stats: a recount would fail.
+        monkeypatch.setattr(persistent, "persist_chunk_stats", None)
+        assert evaluator.run(attack, -2, -1, count=count) == first
 
-    @pytest.mark.parametrize("backend", ["sqlite", "sharded:2"])
-    def test_other_backends_identical_to_in_memory(
-        self, backend, tmp_path, tiny_encrypted_mle, tiny_fsl_series
+    def test_sides_are_told_apart_by_argument(self, tmp_path, tiny_encrypted_mle):
+        AttackEvaluator(tiny_encrypted_mle).run(
+            LocalityAttack(), -2, -1, count=backend_count(tmp_path / "work")
+        )
+        target, auxiliary = (
+            tiny_encrypted_mle[-1].label,
+            tiny_encrypted_mle.plaintext[-2].label,
+        )
+        assert (tmp_path / "work" / "ciphertext" / target.replace(" ", "_")).is_dir()
+        assert (tmp_path / "work" / "auxiliary" / auxiliary.replace(" ", "_")).is_dir()
+
+    def test_state_of_another_stream_is_recounted(
+        self, tmp_path, tiny_encrypted_mle, tiny_fsl_series
     ):
-        cipher = tiny_encrypted_mle.backups[-1].ciphertext
-        aux = tiny_fsl_series.backups[-2]
-        in_memory = LocalityAttack(u=1, v=15, w=50_000).run(cipher, aux)
-        persistent = PersistentLocalityAttack(
-            tmp_path / "work", u=1, v=15, w=50_000, backend=backend
-        ).run(cipher, aux)
-        assert persistent.pairs == in_memory.pairs
+        # Same labels, another ciphertext stream (here: another scheme):
+        # the persisted tables must not be scored as if they were its own.
+        from repro.defenses.pipeline import DefensePipeline
+
+        other = DefensePipeline("minhash").encrypt_series(tiny_fsl_series)
+        assert other[-1].label == tiny_encrypted_mle[-1].label
+        attack = LocalityAttack(u=1, v=15, w=50_000)
+        count = backend_count(tmp_path / "work")
+        AttackEvaluator(tiny_encrypted_mle).run(attack, -2, -1, count=count)
+        assert AttackEvaluator(other).run(
+            attack, -2, -1, count=count
+        ) == AttackEvaluator(other).run(attack, -2, -1)
+
+    def test_basic_attack_ignores_count(self, tmp_path, tiny_encrypted_mle):
+        from repro.attacks import BasicAttack
+
+        evaluator = AttackEvaluator(tiny_encrypted_mle)
+        assert evaluator.run(
+            BasicAttack(), -2, -1, count=backend_count(tmp_path / "work")
+        ) == evaluator.run(BasicAttack(), -2, -1)
+        assert not (tmp_path / "work").exists()
 
     def test_repersist_into_completed_directory_rejected(self, tmp_path):
         stream = backup(["a", "b", "a"])

@@ -6,9 +6,9 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.scenarios.cache import ResultCache, cell_key
+from repro.attacks import build_attack
 from repro.scenarios.cells import (
     CELL_EXECUTORS,
-    build_attack,
     execute_cell,
     register_cell_kind,
 )
