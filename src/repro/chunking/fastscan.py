@@ -6,12 +6,14 @@ hash: the Rabin fingerprint at position ``i`` covers exactly the trailing
 the trailing ``log2(avg_size)`` bytes. Neither depends on where the
 current chunk started (chunk starts only gate *which* positions are
 eligible). That makes the per-position boundary test computable for the
-whole buffer at once — independent of the sequential cut walk — with a
-handful of table gathers over a 16-bit byte-pair key stream, after which
-cut selection is a cheap walk over the (sparse) candidate list.
+whole buffer at once — independent of the sequential cut walk — after
+which cut selection is a cheap walk over the (sparse) candidate list.
+Rabin's fingerprint is reduced mod P, so it is a handful of table gathers
+over a 16-bit byte-pair key stream; gear's is truncated, so one 256-entry
+gather and log-many shifted adds build it.
 
 This module holds the shared, dependency-gated plumbing; the per-
-algorithm table construction lives next to each chunker. NumPy is an
+algorithm scan lives next to each chunker. NumPy is an
 optional accelerator: when it is not importable the chunkers fall back
 to their pure-Python skip-ahead loops, with identical output (pinned by
 the fastpath-vs-reference property tests).
@@ -42,5 +44,8 @@ def pair_key_stream(data: bytes) -> "numpy.ndarray":
 
 
 def mask_dtype(mask: int) -> "numpy.dtype":
-    """Smallest unsigned dtype holding ``mask``-masked hash values."""
-    return numpy.dtype(numpy.uint16 if mask < (1 << 16) else numpy.uint32)
+    """Narrowest of uint16/32/64 holding ``mask``-masked hash values."""
+    bits = mask.bit_length()
+    return numpy.dtype(
+        numpy.uint16 if bits <= 16 else numpy.uint32 if bits <= 32 else numpy.uint64
+    )

@@ -13,9 +13,10 @@ size distributions.
 
 :meth:`GearChunker.cut_points` exploits the bounded effective width: the
 boundary test reads only ``mask.bit_length()`` low bits, whose carries
-propagate strictly upward, so the test value at every position is a
-position-local sum over the trailing ``mask.bit_length()`` bytes — either
-vectorized for the whole buffer (byte-pair table gathers, when numpy is
+propagate strictly upward, so the test value at every position is the
+position-local sum ``sum_j gear[data[i - j]] << j`` over the trailing
+``mask.bit_length()`` bytes — either computed for the whole buffer at once
+(one 256-entry gather and ``ceil(log2(bits))`` shifted adds, when numpy is
 available) or scanned with a skip-ahead loop whose warm-up feeds only that
 many bytes. Both are byte-identical to
 :meth:`GearChunker.cut_points_reference`, the pre-optimization loop kept as
@@ -40,34 +41,11 @@ def _build_gear_table(seed: int) -> list[int]:
 
 
 @lru_cache(maxsize=8)
-def _gear_scan_tables(table_seed: int, mask: int):
-    """Byte-pair gather tables for the vectorized gear boundary scan.
-
-    ``h & mask`` at position ``i`` equals ``sum_j gear[data[i - j]] << j``
-    truncated to the mask bits (addition carries only travel upward, and
-    terms shifted past the mask width contribute nothing), so the test
-    stream is an overflow-wrapping sum of ``ceil(mask_bits / 2)`` pair
-    gathers, each keyed on ``(data[j] << 8) | data[j - 1]``.
-    """
-    numpy = fastscan.numpy
-    mask_bits = mask.bit_length()
-    dtype = fastscan.mask_dtype(mask)
-    width_mask = (1 << (8 * dtype.itemsize)) - 1
-    gear = numpy.array(_build_gear_table(table_seed), dtype=numpy.uint64)
-    gear = (gear & width_mask).astype(numpy.uint32)
-    high = numpy.arange(65536, dtype=numpy.uint32) >> 8
-    low = numpy.arange(65536, dtype=numpy.uint32) & 255
-    pairs = (mask_bits + 1) // 2
-    pair_tables = [
-        # Key high byte = the later position (shift 2t, applied here so the
-        # scan loop is a bare gather-and-add), low byte = shift 2t + 1.
-        (
-            ((gear[high] << (2 * t)) + (gear[low] << (2 * t + 1)))
-            & width_mask
-        ).astype(dtype)
-        for t in range(pairs)
-    ]
-    return pair_tables
+def _gear_low_table(table_seed: int, mask: int):
+    """The gear table truncated to the narrowest dtype holding the mask bits
+    (all the vectorized boundary scan keeps per chunker key)."""
+    gear = fastscan.numpy.array(_build_gear_table(table_seed), dtype="uint64")
+    return gear.astype(fastscan.mask_dtype(mask))  # unsigned narrowing keeps the low bits
 
 
 class GearChunker(Chunker):
@@ -100,14 +78,11 @@ class GearChunker(Chunker):
         if length <= min_size:
             # Single short chunk: no eligible boundary, cut at the end.
             return [length]
-        # The vectorized scan pairs warm bytes two at a time, so it needs
-        # the paired warm span to fit inside the min-size prefix (always
-        # true for real specs; degenerate tiny specs take the scan loop).
-        if (
-            fastscan.numpy is not None
-            and self._warm_width > 0
-            and min_size >= 2 * ((self._warm_width + 1) // 2)
-        ):
+        # The whole-buffer scan is exact from position ``warm_width - 1``
+        # on, so the min-size prefix must cover the warm span (always true
+        # for real specs; degenerate tiny specs take the scan loop, as does
+        # a mask wider than the 64-bit hash).
+        if fastscan.numpy is not None and 0 < self._warm_width <= min(min_size, 64):
             return self._cut_points_vectorized(data)
         return self._cut_points_skip_ahead(data)
 
@@ -120,21 +95,21 @@ class GearChunker(Chunker):
 
         spec = self.spec
         mask = spec.mask
-        pair_tables = _gear_scan_tables(self._table_seed, mask)
-        warm_span = 2 * len(pair_tables)
         length = len(data)
-        keys = fastscan.pair_key_stream(data)
-        # tested[k] = low bits of the gear hash at position i = k +
-        # warm_span - 1 (positions whose trailing warm bytes all exist;
-        # earlier ones are never tested because min_size >= warm_span).
-        span = length - warm_span + 1
-        tested = numpy.zeros(span, dtype=pair_tables[0].dtype)
-        for t, table in enumerate(pair_tables):
-            offset = warm_span - 2 * t - 2
-            tested += table[keys[offset : offset + span]]
-        candidates = (
-            numpy.flatnonzero((tested & mask) == 0) + (warm_span - 1)
-        ).tolist()
+        raw = numpy.frombuffer(data, dtype=numpy.uint8)
+        # tested[i] = sum_j gear[data[i - j]] << j over the trailing bytes,
+        # the span doubling each round: after rounds 1, 2, 4, ... every
+        # position holds at least warm_width terms. Terms shifted past the
+        # mask width vanish under the mask, as in the 64-bit rolling hash;
+        # positions before warm_width - 1 hold partial sums and are never
+        # tested because min_size >= warm_width.
+        tested = _gear_low_table(self._table_seed, mask).take(raw)
+        span = 1
+        while span < self._warm_width:
+            tested[span:] += tested[:-span] << span
+            span *= 2
+        tested &= mask
+        candidates = numpy.flatnonzero(tested == 0).tolist()
 
         min_size = spec.min_size
         max_size = spec.max_size

@@ -1,7 +1,7 @@
 """Cryptographic substrate for encrypted deduplication (§2.2).
 
-* :mod:`repro.crypto.primitives` — hashing, HMAC, and a counter-mode PRF
-  keystream built on BLAKE2b.
+* :mod:`repro.crypto.primitives` — hashing, HMAC, and a SHAKE-256 XOF
+  keystream.
 * :mod:`repro.crypto.cipher` — a deterministic symmetric cipher with 16-byte
   block semantics, standing in for AES (see DESIGN.md §2 substitution 4).
 * :mod:`repro.crypto.keymanager` — DupLESS-style key manager with rate

@@ -15,9 +15,11 @@ and defenses rely on are:
 CTR with an all-zero nonce) over padded plaintext. AES itself is not
 available offline; see DESIGN.md §2.
 
-Both directions apply one keystream — forked-state BLAKE2b blocks
-(:func:`~repro.crypto.primitives.prf_stream`) XORed on as one wide integer
-(:func:`~repro.crypto.primitives.xor_bytes`) — around :func:`pad`/:func:`unpad`.
+Both directions apply one keystream — SHAKE-256 output squeezed in a
+single call (:func:`~repro.crypto.primitives.prf_stream`) and XORed on as
+one wide integer (:func:`~repro.crypto.primitives.xor_bytes`) — around
+:func:`pad`/:func:`unpad`. The keystream is looked up as this module's
+global at every call, which is where the benchmark's tracer wraps it.
 """
 
 from __future__ import annotations

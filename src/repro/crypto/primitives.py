@@ -2,12 +2,14 @@
 
 No third-party crypto package is available offline, so everything here is
 constructed from :mod:`hashlib`/:mod:`hmac`. The constructions are standard
-(HMAC, HKDF-expand, counter-mode PRF keystream); their purpose in this
+(HMAC, HKDF-expand, a SHAKE-256 XOF keystream); their purpose in this
 reproduction is behavioural fidelity — determinism, key separation, and
 length preservation — not resistance review.
 
-:func:`prf_stream` and :func:`xor_bytes` are the content path's kernels;
-the known-answer vectors in ``tests/unit/test_crypto.py`` pin their output.
+:func:`prf_stream` and :func:`xor_bytes` are the content path's kernels,
+one C call per chunk each; ``tests/unit/test_crypto.py`` anchors the
+keystream on FIPS 202's SHAKE-256 vector and pins their output with
+known-answer vectors taken from an independent spelling of the definition.
 """
 
 from __future__ import annotations
@@ -47,23 +49,18 @@ def hkdf_expand(key: bytes, info: bytes, length: int = 32) -> bytes:
 def prf_stream(key: bytes, nonce: bytes, length: int) -> bytes:
     """Deterministic keystream of ``length`` bytes from (key, nonce).
 
-    Counter mode over keyed BLAKE2b: block *i* is
-    ``BLAKE2b(key=key, data=nonce || i)``. Distinct (key, nonce) pairs give
-    independent streams; identical inputs always give identical streams,
-    which is exactly the determinism MLE requires (§2.2). The key block and
-    nonce are absorbed once and that state is forked per counter, so a
-    64-byte block costs one compression, not two.
+    The first ``length`` bytes of ``SHAKE-256(len(key) || key || nonce)``,
+    the key length as 8 big-endian bytes so that no two (key, nonce) pairs
+    absorb the same string. Distinct pairs give independent streams;
+    identical inputs always give identical streams, which is exactly the
+    determinism MLE requires (§2.2); and an XOF's output is a prefix code,
+    so a longer request extends a shorter one. One C call whatever the
+    length — no per-block loop.
     """
     if length < 0:
         raise ValueError("length must be non-negative")
-    key = hashlib.blake2b(key, digest_size=32).digest()  # clamp to valid key size
-    base = hashlib.blake2b(nonce, key=key, digest_size=64)
-    blocks: list[bytes] = []
-    for counter in range(-(-length // 64)):
-        block = base.copy()
-        block.update(counter.to_bytes(8, "big"))
-        blocks.append(block.digest())
-    return b"".join(blocks)[:length]
+    framed = len(key).to_bytes(8, "big") + key + nonce
+    return hashlib.shake_256(framed).digest(length)
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:

@@ -26,7 +26,7 @@ from repro.common.units import MiB
 from repro.crypto.mle import CiphertextChunk, KeyRecipe, MLEScheme
 from repro.defenses.minhash import MinHashEncryptor
 from repro.defenses.scramble import DEQUE, scramble_indices
-from repro.defenses.segmentation import SegmentationSpec, segment_stream
+from repro.defenses.segmentation import Segment, SegmentationSpec, segment_stream
 from repro.storage.ddfs import DDFSEngine
 from repro.storage.recipes import FileRecipe
 
@@ -120,46 +120,52 @@ class EncryptedDedupSystem:
         if not plaintext_chunks:  # an empty file is stored as one empty chunk
             plaintext_chunks = [b""]
 
-        ciphertexts, keys = self._encrypt(plaintext_chunks)
+        ciphertexts, keys, segments = self._encrypt(plaintext_chunks)
 
         recipe = FileRecipe(filename=filename)
         for chunk in ciphertexts:
             recipe.add(chunk.tag, chunk.size)
 
-        for chunk in self._upload_order(ciphertexts, plaintext_chunks):
+        for chunk in self._upload_order(ciphertexts, plaintext_chunks, segments):
             self.engine.process_chunk(chunk.tag, chunk.size, chunk.data)
         self._file_counter += 1
         return StoredFile(recipe=recipe, keys=keys)
 
     def _encrypt(
         self, plaintext_chunks: list[bytes]
-    ) -> tuple[list[CiphertextChunk], KeyRecipe]:
+    ) -> tuple[list[CiphertextChunk], KeyRecipe, list[Segment] | None]:
+        """Ciphertexts and keys in logical order, plus the segments MinHash
+        encryption keyed them by (``None`` under per-chunk keys)."""
         if self.use_minhash:
-            segments, keys = self._minhash.encrypt_stream(plaintext_chunks)
+            results, keys = self._minhash.encrypt_stream(plaintext_chunks)
             ciphertexts = [
-                chunk for segment in segments for chunk in segment.ciphertexts
+                chunk for result in results for chunk in result.ciphertexts
             ]
-            return ciphertexts, keys
+            return ciphertexts, keys, [result.segment for result in results]
         keys = KeyRecipe()
         ciphertexts = []
         for plaintext in plaintext_chunks:
             chunk, key = self.scheme.encrypt_chunk(plaintext)
             ciphertexts.append(chunk)
             keys.add(key)
-        return ciphertexts, keys
+        return ciphertexts, keys, None
 
     def _upload_order(
         self,
         ciphertexts: list[CiphertextChunk],
         plaintext_chunks: list[bytes],
+        segments: list[Segment] | None,
     ) -> list[CiphertextChunk]:
         if not self.use_scramble:
             return ciphertexts
-        fingerprints = [
-            self.scheme.fingerprinter(chunk) for chunk in plaintext_chunks
-        ]
-        sizes = [len(chunk) for chunk in plaintext_chunks]
-        segments = segment_stream(fingerprints, sizes, self.segmentation)
+        if segments is None:
+            # Scramble-only: no MinHash pass has segmented the file yet
+            # (MinHash segments with this fingerprinter and this spec).
+            fingerprints = [
+                self.scheme.fingerprinter(chunk) for chunk in plaintext_chunks
+            ]
+            sizes = [len(chunk) for chunk in plaintext_chunks]
+            segments = segment_stream(fingerprints, sizes, self.segmentation)
         rng = rng_from(self.scramble_seed, "system-scramble", self._file_counter)
         ordered: list[CiphertextChunk] = []
         for segment in segments:

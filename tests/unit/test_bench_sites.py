@@ -20,7 +20,11 @@ from repro.attacks import (
     build_attack,
     columnar_attack_report,
 )
+from repro.chunking import ChunkerSpec, GearChunker
+from repro.crypto.mle import ConvergentEncryption
 from repro.datasets.columnar import write_series
+from repro.datasets.filesystem import deterministic_bytes
+from repro.storage.system import EncryptedDedupSystem
 
 
 def _owner(site):
@@ -39,12 +43,12 @@ def test_site_resolves_as_install_resolves_it(site):
     assert callable(vars(_owner(site))[site.attr])
 
 
-def test_attack_sites_are_called_through(
-    monkeypatch, tmp_path, count_mode, tiny_encrypted_mle, tiny_fsl_series
-):
+def _count_calls(monkeypatch, wanted):
+    """Rebind every site ``wanted`` accepts, as ``Tracer.install`` would,
+    to a wrapper that counts; returns the live ``owner.attr -> calls`` map."""
     calls = {}
     for site in SITES:
-        if not site.name.startswith("attacks."):
+        if not wanted(site):
             continue
         owner, key = _owner(site), f"{site.owner}.{site.attr}"
         calls[key] = 0
@@ -54,6 +58,13 @@ def test_attack_sites_are_called_through(
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, site.attr, counting)
+    return calls
+
+
+def test_attack_sites_are_called_through(
+    monkeypatch, tmp_path, count_mode, tiny_encrypted_mle, tiny_fsl_series
+):
+    calls = _count_calls(monkeypatch, lambda site: site.name.startswith("attacks."))
 
     # One evaluator run per attack in RAM (interned_count; with numpy, the
     # id steps) and one over backend-resident tables (the dict steps, whose
@@ -78,4 +89,43 @@ def test_attack_sites_are_called_through(
         "repro.attacks.sharded.encrypt_vocabulary": 1,
         "repro.attacks.locality:LocalityAttack.run_counted": 5,
         "repro.attacks.evaluation:AttackEvaluator.run": 4,
+    }
+
+
+def test_content_sites_are_called_through(monkeypatch):
+    # A cipher that called hashlib itself, or imported prf_stream by value
+    # somewhere new, would leave crypto.prf_s reading zero with every test
+    # of the bytes still green.
+    calls = _count_calls(
+        monkeypatch,
+        lambda site: site.name.startswith(("chunking.", "crypto."))
+        or site.name
+        in ("storage.put", "storage.get", "storage.flush", "storage.read_chunk"),
+    )
+
+    system = EncryptedDedupSystem(
+        ConvergentEncryption(),
+        GearChunker(ChunkerSpec(min_size=512, avg_size=2048, max_size=8192)),
+    )
+    data = deterministic_bytes(20, "sites", 200_000)
+    stored = system.put_file("f.bin", data)
+    system.flush()
+    assert system.get_file(stored) == data
+
+    chunks = len(stored.recipe)
+    assert chunks > 50
+    assert calls == {
+        "repro.chunking.base:Chunker.split": 1,
+        "repro.chunking.gear:GearChunker.cut_points": 1,
+        "repro.crypto.mle:ConvergentEncryption.derive_key": chunks,
+        "repro.crypto.cipher:BlockCipher.encrypt": chunks,
+        "repro.crypto.cipher:BlockCipher.decrypt": chunks,
+        # One keystream per encrypt and one per decrypt.
+        "repro.crypto.cipher.prf_stream": 2 * chunks,
+        # The tag is taken on upload and verified on restore.
+        "repro.chunking.fingerprint:Fingerprinter.__call__": 2 * chunks,
+        "repro.storage.system:EncryptedDedupSystem.put_file": 1,
+        "repro.storage.system:EncryptedDedupSystem.flush": 1,
+        "repro.storage.system:EncryptedDedupSystem.get_file": 1,
+        "repro.storage.container:Container.read_chunk": chunks,
     }

@@ -1,9 +1,11 @@
 """Tests for repro.crypto: primitives, cipher, key manager, MLE schemes.
 
-The known-answer vectors in :class:`TestKnownAnswers` were computed on the
-commit *before* the word-wide cipher kernel (PR 12) and pin ciphertext
-identity; the ``_oracle_*`` helpers are that commit's per-block keystream
-and per-byte XOR, kept here as the differential oracle for the kernel.
+The keystream is SHAKE-256 over a length-framed key and the nonce; its
+external anchor is FIPS 202's empty-message vector. ``_oracle_prf_stream``
+spells the definition a second way (incremental absorbs, hex output) and
+``_oracle_xor`` is the per-byte XOR; the format-dependent vectors in
+:class:`TestKnownAnswers` were computed from those two, not from the
+kernel they pin.
 """
 
 import hashlib
@@ -55,19 +57,17 @@ def kat_pattern(size: int) -> bytes:
 
 
 def _oracle_prf_stream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """The pre-PR 12 keystream: one keyed BLAKE2b constructor per block."""
-    key = hashlib.blake2b(key, digest_size=32).digest()
-    blocks = [
-        hashlib.blake2b(
-            nonce + counter.to_bytes(8, "big"), key=key, digest_size=64
-        ).digest()
-        for counter in range(-(-length // 64))
-    ]
-    return b"".join(blocks)[:length]
+    """SHAKE-256(len(key) as 8 big-endian bytes || key || nonce), absorbed
+    piecewise and read out as hex — an independent spelling of the kernel."""
+    xof = hashlib.shake_256()
+    xof.update(len(key).to_bytes(8, "big"))
+    xof.update(key)
+    xof.update(nonce)
+    return bytes.fromhex(xof.hexdigest(length))
 
 
 def _oracle_xor(a: bytes, b: bytes) -> bytes:
-    """The pre-PR 12 XOR: one Python-level operation per byte."""
+    """One Python-level XOR per byte."""
     return bytes(x ^ y for x, y in zip(a, b))
 
 
@@ -97,6 +97,21 @@ class TestPrimitives:
     def test_prf_stream_negative_length(self):
         with pytest.raises(ValueError):
             prf_stream(KEY, b"n", -1)
+
+    def test_prf_stream_framing_is_injective(self):
+        # Bare ``key + nonce`` would absorb b"kn1" both times.
+        assert prf_stream(b"k", b"n1", 64) != prf_stream(b"kn", b"1", 64)
+
+    @pytest.mark.parametrize("key_size", [1, 16, 32, 64, 100, 300])
+    def test_prf_stream_key_sizes(self, key_size):
+        # No clamp: every key length is absorbed whole, so keys differing
+        # only in their last byte — or only in length — separate.
+        key = kat_pattern(key_size)
+        stream = prf_stream(key, b"n", 64)
+        assert stream == _oracle_prf_stream(key, b"n", 64)
+        assert stream != prf_stream(key[:-1] + b"\xff", b"n", 64)
+        assert stream != prf_stream(key + b"\x00", b"n", 64)
+        assert prf_stream(key, b"n", 0) == b""
 
     def test_hkdf_expand_lengths_and_separation(self):
         a = hkdf_expand(KEY, b"purpose-a")
@@ -371,45 +386,55 @@ class TestKeyRecipe:
 
 
 class TestKnownAnswers:
-    """Byte-exact vectors computed on the pre-PR 12 commit.
+    """Byte-exact vectors: the keystream-dependent ones computed once from
+    ``_oracle_prf_stream``/``_oracle_xor``, the rest (HKDF, MLE keys) from
+    their RFC or the first commit.
 
-    Chunk tags, dedup decisions and every sealed recipe on disk depend on
-    these bytes; a kernel change must reproduce them untouched. Long
-    outputs are pinned by their SHA-256.
+    Chunk tags, dedup decisions and every sealed recipe depend on these
+    bytes; a kernel change must reproduce them untouched. Long outputs are
+    pinned by their SHA-256.
     """
 
     PRF_STREAM = {
         0: "",
-        1: "f7",
+        1: "a4",
         63: (
-            "f708835f153e8883cb6de17b9283face382c58846d8c4311e82671a649acd6a0"
-            "70a83c0a5c13211ccf877619a9649bb453324bf8ef5952017f54c83872dcf7"
+            "a4dc9da3ececef60c41c84a36cb3daf4787e6592ab352af41abbb29b7e9fe5eb"
+            "f62ba32a6e9d56a29f4c587586076a2807c869fdb59e6092e2dd4e9da14bfa"
         ),
         64: (
-            "f708835f153e8883cb6de17b9283face382c58846d8c4311e82671a649acd6a0"
-            "70a83c0a5c13211ccf877619a9649bb453324bf8ef5952017f54c83872dcf71b"
+            "a4dc9da3ececef60c41c84a36cb3daf4787e6592ab352af41abbb29b7e9fe5eb"
+            "f62ba32a6e9d56a29f4c587586076a2807c869fdb59e6092e2dd4e9da14bfa30"
         ),
         65: (
-            "f708835f153e8883cb6de17b9283face382c58846d8c4311e82671a649acd6a0"
-            "70a83c0a5c13211ccf877619a9649bb453324bf8ef5952017f54c83872dcf71b"
-            "9d"
+            "a4dc9da3ececef60c41c84a36cb3daf4787e6592ab352af41abbb29b7e9fe5eb"
+            "f62ba32a6e9d56a29f4c587586076a2807c869fdb59e6092e2dd4e9da14bfa30"
+            "e8"
         ),
     }
     CIPHERTEXT = {
-        0: "3c1c3dd67376697270d981379d8ca221",
-        15: "2f063cde7c4054565b8bd877dac2d730",
-        16: "2f063cde7c4054565b8bd877dac2d75d348ca50f2bfd395372ce2fb23fcbd9cc",
-        17: "2f063cde7c4054565b8bd877dac2d75d5793ba1034e2264c6dd130ad20d4c6d3",
+        0: "d3bd2e7e8863200d8a7a48aba816302b",
+        15: "c0a72f7687551d29a12811ebef58453a",
+        16: "c0a72f7687551d29a12811ebef5845573aff92b08f88ab57592c1a292cb78923",
+        17: "c0a72f7687551d29a12811ebef58455759e08daf9097b4484633053633a8963c",
     }
+
+    def test_shake_256_fips_202_empty_message(self):
+        # The external anchor: FIPS 202's SHAKE-256 of the empty message.
+        # Everything below is this function over a framed (key, nonce).
+        assert hashlib.shake_256(b"").hexdigest(32) == (
+            "46b9dd2b0ba88d13233b3feb743eeb243fcd52ea62b81b82b50c27646ed5762f"
+        )
 
     @pytest.mark.parametrize("length", sorted(PRF_STREAM))
     def test_prf_stream(self, length):
         assert prf_stream(KAT_KEY, KAT_NONCE, length).hex() == self.PRF_STREAM[length]
 
     def test_prf_stream_chunk_sized(self):
-        # 8208 = an 8 KiB chunk plus its padding block: 128.25 counter blocks.
+        # 8208 = an 8 KiB chunk plus its padding block: 60.4 SHAKE-256 rate
+        # blocks (136 bytes each), squeezed in one call.
         assert sha256_hex(prf_stream(KAT_KEY, KAT_NONCE, 8208)) == (
-            "bf657ee4da7e9ef4c64df5f4b61d8b64e819ccc0533608388f3c7e31df825b6c"
+            "0853dc7c12b52908507320c857d3ba8db652e1bf81a4b118285756bfa36fccae"
         )
 
     def test_hkdf_expand_rfc5869_case_1(self):
@@ -449,16 +474,16 @@ class TestKnownAnswers:
         ciphertext = cipher.encrypt(KAT_KEY, kat_pattern(8192))
         assert len(ciphertext) == 8208
         assert sha256_hex(ciphertext) == (
-            "3f80f2a4c82aedc1609e307b995a7fc4a1cfa44d91c6e1f7b364a346cbf8463c"
+            "dcdf6b589786e84170a04c1ef696dc379eaadac83ea4b1e1559cfc4a609a876c"
         )
         assert cipher.decrypt(KAT_KEY, ciphertext) == kat_pattern(8192)
 
     def test_block_cipher_short_key_and_narrow_block(self):
         assert BlockCipher().encrypt(b"k", b"short key").hex() == (
-            "2abb8eb4e9cbe8fd2deb68341744b8da"
+            "c718b51c5491760a6a35528ec4f054da"
         )
         assert BlockCipher(8).encrypt(KAT_KEY, kat_pattern(11)).hex() == (
-            "2f063cde7c4054565b8bd8228899b734"
+            "c0a72f7687551d29a12811bebd03253e"
         )
 
     def test_convergent_encryption(self):
@@ -470,7 +495,7 @@ class TestKnownAnswers:
         assert chunk.size == 8208
         # The default fingerprinter tags a chunk with SHA-256 of its ciphertext.
         assert chunk.tag.hex() == sha256_hex(chunk.data) == (
-            "ebeee3e31bae40b5f3d6e63fdddc05cdc851a322d45191b0d210e4f44702f4a9"
+            "86cdf7e923643e76b5f59fa90b8dbe4f88a7c042e34bf01a3a8a6933ddf15f62"
         )
         assert scheme.decrypt_chunk(chunk, key) == kat_pattern(8192)
 
@@ -479,9 +504,9 @@ class TestKnownAnswers:
         assert key.hex() == (
             "c2d88a5a1a652c05e5701abb618d42110909c4a23fe85b12530ed84903ba0a16"
         )
-        assert chunk.data.hex() == "6875b7b7b1544bfada71d2a5770e0579"
+        assert chunk.data.hex() == "3e5e401d63aa6c813ea734d8fba7a4d6"
         assert chunk.tag.hex() == (
-            "5545991d6e0ffc13921dd2a5481a5d43ac30c48b5294c1e1f110839fb6fe11de"
+            "81e86208fd2eee451761794d8eb3197f0ca9a7b7d1a60283de537a4e4151f67c"
         )
 
     def test_server_aided_mle(self):
@@ -493,7 +518,7 @@ class TestKnownAnswers:
         assert chunk.size == 8208
         # The default fingerprinter tags a chunk with SHA-256 of its ciphertext.
         assert chunk.tag.hex() == sha256_hex(chunk.data) == (
-            "2411453f4e4741b89e553c5a4188e5b48fac2cf659e89f1a1bc0b35e7f129b61"
+            "d2734a133ec435096b8947b045938de2a5bb41059ec2c0d37ff48a44ea2ef237"
         )
         assert scheme.decrypt_chunk(chunk, key) == kat_pattern(8192)
 
@@ -502,7 +527,7 @@ class TestKnownAnswers:
         sealed = recipe.seal(b"kat-user-secret")
         assert len(sealed) == 352
         assert sha256_hex(sealed) == (
-            "0c1afa43939369fe957859dfdbc02fa13dc199af75d9bd68fff4d1d0ff432e9e"
+            "a691eb1d59a2db5340c554f4aaef573ea9d1555ad99982ce046675d5431e9ae0"
         )
         assert KeyRecipe.unseal(sealed, b"kat-user-secret").keys == recipe.keys
 
@@ -513,7 +538,7 @@ class TestKnownAnswers:
         sealed = recipe.seal(b"kat-user-secret")
         assert len(sealed) == 432
         assert sha256_hex(sealed) == (
-            "c7b97c74391948270db8b0bbfbb5e266d07e6fdd5b2387008f9abdc2bc67a4ec"
+            "8dc92fa975cb5526bcc1274feaaa7c96711208931ec67e99297678c860f464a2"
         )
         assert FileRecipe.unseal(sealed, b"kat-user-secret").chunks == recipe.chunks
 
@@ -632,12 +657,12 @@ class TestObfuscationKnownAnswers:
 
 
 class TestKernelAgainstOracle:
-    """The word-wide kernel equals the per-byte/per-block one it replaced."""
+    """The one-call kernels equal their piecewise/per-byte spellings."""
 
     def test_prf_stream_matches_oracle(self):
         rng = random.Random(12)
         for length in DIFFERENTIAL_LENGTHS:
-            key = rng.randbytes(rng.choice((1, 16, 32, 64, 100)))
+            key = rng.randbytes(rng.choice((1, 16, 32, 64, 100, 300)))
             nonce = rng.randbytes(rng.randrange(0, 40))
             assert prf_stream(key, nonce, length) == _oracle_prf_stream(
                 key, nonce, length

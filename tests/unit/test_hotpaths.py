@@ -4,7 +4,8 @@ Every optimized loop must be byte-identical to its reference oracle:
 
 * chunker ``cut_points`` (vectorized and pure-Python skip-ahead) vs
   ``cut_points_reference`` — random / all-zero / repeated data, forced
-  ``max_size`` cuts, inputs shorter than ``min_size``;
+  ``max_size`` cuts, inputs shorter than ``min_size``, and for gear every
+  mask width 1-20 on both sides of the vectorized scan's ``min_size`` gate;
 * the three COUNT sources (in-RAM ``interned_count``, ``sharded_count``
   over a columnar trace, ``StreamingCount``) vs ``count_with_neighbors``
   on the same streams, including table iteration order (the
@@ -13,6 +14,7 @@ Every optimized loop must be byte-identical to its reference oracle:
   seeded search over the three entry points of the one DDFS chunk path.
 """
 
+import functools
 import hashlib
 import random
 import tempfile
@@ -56,6 +58,36 @@ SPEC = ChunkerSpec(min_size=64, avg_size=256, max_size=1024)
 
 def chunker_pairs():
     return [RabinChunker(SPEC), GearChunker(SPEC)]
+
+
+def gear_sweep_min_sizes(bits):
+    """Both sides of the vectorized scan's gate (``min_size >= bits``) and
+    a realistic prefix. Past the dtype boundary only the gate's edge runs:
+    the reference loop costs ~0.25 s/MiB and the buffers grow with avg."""
+    avg_size = 1 << bits
+    sizes = {bits - 1, bits, bits + 1, avg_size // 4} if bits <= 17 else {bits}
+    return sorted(size for size in sizes if 1 <= size <= avg_size)
+
+
+def gear_sweep_case(bits, min_size):
+    """A non-default-table chunker and a buffer of four ``max_size``s:
+    random, all-zero and short-period stretches, each long enough to force
+    a ``max_size`` cut."""
+    spec = ChunkerSpec(min_size, 1 << bits, 1 << bits)
+    stretch = max(spec.max_size, 1024)
+    data = (
+        random.Random(bits).randbytes(2 * stretch)
+        + bytes(stretch)
+        + b"\xff\x00\x17" * (stretch // 3 + 1)
+    )
+    return GearChunker(spec, table_seed=0x5EED + bits), data
+
+
+@functools.lru_cache(maxsize=None)
+def gear_sweep_reference(bits, min_size):
+    """The oracle's cuts, computed once for both scan modes."""
+    chunker, data = gear_sweep_case(bits, min_size)
+    return chunker.cut_points_reference(data)
 
 
 @pytest.fixture(params=["accelerated", "fallback"])
@@ -130,6 +162,43 @@ class TestChunkerFastpathEquivalence:
         for window in (17, 48):
             chunker = RabinChunker(SPEC, window=window, magic=0x55)
             assert chunker.cut_points(data) == chunker.cut_points_reference(data)
+
+    # avg_size 2 .. 1 MiB; the scan's uint16 ends at 16 bits.
+    @pytest.mark.parametrize("bits", range(1, 21))
+    def test_gear_scan_at_every_mask_width(self, bits, scan_mode, monkeypatch):
+        ran = []
+        for name in ("_cut_points_vectorized", "_cut_points_skip_ahead"):
+
+            def recording(self, data, _name=name, _scan=getattr(GearChunker, name)):
+                ran.append(_name)
+                return _scan(self, data)
+
+            monkeypatch.setattr(GearChunker, name, recording)
+        for min_size in gear_sweep_min_sizes(bits):
+            chunker, data = gear_sweep_case(bits, min_size)
+            assert len(data) >= 4 * chunker.spec.max_size
+            cuts = chunker.cut_points(data)
+            assert cuts == gear_sweep_reference(bits, min_size), min_size
+            # min_size == bits is the narrowest prefix the whole-buffer
+            # scan is exact for; one byte less must take the loop.
+            vectorized = scan_mode == "accelerated" and min_size >= bits
+            assert ran.pop() == (
+                "_cut_points_vectorized" if vectorized else "_cut_points_skip_ahead"
+            ), min_size
+            assert not ran
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_gear_random_width_prefix_and_data(self, data):
+        bits = data.draw(st.integers(min_value=1, max_value=20), label="bits")
+        avg_size = 1 << bits
+        min_size = data.draw(
+            st.integers(min_value=1, max_value=min(avg_size, bits + 2)),
+            label="min_size",
+        )
+        chunker = GearChunker(ChunkerSpec(min_size, avg_size, 4 * avg_size))
+        buffer = data.draw(st.binary(min_size=0, max_size=8_192), label="data")
+        assert chunker.cut_points(buffer) == chunker.cut_points_reference(buffer)
 
     def test_reference_tail_never_duplicates_final_cut(self):
         # The cleaned-up tail handling: the final cut is len(data) exactly

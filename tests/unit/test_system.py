@@ -4,10 +4,15 @@ import pytest
 
 from repro.chunking import ChunkerSpec, GearChunker
 from repro.common.errors import StorageError
+from repro.common.rng import rng_from
+from repro.common.units import MiB, format_size
 from repro.crypto.keymanager import KeyManager
 from repro.crypto.mle import ConvergentEncryption, ServerAidedMLE
 from repro.datasets.filesystem import build_tree, deterministic_bytes
-from repro.defenses.segmentation import SegmentationSpec
+from repro.datasets.mutate import evolve_tree
+from repro.defenses.scramble import DEQUE, scramble_indices
+from repro.defenses.segmentation import SegmentationSpec, segment_stream
+from repro.storage.ddfs import DDFSEngine
 from repro.storage.system import EncryptedDedupSystem
 
 SMALL_CHUNKS = ChunkerSpec(min_size=512, avg_size=2048, max_size=8192)
@@ -143,3 +148,64 @@ def test_scramble_changes_upload_order_but_not_recipes():
     # And both restore fine.
     assert plain_system.get_file(a) == data
     assert scrambled_system.get_file(b) == data
+
+
+def test_combined_defense_uploads_in_the_order_of_a_second_segmentation():
+    # MinHash + scrambling (examples/encrypted_backup_system.py, three
+    # generations): put_file scrambles over the segments MinHash encryption
+    # returned. It used to fingerprint and segment every file a second
+    # time; that order is recomputed here and fed to a shadow engine.
+    chunker = GearChunker(ChunkerSpec(min_size=1024, avg_size=4096, max_size=16384))
+    segmentation = SegmentationSpec(
+        min_bytes=32 * 1024, avg_bytes=64 * 1024, max_bytes=128 * 1024
+    )
+    scheme = ServerAidedMLE(KeyManager(b"system-wide-secret-0123456789abc"))
+    system = EncryptedDedupSystem(
+        scheme=scheme,
+        chunker=chunker,
+        use_minhash=True,
+        use_scramble=True,
+        segmentation=segmentation,
+        container_size=1 << 20,
+    )
+    shadow = DDFSEngine(
+        cache_budget_bytes=4 * MiB, bloom_capacity=1_000_000, container_size=1 << 20
+    )
+    trees = [build_tree(seed=42, num_files=20, mean_file_size=48 * 1024)]
+    for generation in (1, 2):
+        trees.append(
+            evolve_tree(trees[-1], seed=42, generation=generation, modify_fraction=0.25)
+        )
+    files_stored = 0
+    stored = []
+    for tree in trees:
+        for file in tree.iter_files():
+            refs = system.put_file(file.path, file.data).recipe.chunks
+            chunks = [chunk.data for chunk in chunker.split(file.data)] or [b""]
+            segments = segment_stream(
+                [scheme.fingerprinter(chunk) for chunk in chunks],
+                [len(chunk) for chunk in chunks],
+                segmentation,
+            )
+            rng = rng_from(0, "system-scramble", files_stored)
+            for segment in segments:
+                for offset in scramble_indices(len(segment), rng, DEQUE):
+                    ref = refs[segment.start + offset]
+                    shadow.process_chunk(ref.tag, ref.size)
+            files_stored += 1
+        system.flush()
+        shadow.finish_backup()
+        assert system.stored_bytes == shadow.containers.stored_bytes()
+        stored.append(system.stored_bytes)
+
+    containers = system.engine.containers
+    assert containers.num_containers == shadow.containers.num_containers == 4
+    for container_id in containers.containers:
+        assert (
+            containers.get(container_id).fingerprints()
+            == shadow.containers.get(container_id).fingerprints()
+        )
+    # The sizes the example prints, as it printed them before the change.
+    assert [
+        format_size(after - before) for before, after in zip([0, *stored], stored)
+    ] == ["1.1 MiB", "206.0 KiB", "276.1 KiB"]
