@@ -12,26 +12,36 @@ Concurrency model
 -----------------
 
 One event loop serves every connection, and each connection is **one
-coroutine**: read the 4-byte header, bound-check the claimed length,
-read the body, decode, serve, write the response, drain — then the next
-frame.  Requests of one connection are therefore served strictly in the
-order they arrived, so a client may pipeline: frames it sent ahead wait
-in the kernel socket buffer and in the ``StreamReader`` buffer, which
-stops reading the socket (``pause_reading``) once it holds twice its
-64 KiB limit — that, plus TCP pushing back on the sender, is the
-backpressure; nothing is parsed before its turn.  Engine calls are
-synchronous and run on the loop, so *global* request order — the order
-that determines every dedup decision — is exactly the order the loop
-resumes the connection coroutines.
+protocol object** (an ``asyncio.Protocol``; no stream pair, no task):
+``data_received`` appends to the connection's buffer and serves, then
+and there, every whole frame the buffer holds — bound-check the length
+from the header alone, cut the body, decode, serve, write the response —
+until only an incomplete frame is left.  Requests of one connection are
+therefore served strictly in the order they arrived, so a client may
+pipeline.  Two things *hold* a session, and a held session does not
+read its socket (``pause_reading``): the transport reporting its write
+buffer over the 64 KiB high-water mark (the peer is not taking
+responses), and an injected stall.  Frames sent ahead then wait in the
+kernel socket buffer and in the connection's buffer, which is bounded by
+one incomplete frame (at most ``max_frame_bytes``) plus one 256 KiB
+read — that, plus TCP pushing back on the sender, is the backpressure;
+nothing is parsed before its turn.  Engine calls are synchronous and run
+on the loop, so *global* request order — the order that determines every
+dedup decision — is exactly the order the selector reports the sockets
+readable.
 
-Every wait is bounded by one per-connection deadline (an
-``asyncio.timeout`` timer handle, moved before each wait; no task per
-frame): ``idle_timeout`` for a header and again for its body,
-``drain_timeout`` for a response the peer is slow to take — and a
-response the socket accepted whole waits for nothing.  A peer that
-vanishes ends the session whichever side notices: a failed read is an
-EOF; a failed write or drain is counted (``serve.disconnects``), logged,
-and no further frame of that connection is served.
+Every wait is bounded by one per-connection deadline: ``idle_timeout``
+for a header and again for its body, ``drain_timeout`` for responses the
+peer is slow to take — and a response the socket accepted whole waits
+for nothing.  The deadline moves when a wait *begins* (a header
+completed, a frame answered), never while it continues, so bytes
+trickling in do not keep a session alive; its one timer handle per
+connection is lazy — it re-arms itself when it fires before a deadline
+that has since moved on, and is replaced only for a deadline earlier
+than the one it was set for.  A peer that vanishes ends the session
+whichever side notices: a failed read or an EOF just ends it; a failed
+write is counted (``serve.disconnects``), logged, and no further frame
+of that connection is served.
 
 Admission control
 -----------------
@@ -114,7 +124,7 @@ class FrontendConfig:
         burst: per-tenant token-bucket capacity.
         max_sessions: global concurrent-session cap (``busy`` beyond).
         shutdown_grace: seconds a graceful shutdown waits for live
-            sessions to finish their queued batches before cancelling
+            sessions to finish their queued batches before aborting
             them (:meth:`DedupFrontend.drain`).
     """
 
@@ -191,7 +201,9 @@ class DedupFrontend:
             max_sessions=self.config.max_sessions,
             **kwargs,
         )
-        self._connections: set[asyncio.Task] = set()
+        self._connections: set[_Session] = set()
+        # Set by the last ``connection_lost`` while someone waits for it.
+        self._idle: asyncio.Event | None = None
         # Idempotent retry support: responses to requests that carried a
         # client-generated ``rid`` are remembered, so a client resending
         # after a lost response gets the original answer verbatim — the
@@ -222,57 +234,26 @@ class DedupFrontend:
             skipped_restores=self.skipped_restores,
         )
 
-    # -- connection handling ------------------------------------------------
-
-    async def handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve one connection until it ends; release its session."""
-        if not self.admission.admit_session():
-            self.stats.count_error(wire.E_BUSY)
-            with contextlib.suppress(Exception):
-                writer.write(
-                    wire.encode_frame(
-                        wire.ERROR,
-                        wire.error_payload(wire.E_BUSY, "session cap reached"),
-                    )
-                )
-                await writer.drain()
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-            return
-        self.stats.sessions_opened += 1
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-        try:
-            refusal = await self._serve_frames(reader, writer)
-            if refusal is not None:
-                await self._refuse(writer, refusal)
-        except TimeoutError:
-            # Slow reader: the peer is not consuming responses.  Abort
-            # the transport (no lingering send buffer) and bail out.
-            writer.transport.abort()
-            self.stats.slow_reader_aborts += 1
-            _log.warning("slow reader aborted")
-        finally:
-            writer.close()
-            if task is not None:
-                self._connections.discard(task)
-            self.admission.release_session()
-            self.stats.sessions_closed += 1
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+    # -- connection lifetime (the per-connection work is _Session's) --------
 
     async def shutdown(self) -> None:
-        """Cancel and await every live connection task (server stop)."""
-        tasks = [task for task in self._connections if not task.done()]
-        for task in tasks:
-            task.cancel()
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
-        self._connections.clear()
+        """Abort every live connection and wait them out (server stop)."""
+        for session in list(self._connections):
+            session.transport.abort()
+        await self._quiesced(None)
+
+    async def _quiesced(self, timeout: float | None) -> bool:
+        """Wait for the last ``connection_lost``; ``False`` on timeout."""
+        if self._connections:
+            self._idle = asyncio.Event()
+            try:
+                async with asyncio.timeout(timeout):
+                    await self._idle.wait()
+            except TimeoutError:
+                return False
+            finally:
+                self._idle = None
+        return True
 
     async def drain(self, grace: float | None = None) -> dict[str, object]:
         """Graceful shutdown: finish queued batches, then stop.
@@ -280,20 +261,17 @@ class DedupFrontend:
         The caller has already closed the listener (no new sessions);
         live sessions keep serving their pipelined frames for up to
         ``grace`` seconds (``config.shutdown_grace`` by default), then
-        stragglers are cancelled.  The final STATS payload is captured
+        stragglers are aborted.  The final STATS payload is captured
         in :attr:`final_stats`, logged, and returned — the serving
         tier's last words, emitted exactly once per lifetime.
         """
         grace = self.config.shutdown_grace if grace is None else grace
-        tasks = [task for task in self._connections if not task.done()]
-        if tasks and grace > 0:
-            done, pending = await asyncio.wait(tasks, timeout=grace)
-            if pending:
-                obs.counter("serve.drain_cancelled", len(pending))
-                _log.warning(
-                    "drain grace expired",
-                    extra={"cancelled_sessions": len(pending)},
-                )
+        if grace > 0 and not await self._quiesced(grace):
+            obs.counter("serve.drain_cancelled", len(self._connections))
+            _log.warning(
+                "drain grace expired",
+                extra={"cancelled_sessions": len(self._connections)},
+            )
         await self.shutdown()
         self.final_stats = self.stats_payload()
         obs.counter("serve.drains")
@@ -308,157 +286,6 @@ class DedupFrontend:
             },
         )
         return self.final_stats
-
-    async def _serve_frames(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> wire.ProtocolError | None:
-        """The connection's loop: read, decode, serve, answer, repeat.
-
-        Returns ``None`` when the session is over — ``CLOSE``, an
-        injected drop, a vanished peer — or the transport abuse the
-        caller must answer once before closing: an oversized frame, an
-        idle session, a fatal decode error.  A well-delimited frame
-        whose payload merely fails to decode is answered here and the
-        session kept: framing is still in sync.  Raises ``TimeoutError``
-        when a response drain outlasts ``drain_timeout``.
-        """
-        config, stats = self.config, self.stats
-        now = asyncio.get_running_loop().time
-        transport = writer.transport
-        try:
-            # One deadline per connection, moved before each wait.
-            async with asyncio.timeout(None) as deadline:
-                while True:
-                    waiting = _HEADER
-                    deadline.reschedule(now() + config.idle_timeout)
-                    try:
-                        header = await reader.readexactly(wire.HEADER_BYTES)
-                        (length,) = wire.HEADER.unpack(header)
-                        if length < 1 or length > config.max_frame_bytes:
-                            # Refused from the header alone, body unread.
-                            return wire.ProtocolError(
-                                f"frame of {length} bytes exceeds the "
-                                f"{config.max_frame_bytes}-byte limit",
-                                wire.E_OVERSIZED,
-                            )
-                        waiting = _BODY
-                        deadline.reschedule(now() + config.idle_timeout)
-                        body = await reader.readexactly(length)
-                    except (asyncio.IncompleteReadError, OSError):
-                        # A disconnect, clean or abrupt, possibly
-                        # mid-frame: nobody is left to answer.
-                        return None
-                    try:
-                        kind, payload = wire.decode_body(body)
-                    except wire.ProtocolError as error:
-                        if error.code in wire.FATAL_CODES:
-                            return error
-                        stats.count_error(error.code)
-                        response_kind, close_after = wire.ERROR, False
-                        response = wire.error_payload(error.code, str(error))
-                    else:
-                        served = await self._serve_frame(
-                            kind, payload, deadline, transport
-                        )
-                        if served is None:
-                            return None
-                        response_kind, response, close_after = served
-                    writer.write(wire.encode_frame(response_kind, response))
-                    stats.frames_out += 1
-                    # A response the socket took whole waits for nothing.
-                    # A transport already closing means the write failed:
-                    # drain() is what reports it.
-                    if (
-                        transport.get_write_buffer_size()
-                        or transport.is_closing()
-                    ):
-                        waiting = _DRAIN
-                        deadline.reschedule(now() + config.drain_timeout)
-                        if not await self._drain(writer):
-                            return None
-                    if close_after:
-                        return None
-        except TimeoutError:
-            if waiting is _DRAIN:
-                raise
-            return wire.ProtocolError(waiting, wire.E_IDLE)
-
-    async def _serve_frame(
-        self,
-        kind: int,
-        payload: dict,
-        deadline: asyncio.Timeout,
-        transport: asyncio.Transport,
-    ) -> tuple[int, dict, bool] | None:
-        """Count, fault and serve one decoded request.
-
-        Returns :meth:`_serve`'s ``(kind, payload, close_after)``, or
-        ``None`` when an injected drop aborted the connection.
-        """
-        self.stats.frames_in += 1
-        frame_name = wire.FRAME_NAMES[kind]
-        obs.counter("serve.frames", kind=frame_name)
-        # Injected server-side faults: a drop abruptly aborts the
-        # connection (before serving by default, so the request never
-        # executed — or after, exercising the rid-replay path); a stall
-        # delays the response without touching it.
-        drop = faults.fire("serve.drop", kind=frame_name)
-        if drop is not None and drop.get("when", "before") == "before":
-            _log.warning("injected drop", extra={"kind": frame_name})
-            transport.abort()
-            return None
-        stall = faults.fire("serve.stall", kind=frame_name)
-        if stall is not None:
-            deadline.reschedule(None)
-            await asyncio.sleep(float(stall.get("delay_s", 0.05)))
-        started = time.perf_counter()
-        with obs.span("serve.frame", kind=frame_name):
-            served = self._serve(kind, payload)
-        obs.observe(
-            "serve.latency_s", time.perf_counter() - started, kind=frame_name
-        )
-        if drop is not None:
-            # when == "after": the request was served (and its rid
-            # response remembered) but the answer is lost in flight.
-            _log.warning(
-                "injected drop after serve", extra={"kind": frame_name}
-            )
-            transport.abort()
-            return None
-        return served
-
-    async def _drain(self, writer: asyncio.StreamWriter) -> bool:
-        """Wait for buffered responses to leave; ``False`` if they cannot.
-
-        A failed write or drain is a disconnect — the peer vanished with
-        responses unread: counted, logged, and the session ends like an
-        EOF (the caller serves nothing further).
-        """
-        try:
-            await writer.drain()
-        except OSError as error:
-            obs.counter("serve.disconnects")
-            _log.warning("peer vanished", extra={"detail": repr(error)})
-            return False
-        return True
-
-    async def _refuse(
-        self, writer: asyncio.StreamWriter, refusal: wire.ProtocolError
-    ) -> None:
-        """Answer transport abuse once; the caller then closes."""
-        self.stats.count_error(refusal.code)
-        _log.warning(
-            "fatal transport error",
-            extra={"code": refusal.code, "detail": str(refusal)},
-        )
-        writer.write(
-            wire.encode_frame(
-                wire.ERROR, wire.error_payload(refusal.code, str(refusal))
-            )
-        )
-        self.stats.frames_out += 1
-        async with asyncio.timeout(self.config.drain_timeout):
-            await self._drain(writer)
 
     # -- request dispatch (synchronous, ordered by the event loop) ----------
 
@@ -475,8 +302,8 @@ class DedupFrontend:
                 return wire.OK, self.stats_payload(), False
             if kind == wire.CLOSE:
                 return wire.OK, {"closed": True}, True
-            # Unreachable for wire traffic (decode_body refuses unknown
-            # kinds before they are served), kept for in-process callers.
+            # A response kind (OK / ERROR) sent as a request: decode_body
+            # accepts every kind the protocol defines, so it arrives here.
             self.stats.count_error(wire.E_UNKNOWN_KIND)
             return (
                 wire.ERROR,
@@ -518,13 +345,26 @@ class DedupFrontend:
     # only belong to requests whose retries have long since resolved.
     _RID_CACHE_LIMIT = 4096
 
-    def _replayed(self, payload: dict) -> tuple[int, dict] | None:
-        """The remembered response for a retried rid, if any."""
+    def _preempted(
+        self, payload: dict, tenant: int
+    ) -> tuple[int, dict, bool] | None:
+        """The answer that stands in for serving a parsed request, if
+        any: the remembered response of a retried rid, or a rate limit."""
         rid = payload.get("rid")
         if isinstance(rid, str) and rid in self._rid_cache:
             obs.counter("serve.rid_replays")
-            return self._rid_cache[rid]
-        return None
+            return (*self._rid_cache[rid], False)
+        if self.admission.admit_request(tenant):
+            return None
+        self.stats.count_error(wire.E_RATE_LIMITED)
+        return (
+            wire.ERROR,
+            wire.error_payload(
+                wire.E_RATE_LIMITED,
+                f"tenant {tenant} exceeded {self.config.rate_limit:g} req/s",
+            ),
+            False,
+        )
 
     def _remember(self, payload: dict, kind: int, response: dict) -> None:
         """Remember a rid request's final response for idempotent replay.
@@ -541,20 +381,9 @@ class DedupFrontend:
 
     def _serve_upload(self, payload: dict) -> tuple[int, dict, bool]:
         tenant, round_index, label, backup = wire.parse_upload(payload)
-        replayed = self._replayed(payload)
-        if replayed is not None:
-            return (*replayed, False)
-        if not self.admission.admit_request(tenant):
-            self.stats.count_error(wire.E_RATE_LIMITED)
-            return (
-                wire.ERROR,
-                wire.error_payload(
-                    wire.E_RATE_LIMITED,
-                    f"tenant {tenant} exceeded "
-                    f"{self.config.rate_limit:g} req/s",
-                ),
-                False,
-            )
+        preempted = self._preempted(payload, tenant)
+        if preempted is not None:
+            return preempted
         request = Request(
             kind=UPLOAD,
             tenant=tenant,
@@ -583,20 +412,9 @@ class DedupFrontend:
 
     def _serve_restore(self, payload: dict) -> tuple[int, dict, bool]:
         tenant, label = wire.parse_restore(payload)
-        replayed = self._replayed(payload)
-        if replayed is not None:
-            return (*replayed, False)
-        if not self.admission.admit_request(tenant):
-            self.stats.count_error(wire.E_RATE_LIMITED)
-            return (
-                wire.ERROR,
-                wire.error_payload(
-                    wire.E_RATE_LIMITED,
-                    f"tenant {tenant} exceeded "
-                    f"{self.config.rate_limit:g} req/s",
-                ),
-                False,
-            )
+        preempted = self._preempted(payload, tenant)
+        if preempted is not None:
+            return preempted
         try:
             observables, _ = self.service.restore(tenant, label)
         except StorageError as error:
@@ -643,6 +461,261 @@ class DedupFrontend:
         return payload
 
 
+# -- one connection -----------------------------------------------------------
+
+
+class _Session(asyncio.Protocol):
+    """One connection: frames reassembled, served and answered in place.
+
+    Everything runs in loop callbacks — ``data_received``, the deadline
+    timer, the continuation of a hold — so there is no task to cancel
+    and nothing to await; the transport's own callbacks are the events.
+    """
+
+    def __init__(self, frontend: DedupFrontend):
+        self.frontend = frontend
+        self.loop = asyncio.get_running_loop()
+        self.transport: asyncio.Transport | None = None  # None: refused
+        self.buffer = bytearray()
+        # Reading is paused: an injected stall, or a full write buffer.
+        self.held = False
+        # One lazy timer: ``deadline`` bounds ``waiting`` (None: nothing
+        # to bound).  Both move freely; the handle is replaced only to
+        # fire earlier, and re-arms itself when it fires too early.
+        self.waiting: str | None = None
+        self.deadline = 0.0
+        self.timer: asyncio.TimerHandle | None = None
+
+    # -- transport callbacks ------------------------------------------------
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        frontend = self.frontend
+        if not frontend.admission.admit_session():
+            frontend.stats.count_error(wire.E_BUSY)
+            busy = wire.error_payload(wire.E_BUSY, "session cap reached")
+            transport.write(wire.encode_frame(wire.ERROR, busy))
+            transport.close()
+            return
+        self.transport = transport
+        frontend.stats.sessions_opened += 1
+        frontend._connections.add(self)
+        self._begin(_HEADER, frontend.config.idle_timeout)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if self.transport is None:
+            return
+        if self.timer is not None:
+            self.timer.cancel()
+        if exc is not None and self.waiting is _DRAIN:
+            # A write failed with responses unread: the peer vanished.
+            obs.counter("serve.disconnects")
+            _log.warning("peer vanished", extra={"detail": repr(exc)})
+        frontend = self.frontend
+        frontend._connections.discard(self)
+        frontend.admission.release_session()
+        frontend.stats.sessions_closed += 1
+        if frontend._idle is not None and not frontend._connections:
+            frontend._idle.set()
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        self._pump()
+
+    def eof_received(self) -> None:
+        # Possibly mid-frame, never with a whole frame unserved (a held
+        # session does not read): nobody is left to answer.
+        self._close()
+
+    def pause_writing(self) -> None:
+        # The peer is not taking responses: serve nothing until it does.
+        self.held = True
+        self.transport.pause_reading()
+        self._begin(_DRAIN, self.frontend.config.drain_timeout)
+
+    def resume_writing(self) -> None:
+        # Not from inside the transport's write callback, which reports
+        # a connection closed while it runs as lost twice.
+        self.loop.call_soon(self._resume)
+
+    def _resume(self, *stalled) -> None:
+        """End a hold; serve the frame a stall held back, then the rest."""
+        if not self.transport.is_closing():
+            self.held = False
+            self.transport.resume_reading()
+            self._pump(*stalled)
+
+    # -- the deadline -------------------------------------------------------
+
+    def _begin(self, waiting: str, timeout: float) -> None:
+        """A wait begins: what it is for, and when it has lasted too long."""
+        self.waiting = waiting
+        self.deadline = deadline = self.loop.time() + timeout
+        timer = self.timer
+        if timer is None or deadline < timer.when():
+            if timer is not None:
+                timer.cancel()
+            self.timer = self.loop.call_at(deadline, self._expired)
+
+    def _expired(self) -> None:
+        self.timer = None
+        waiting = self.waiting
+        if waiting is None:
+            return
+        if self.loop.time() < self.deadline:
+            self.timer = self.loop.call_at(self.deadline, self._expired)
+        elif waiting is _DRAIN:
+            # Slow reader: the peer is not consuming responses.  Abort
+            # the transport (no lingering send buffer).
+            self.transport.abort()
+            self.frontend.stats.slow_reader_aborts += 1
+            _log.warning("slow reader aborted")
+        else:
+            self._refuse(wire.ProtocolError(waiting, wire.E_IDLE))
+
+    # -- the frame loop -----------------------------------------------------
+
+    def _pump(self, *stalled) -> None:
+        """Serve every whole frame buffered, in order, until the buffer
+        holds none, the session is held, or the connection is closing.
+
+        Cutting a frame ends the wait it arrived in (``waiting`` is
+        ``None`` while it is served); a read wait begins when the loop
+        runs out of bytes in a state other than the one it waits in —
+        so bytes that complete nothing leave the deadline where it was.
+        """
+        transport, buffer = self.transport, self.buffer
+        config = self.frontend.config
+        next_wait = _HEADER
+        try:
+            if stalled:
+                self._serve(*stalled)
+            while not (self.held or transport.is_closing()):
+                if len(buffer) < wire.HEADER_BYTES:
+                    break
+                (length,) = wire.HEADER.unpack_from(buffer)
+                if length < 1 or length > config.max_frame_bytes:
+                    # Refused from the header alone, body unread.
+                    self._refuse(
+                        wire.ProtocolError(
+                            f"frame of {length} bytes exceeds the "
+                            f"{config.max_frame_bytes}-byte limit",
+                            wire.E_OVERSIZED,
+                        )
+                    )
+                    return
+                end = wire.HEADER_BYTES + length
+                if len(buffer) < end:
+                    next_wait = _BODY
+                    break
+                body = buffer[wire.HEADER_BYTES : end]
+                del buffer[:end]
+                self.waiting = None
+                self._frame(body)
+            else:
+                return
+        except Exception as error:
+            # Nothing above a loop callback would both report this and
+            # end the connection.
+            self.loop.call_exception_handler(
+                {
+                    "message": "Unhandled exception serving a connection",
+                    "exception": error,
+                    "protocol": self,
+                }
+            )
+            transport.abort()
+            return
+        if self.waiting is not next_wait:
+            self._begin(next_wait, config.idle_timeout)
+
+    def _frame(self, body: bytearray) -> None:
+        """Decode, count and fault one frame, then serve it."""
+        try:
+            kind, payload = wire.decode_body(body)
+        except wire.ProtocolError as error:
+            self._refuse(error)
+            return
+        self.frontend.stats.frames_in += 1
+        frame_name = wire.FRAME_NAMES[kind]
+        obs.counter("serve.frames", kind=frame_name)
+        # Injected server-side faults: a drop abruptly aborts the
+        # connection (before serving by default, so the request never
+        # executed — or after, exercising the rid-replay path); a stall
+        # delays the response without touching it.
+        drop = faults.fire("serve.drop", kind=frame_name)
+        if drop is not None and drop.get("when", "before") == "before":
+            _log.warning("injected drop", extra={"kind": frame_name})
+            self.transport.abort()
+            return
+        stall = faults.fire("serve.stall", kind=frame_name)
+        if stall is None:
+            self._serve(kind, payload, drop)
+        else:
+            # Held, with no deadline; the continuation serves this frame.
+            self.held = True
+            self.transport.pause_reading()
+            delay = float(stall.get("delay_s", 0.05))
+            self.loop.call_later(delay, self._resume, kind, payload, drop)
+
+    def _serve(self, kind: int, payload: dict, drop: dict | None) -> None:
+        """Serve one request and answer it — unless a drop takes the answer."""
+        frame_name = wire.FRAME_NAMES[kind]
+        started = time.perf_counter()
+        with obs.span("serve.frame", kind=frame_name):
+            served = self.frontend._serve(kind, payload)
+        obs.observe(
+            "serve.latency_s", time.perf_counter() - started, kind=frame_name
+        )
+        if drop is None:
+            self._answer(*served)
+        else:
+            # when == "after": the request was served (and its rid
+            # response remembered) but the answer is lost in flight.
+            _log.warning(
+                "injected drop after serve", extra={"kind": frame_name}
+            )
+            self.transport.abort()
+
+    def _answer(self, kind: int, payload: dict, close_after: bool) -> None:
+        """Write one response; ``close_after`` makes it the last."""
+        self.transport.write(wire.encode_frame(kind, payload))
+        self.frontend.stats.frames_out += 1
+        if self.transport.is_closing():
+            # The write failed: nothing further of this connection is
+            # served, and ``connection_lost`` brings the reason.
+            self.waiting = _DRAIN
+        elif close_after:
+            self._close()
+
+    def _refuse(self, refusal: wire.ProtocolError) -> None:
+        """Answer a frame the protocol rejects.
+
+        Transport abuse and a stream out of sync (the fatal codes) are
+        answered once and the connection closed; a well-delimited frame
+        whose payload merely fails to decode keeps the session — framing
+        is still in sync.
+        """
+        fatal = refusal.code in wire.FATAL_CODES
+        self.frontend.stats.count_error(refusal.code)
+        if fatal:
+            _log.warning(
+                "fatal transport error",
+                extra={"code": refusal.code, "detail": str(refusal)},
+            )
+        self._answer(
+            wire.ERROR, wire.error_payload(refusal.code, str(refusal)), fatal
+        )
+
+    def _close(self) -> None:
+        """Serve nothing further; what is buffered has ``drain_timeout``
+        to leave before ``connection_lost``."""
+        self.transport.close()
+        if self.transport.get_write_buffer_size():
+            self._begin(_DRAIN, self.frontend.config.drain_timeout)
+        else:
+            self.waiting = None
+
+
 # -- running a frontend -------------------------------------------------------
 
 
@@ -659,16 +732,16 @@ async def start_frontend(
     Returns:
         The asyncio server plus the resolved (bound) address.
     """
+    loop = asyncio.get_running_loop()
+
+    def session() -> _Session:
+        return _Session(frontend)
+
     if address[0] == "unix":
-        server = await asyncio.start_unix_server(
-            frontend.handle_connection, path=address[1]
-        )
+        server = await loop.create_unix_server(session, path=address[1])
         return server, ("unix", address[1])
     if address[0] == "tcp":
-        host, port = address[1], address[2]
-        server = await asyncio.start_server(
-            frontend.handle_connection, host, port
-        )
+        server = await loop.create_server(session, address[1], address[2])
         bound = server.sockets[0].getsockname()
         return server, ("tcp", bound[0], bound[1])
     raise ConfigurationError(f"unknown address kind {address[0]!r}")

@@ -72,6 +72,12 @@ class FrontendClient:
         address: ``("unix", path)`` or ``("tcp", host, port)``.
         timeout: socket timeout in seconds for connect/send/recv.
 
+    Reads are buffered per connection — one ``recv`` usually brings a
+    whole response, header and body — and the buffer lives and dies with
+    the socket.  A response may be at most
+    ``protocol.DEFAULT_MAX_FRAME_BYTES``; a header claiming more (or
+    nothing) is a corrupt stream and raises ``ConnectionError``.
+
     With a :class:`RetryPolicy` (:meth:`request_with_retry`), a dropped
     connection or fatal transport answer triggers reconnect + re-HELLO
     (sessions are stateless beyond the handshake, so resume is just a
@@ -91,6 +97,9 @@ class FrontendClient:
         self._connect()
 
     def _connect(self) -> None:
+        # The one place a socket is made, so the one place its read
+        # buffer is: a new connection never inherits unparsed bytes.
+        self._buffer = bytearray()
         address = self.address
         if address[0] == "unix":
             self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -121,18 +130,25 @@ class FrontendClient:
         self._sock.sendall(data)
 
     def recv_exact(self, count: int) -> bytes:
-        chunks = []
-        while count > 0:
-            chunk = self._sock.recv(count)
+        buffer = self._buffer
+        while len(buffer) < count:
+            chunk = self._sock.recv(65536)
             if not chunk:
                 raise ConnectionError("server closed the connection")
-            chunks.append(chunk)
-            count -= len(chunk)
-        return b"".join(chunks)
+            buffer += chunk
+        data = bytes(buffer[:count])
+        del buffer[:count]
+        return data
 
     def recv_frame(self) -> tuple[int, dict]:
-        """Read one response frame; returns ``(kind, payload)``."""
+        """Read one response frame; returns ``(kind, payload)``.
+
+        Raises ``ConnectionError`` for a length outside the protocol's
+        bound: the stream is corrupt, and the retry path reconnects.
+        """
         (length,) = wire.HEADER.unpack(self.recv_exact(wire.HEADER_BYTES))
+        if not 1 <= length <= wire.DEFAULT_MAX_FRAME_BYTES:
+            raise ConnectionError(f"server claims a frame of {length} bytes")
         return wire.decode_body(self.recv_exact(length))
 
     # -- framed requests ----------------------------------------------------

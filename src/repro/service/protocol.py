@@ -69,6 +69,10 @@ FRAME_NAMES = {
 
 HEADER = struct.Struct(">I")
 HEADER_BYTES = HEADER.size
+# Length and kind byte packed in one call; one encoder for every frame
+# (``json.dumps`` with non-default arguments builds one per call).
+_PREFIX = struct.Struct(">IB")
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 DEFAULT_MAX_FRAME_BYTES = 4 * MiB
 
 # Error codes carried in ERROR payloads.  The transport class
@@ -131,13 +135,11 @@ class ProtocolError(ReproError):
 
 def encode_frame(kind: int, payload: dict) -> bytes:
     """Serialize one frame: header + kind byte + JSON payload."""
-    body = json.dumps(
-        payload, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    return HEADER.pack(1 + len(body)) + bytes([kind]) + body
+    body = _ENCODER.encode(payload).encode("utf-8")
+    return _PREFIX.pack(1 + len(body), kind) + body
 
 
-def decode_body(body: bytes) -> tuple[int, dict]:
+def decode_body(body: bytes | bytearray) -> tuple[int, dict]:
     """Decode a frame body (everything after the length header).
 
     Raises:

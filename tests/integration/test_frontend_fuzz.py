@@ -15,6 +15,13 @@ mutant is written to a fresh connection of one running
 
 The search is a pure function of :data:`SEED`, which every failure
 message carries.
+
+The frontend reassembles frames itself, so a second, differential test
+sends a sample of the same mutants and two well-formed sessions once
+whole and once in seeded pieces — cut inside headers, at header|body,
+one byte before a frame's end, in runs of 1–7 bytes — to two frontends:
+how the bytes were delivered must change nothing either of them
+answers, counts or stores.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import json
 import random
 import socket
+import time
 
 import pytest
 
@@ -35,6 +43,7 @@ from tests.integration.test_serve_frontend import (
     serve_log,  # noqa: F401 - fixture
     served,
     unhandled,
+    upload_frame,
     upload_ok,
 )
 
@@ -47,6 +56,11 @@ MUTATIONS = 320
 IDLE_TIMEOUT = 0.25
 # Mutations 1, 41, 81, … — truncations all — are not half-closed.
 WAIT_OUT_EVERY = 40
+# The fragmentation differential resends every 8th mutant in pieces, this
+# far apart: long enough that an idle server wakes for each piece (the
+# kernel coalescing two of them only lowers coverage, never fails).
+FRAGMENT_EVERY = 8
+PIECE_PAUSE = 0.002
 
 KNOWN_CODES = {
     value
@@ -54,6 +68,7 @@ KNOWN_CODES = {
     if name.startswith("E_") and isinstance(value, str)
 }
 STORE_TOTALS = ("stored_bytes", "unique_chunks_stored", "uploads", "tenants")
+COUNTERS = ("frames_in", "frames_out", "errors", "errors_by_class")
 WRONG_VALUES = (None, True, -1, 2**70, 1.5, "seven", "", [], [1], {}, {"a": 1})
 
 
@@ -183,18 +198,24 @@ def store_totals(address) -> dict:
     return {key: stats[key] for key in STORE_TOTALS}
 
 
-def exchange(address, data: bytes, half_close: bool) -> list[tuple[int, dict]]:
+def exchange(
+    address, data: bytes, half_close: bool, cuts=()
+) -> list[tuple[int, dict]]:
     """Write ``data`` to a fresh connection; every answer up to EOF.
 
     With ``half_close`` the server sees EOF behind the bytes, so a
     mutant that leaves it waiting for more ends at once; without, it
-    must be the idle timeout that ends the wait.
+    must be the idle timeout that ends the wait.  ``cuts`` (ascending
+    offsets) sends the bytes in that many pieces more, a pause apart.
     """
     client = FrontendClient(address, timeout=5.0)
     answers = []
     try:
         try:
-            client.send_raw(data)
+            for start, end in zip((0, *cuts), (*cuts, len(data))):
+                if start:
+                    time.sleep(PIECE_PAUSE)
+                client.send_raw(data[start:end])
             if half_close:
                 client._sock.shutdown(socket.SHUT_WR)
         except OSError:
@@ -210,19 +231,24 @@ def exchange(address, data: bytes, half_close: bool) -> list[tuple[int, dict]]:
         client.close(polite=False)
 
 
-def test_mutated_frames_never_wedge_crash_or_corrupt(serve_log):  # noqa: F811
+def mutants():
+    """``(index, operator name, base kind, bytes)`` of every mutation."""
     rng = random.Random(SEED)
     bases = base_frames()
+    for index in range(MUTATIONS):
+        operator = OPERATORS[index % len(OPERATORS)]
+        kind, payload = bases[(index // len(OPERATORS)) % len(bases)]
+        yield index, operator.__name__, kind, operator(rng, kind, payload, bases)
+
+
+def test_mutated_frames_never_wedge_crash_or_corrupt(serve_log):  # noqa: F811
     config = ServiceConfig(tenants=4, rounds=2, seed=1)
     frontend_config = FrontendConfig(idle_timeout=IDLE_TIMEOUT)
     with served(config, frontend_config) as (frontend, address):
         upload_ok(address, 0, "seeded")
-        for index in range(MUTATIONS):
-            operator = OPERATORS[index % len(OPERATORS)]
-            kind, payload = bases[(index // len(OPERATORS)) % len(bases)]
-            data = operator(rng, kind, payload, bases)
+        for index, operator, kind, data in mutants():
             context = (
-                f"seed {SEED}, mutation {index} ({operator.__name__} of "
+                f"seed {SEED}, mutation {index} ({operator} of "
                 f"{wire.FRAME_NAMES[kind]}): {data[:96].hex()}"
             )
             before = store_totals(address)
@@ -246,3 +272,110 @@ def test_mutated_frames_never_wedge_crash_or_corrupt(serve_log):  # noqa: F811
             frontend.stats.errors.values()
         )
     assert unhandled(serve_log) == [], f"seed {SEED}"
+
+
+# -- delivery in pieces changes nothing ---------------------------------------
+
+
+def cut_points(rng, frames: list[bytes]) -> list[int]:
+    """Seeded offsets at which to cut the stream ``b"".join(frames)``.
+
+    For the first frame and three seeded others: inside the header (1|3
+    and 3|1), at header|body, and one byte before the frame's end; plus
+    two runs of 1-7-byte pieces starting anywhere.
+    """
+    spans, at = [], 0
+    for frame in frames:
+        spans.append((at, at + len(frame)))
+        at += len(frame)
+    cuts = set()
+    for start, end in [spans[0]] + rng.sample(spans, min(3, len(spans))):
+        cuts.update((start + 1, start + 3, start + wire.HEADER_BYTES, end - 1))
+    for _ in range(2):
+        cut = rng.randrange(at)
+        for _ in range(rng.randint(3, 6)):
+            cut += rng.randint(1, 7)
+            cuts.add(cut)
+    return sorted(cut for cut in cuts if 0 < cut < at)
+
+
+def fragmentation_streams() -> list[tuple[str, list[bytes]]]:
+    """``(name, frames)``: two well-formed sessions, then the mutants."""
+    garbage = bytes([0x7F]) + b"{}"
+    backup = make_backup("whole", [f"w{i}" for i in range(5)])
+    streams = [
+        (
+            "24 pipelined uploads, a garbage kind, one frame more",
+            [upload_frame(1, f"p{i}") for i in range(24)]
+            + [wire.HEADER.pack(len(garbage)) + garbage]
+            + [upload_frame(1, "beyond")],
+        ),
+        (
+            "hello, upload, restore, stats, close",
+            [
+                wire.encode_frame(wire.HELLO, wire.hello_payload("pieces")),
+                wire.encode_frame(
+                    wire.UPLOAD_BATCH, wire.upload_payload(2, 0, "whole", backup)
+                ),
+                wire.encode_frame(wire.RESTORE, wire.restore_payload(2, "whole")),
+                wire.encode_frame(wire.STATS, {}),
+                wire.encode_frame(wire.CLOSE, {}),
+            ],
+        ),
+    ]
+    streams += [
+        (f"mutation {index} ({operator} of {wire.FRAME_NAMES[kind]})", [data])
+        for index, operator, kind, data in mutants()
+        if index % FRAGMENT_EVERY == 0
+    ]
+    return streams
+
+
+def outcome(address, data: bytes, cuts) -> dict:
+    """What one stream was answered, and the server's counters after it
+    (running totals: equal after every stream is equal stream by stream)."""
+    answers = exchange(address, data, half_close=True, cuts=cuts)
+    with FrontendClient(address, timeout=5.0) as client:
+        stats = client.stats()
+    return {
+        "answers": [
+            (kind, *(answer.get(key) for key in ("code", "label", "request_index")))
+            for kind, answer in answers
+        ],
+        **{key: stats[key] for key in COUNTERS + STORE_TOTALS},
+    }
+
+
+def test_delivery_in_pieces_changes_nothing(serve_log):  # noqa: F811
+    rng = random.Random(SEED)
+    config = ServiceConfig(tenants=4, rounds=2, seed=1)
+    # Every stream is half-closed, so nothing waits a timeout out; a
+    # long one keeps a slow host's pauses from evicting a session.
+    patient = FrontendConfig(idle_timeout=30.0)
+    with served(config, patient) as (_, whole_address), served(
+        config, patient
+    ) as (_, pieces_address):
+        for address in (whole_address, pieces_address):
+            upload_ok(address, 0, "seeded")
+        for name, frames in fragmentation_streams():
+            data, cuts = b"".join(frames), cut_points(rng, frames)
+            assert outcome(pieces_address, data, cuts) == outcome(
+                whole_address, data, ()
+            ), f"seed {SEED}, {name}, cut at {cuts}: {data[:96].hex()}"
+    assert unhandled(serve_log) == [], f"seed {SEED}"
+
+
+def test_encode_frame_bytes_are_pinned():
+    """The reused encoder and the packed prefix write the same bytes."""
+    config = ServiceConfig(tenants=4, rounds=2, seed=1)
+    with served(config) as (frontend, address):
+        upload_ok(address, 0, "seeded")
+        stats = frontend.stats_payload()
+    for kind, payload in base_frames() + [(wire.OK, stats)]:
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert wire.encode_frame(kind, payload) == framed(
+            kind, canonical.encode("utf-8")
+        )
+    assert wire.encode_frame(wire.HELLO, wire.hello_payload("fuzz")) == (
+        b'\x00\x00\x00\x1f\x01{"client":"fuzz","protocol":1}'
+    )

@@ -17,11 +17,14 @@ Three layers, matching the serving tier's three claims:
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import logging
 import os
 import shutil
+import socket
 import tempfile
+import threading
 import time
 from contextlib import contextmanager
 
@@ -40,7 +43,7 @@ from repro.service.frontend import (
     identity_check,
     start_frontend,
 )
-from repro.service.loadgen import FrontendClient, replay_stream
+from repro.service.loadgen import FrontendClient, RetryPolicy, replay_stream
 from repro.service.simulate import (
     ServiceConfig,
     build_service,
@@ -249,6 +252,20 @@ class TestProtocolRobustness:
                 client.request(wire.STATS, {})
         assert frontend.stats.errors_by_class[wire.CLASS_GARBAGE] == 1
 
+    def test_response_kind_sent_as_request_is_garbage(self, frontend_address):
+        # decode_body accepts every kind the protocol defines, so OK /
+        # ERROR sent by a client reach the dispatcher, which has no
+        # request of that kind: answered as garbage, then closed.
+        frontend, address = frontend_address
+        with FrontendClient(address) as client:
+            client.hello()
+            kind, payload = client.request(wire.OK, {})
+            assert kind == wire.ERROR
+            assert payload["code"] == wire.E_UNKNOWN_KIND
+            with pytest.raises(ConnectionError):
+                client.request(wire.STATS, {})
+        assert frontend.stats.errors_by_class[wire.CLASS_GARBAGE] == 1
+
     def test_oversized_frame_refused_without_reading(self):
         config = ServiceConfig(tenants=4, rounds=2, seed=1)
         with served(
@@ -388,7 +405,62 @@ class TestProtocolRobustness:
             assert frontend.admission.refused_sessions == 1
 
 
-# -- one coroutine per connection -----------------------------------------------
+# -- the client trusts neither the length header nor a dead connection ---------
+
+
+@contextmanager
+def scripted_peer(*answers: bytes, hang_up: bool = True):
+    """A plain-socket server, no frontend: whatever the i-th connection
+    sends first is answered with ``answers[i]`` verbatim."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5.0)
+    kept_open = []
+
+    def run():
+        for answer in answers:
+            connection, _ = listener.accept()
+            connection.recv(65536)
+            connection.sendall(answer)
+            if hang_up:
+                connection.close()
+            else:
+                kept_open.append(connection)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    try:
+        yield ("tcp", *listener.getsockname())
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+    finally:
+        listener.close()
+        for connection in kept_open:
+            connection.close()
+
+
+class TestClientAgainstABadPeer:
+    def test_absurd_length_header_is_a_connection_error(self):
+        # The peer stays connected: a client that believed the header
+        # would sit in recv until its socket timeout.
+        with scripted_peer(wire.HEADER.pack(2**31), hang_up=False) as address:
+            client = FrontendClient(address, timeout=2.0)
+            with pytest.raises(ConnectionError, match="2147483648 bytes"):
+                client.request(wire.STATS, {})
+            client.close(polite=False)
+
+    def test_retry_does_not_parse_a_dead_connections_leftovers(self):
+        answer = wire.encode_frame(wire.OK, {"answer": "x" * 64})
+        with scripted_peer(answer[: len(answer) // 2], answer) as address:
+            client = FrontendClient(address, timeout=2.0)
+            kind, payload = client.request_with_retry(
+                wire.STATS, {}, RetryPolicy(backoff_base=0.001), rid="r0"
+            )
+            client.close(polite=False)
+        assert (kind, payload) == (wire.OK, {"answer": "x" * 64})
+        assert (client.retries, client.reconnects) == (1, 1)
+
+
+# -- one protocol object per connection ---------------------------------------
 
 
 @pytest.fixture()
@@ -409,6 +481,25 @@ def unhandled(log) -> list[str]:
         for record in log.records
         if "Unhandled exception" in record.getMessage() or record.exc_info
     ]
+
+
+def stall_first_upload(delay_s: float) -> None:
+    """Install a fault plan holding the first upload served for ``delay_s``."""
+    faults.install(
+        FaultPlan.from_dict(
+            {
+                "seed": 0,
+                "rules": [
+                    {
+                        "site": "serve.stall",
+                        "match": {"kind": "upload_batch"},
+                        "times": 1,
+                        "delay_s": delay_s,
+                    }
+                ],
+            }
+        )
+    )
 
 
 class TestConnectionLoop:
@@ -457,6 +548,7 @@ class TestConnectionLoop:
         ) as (frontend, address):
             client = FrontendClient(address, timeout=10.0)
             client.hello()
+            started = time.monotonic()
             try:
                 # Far more responses than the socket and the transport
                 # buffer hold; the abort surfaces here as a failed send.
@@ -472,9 +564,71 @@ class TestConnectionLoop:
                 pass
             wait_until(lambda: frontend.stats.sessions_closed)
             assert frontend.stats.slow_reader_aborts == 1
+            # drain_timeout after the write buffer filled, not the (30 s)
+            # idle_timeout the connection's timer was first set for.
+            assert 0.2 <= time.monotonic() - started < 3.0
             client.close(polite=False)
             # The session was released; the server serves on.
             upload_ok(address, 0, "after-slow-reader")
+
+    def test_slow_reader_that_catches_up_loses_nothing(self):
+        """A full write buffer holds the session; draining it resumes it."""
+        count = 3000
+        config = ServiceConfig(tenants=4, rounds=2, seed=1)
+        with served(config) as (frontend, address):
+            client = FrontendClient(address, timeout=10.0)
+            client.hello()
+            # More responses than the socket and the transport buffer
+            # hold: the server stops reading, so the send blocks until
+            # the answers are read — hence the thread.
+            sender = threading.Thread(
+                target=client.send_raw,
+                args=(b"".join(upload_frame(2, f"c{i}") for i in range(count)),),
+                daemon=True,
+            )
+            sender.start()
+
+            def held():
+                return any(s.held for s in list(frontend._connections))
+
+            wait_until(held)
+            assert held()
+            answers = [client.recv_frame() for _ in range(count)]
+            sender.join(timeout=10.0)
+            assert not sender.is_alive()
+            client.close()
+            assert [kind for kind, _ in answers] == [wire.OK] * count
+            assert [p["label"] for _, p in answers] == [
+                f"c{i}" for i in range(count)
+            ]
+            assert frontend.stats.uploads == count
+            assert frontend.stats.slow_reader_aborts == 0
+
+    @pytest.mark.parametrize("stalled", [False, True], ids=["direct", "stalled"])
+    def test_engine_failure_is_reported_and_ends_the_connection(
+        self, serve_log, monkeypatch, stalled
+    ):
+        """Neither entry into the frame loop may swallow an engine error
+        or leave its session held: from ``data_received``, and from the
+        continuation of a stall."""
+        if stalled:
+            stall_first_upload(0.01)
+        config = ServiceConfig(tenants=4, rounds=2, seed=1)
+        with served(config) as (frontend, address):
+
+            def on_fire(*args, **kwargs):
+                raise OSError("disk on fire")
+
+            monkeypatch.setattr(frontend.service, "upload", on_fire)
+            with FrontendClient(address) as client:
+                client.hello()
+                with pytest.raises(ConnectionError):
+                    client.upload(0, 0, "doomed", make_backup("doomed", ["d"]))
+            monkeypatch.undo()
+            upload_ok(address, 0, "after-the-fire")
+        (report,) = [r for r in serve_log.records if r.exc_info]
+        assert "Unhandled exception" in report.getMessage()
+        assert str(report.exc_info[1]) == "disk on fire"
 
     def test_vanished_peer_ends_the_session_at_the_failed_write(
         self, serve_log
@@ -482,21 +636,7 @@ class TestConnectionLoop:
         """Pipelined uploads, no reads, gone: a counted disconnect."""
         # The stall holds the first upload until the client is gone, so
         # its response is the write that fails.
-        faults.install(
-            FaultPlan.from_dict(
-                {
-                    "seed": 0,
-                    "rules": [
-                        {
-                            "site": "serve.stall",
-                            "match": {"kind": "upload_batch"},
-                            "times": 1,
-                            "delay_s": 0.3,
-                        }
-                    ],
-                }
-            )
-        )
+        stall_first_upload(0.3)
         config = ServiceConfig(tenants=4, rounds=2, seed=1)
         obs.enable(metrics=True)
         try:
@@ -539,53 +679,103 @@ class TestConnectionLoop:
             assert frontend.stats.frames_in == frontend.stats.frames_out
         assert unhandled(serve_log) == []
 
+    @staticmethod
+    def loop_work(frames: int) -> dict[str, int]:
+        """Tasks created and timer handles scheduled by a loop in which
+        ``frames`` uploads are served on one connection.  The driver
+        itself schedules no timer (it polls with bare yields)."""
+        config = ServiceConfig(tenants=2, rounds=1, seed=1)
+        frontend = build_frontend(config)
+        scratch = tempfile.mkdtemp(prefix="fe-tasks-")
+        path = os.path.join(scratch, "frontend.sock")
+        work = {"tasks": 0, "timers": 0}
+
+        def counting(loop, coro, **kwargs):
+            work["tasks"] += 1
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        async def drive():
+            loop = asyncio.get_running_loop()
+            loop.set_task_factory(counting)
+            call_at = loop.call_at
+
+            def counting_call_at(*args, **kwargs):
+                work["timers"] += 1
+                return call_at(*args, **kwargs)
+
+            loop.call_at = counting_call_at  # call_later goes through it
+            server, _ = await start_frontend(frontend, ("unix", path))
+            try:
+                reader, writer = await asyncio.open_unix_connection(path)
+                for i in range(frames):
+                    writer.write(upload_frame(0, f"t{i}"))
+                    await writer.drain()
+                    header = await reader.readexactly(wire.HEADER_BYTES)
+                    (length,) = wire.HEADER.unpack(header)
+                    kind, _ = wire.decode_body(await reader.readexactly(length))
+                    assert kind == wire.OK
+                writer.close()
+                await writer.wait_closed()
+                deadline = time.monotonic() + 5.0
+                while frontend._connections and time.monotonic() < deadline:
+                    await asyncio.sleep(0)
+                assert not frontend._connections
+            finally:
+                server.close()
+                await server.wait_closed()
+                await frontend.shutdown()
+
+        try:
+            asyncio.run(drive())
+        finally:
+            shutil.rmtree(scratch, ignore_errors=True)
+        assert frontend.stats.uploads == frames
+        return work
+
     def test_tasks_per_connection_do_not_grow_with_frames(self):
         """Serving 50 frames creates exactly the tasks serving 1 does."""
+        assert self.loop_work(50)["tasks"] == self.loop_work(1)["tasks"]
 
-        def tasks_created(frames: int) -> int:
-            config = ServiceConfig(tenants=2, rounds=1, seed=1)
-            frontend = build_frontend(config)
-            scratch = tempfile.mkdtemp(prefix="fe-tasks-")
-            path = os.path.join(scratch, "frontend.sock")
-            created = 0
+    def test_one_timer_per_connection_however_many_frames(self):
+        """The deadline moves with every wait; its timer handle does not."""
+        assert self.loop_work(50)["timers"] == self.loop_work(1)["timers"]
 
-            def counting(loop, coro, **kwargs):
-                nonlocal created
-                created += 1
-                return asyncio.Task(coro, loop=loop, **kwargs)
-
-            async def drive():
-                asyncio.get_running_loop().set_task_factory(counting)
-                server, _ = await start_frontend(frontend, ("unix", path))
-                try:
-                    reader, writer = await asyncio.open_unix_connection(path)
-                    for i in range(frames):
-                        writer.write(upload_frame(0, f"t{i}"))
-                        await writer.drain()
-                        header = await reader.readexactly(wire.HEADER_BYTES)
-                        (length,) = wire.HEADER.unpack(header)
-                        kind, _ = wire.decode_body(
-                            await reader.readexactly(length)
-                        )
-                        assert kind == wire.OK
-                    writer.close()
-                    await writer.wait_closed()
-                    async with asyncio.timeout(5.0):
-                        while frontend._connections:
-                            await asyncio.sleep(0.005)
-                finally:
-                    server.close()
-                    await server.wait_closed()
-                    await frontend.shutdown()
-
-            try:
-                asyncio.run(drive())
-            finally:
-                shutil.rmtree(scratch, ignore_errors=True)
-            assert frontend.stats.uploads == frames
-            return created
-
-        assert tasks_created(50) == tasks_created(1)
+    @pytest.mark.parametrize(
+        "head, message",
+        [
+            # Three header bytes never complete a header ...
+            (b"", "session idle timeout"),
+            # ... and a whole header begins the wait for its body.
+            (wire.HEADER.pack(64), "frame stalled mid-body"),
+        ],
+        ids=["header", "body"],
+    )
+    def test_trickled_bytes_do_not_postpone_the_deadline(self, head, message):
+        """The deadline is set when a wait begins, not when bytes arrive."""
+        idle = 0.2
+        config = ServiceConfig(tenants=4, rounds=2, seed=1)
+        with served(
+            config, FrontendConfig(idle_timeout=idle)
+        ) as (frontend, address):
+            began = time.monotonic()
+            client = FrontendClient(address)
+            client.send_raw(head or b"\0")
+            for _ in range(2):
+                time.sleep(0.08)
+                # A late third byte may find the session already evicted.
+                with contextlib.suppress(OSError):
+                    client.send_raw(b"\0")
+            last_byte = time.monotonic()
+            kind, payload = client.recv_frame()
+            answered = time.monotonic()
+            client.close(polite=False)
+            assert (kind, payload["code"]) == (wire.ERROR, wire.E_IDLE)
+            assert payload["message"] == message
+            # Evicted ``idle`` after the wait began: a deadline pushed
+            # back by each byte would answer ``idle`` after the last.
+            assert answered - began >= idle - 0.01
+            assert answered - last_byte < idle - 0.05
+            assert frontend.stats.errors == {wire.E_IDLE: 1}
 
 
 # -- concurrency --------------------------------------------------------------

@@ -24,6 +24,10 @@ from repro.chunking import ChunkerSpec, GearChunker
 from repro.crypto.mle import ConvergentEncryption
 from repro.datasets.columnar import write_series
 from repro.datasets.filesystem import deterministic_bytes
+from repro.datasets.model import Backup
+from repro.service.frontend import FrontendServer, build_frontend
+from repro.service.loadgen import FrontendClient
+from repro.service.simulate import ServiceConfig
 from repro.storage.system import EncryptedDedupSystem
 
 
@@ -128,4 +132,44 @@ def test_content_sites_are_called_through(monkeypatch):
         "repro.storage.system:EncryptedDedupSystem.flush": 1,
         "repro.storage.system:EncryptedDedupSystem.get_file": 1,
         "repro.storage.container:Container.read_chunk": chunks,
+    }
+
+
+def test_serve_sites_are_called_through(monkeypatch, tmp_path):
+    # A connection class that bound ``encode_frame = wire.encode_frame`` at
+    # import for speed would leave protocol.encode_s reading zero and its
+    # time in frontend.other_s, with every test of the bytes still green.
+    calls = _count_calls(
+        monkeypatch,
+        lambda site: site.name.startswith(("protocol.", "service.", "client.")),
+    )
+
+    frontend = build_frontend(ServiceConfig(tenants=2, rounds=1, seed=1))
+    backup = Backup(
+        label="b",
+        fingerprints=[b"site-%03d" % i for i in range(6)],
+        sizes=[512] * 6,
+    )
+    try:
+        with FrontendServer(frontend, ("unix", str(tmp_path / "s.sock"))) as address:
+            with FrontendClient(address) as client:
+                client.hello("sites")
+                assert client.upload(0, 0, "b", backup)[1]["total_chunks"] == 6
+                assert client.restore(0, "b")[1]["total_chunks"] == 6
+                assert client.stats()["uploads"] == 1
+    finally:
+        frontend.service.close()
+
+    # hello, upload, restore, stats and the polite close: five round trips,
+    # each encoded and decoded at both ends (which share the module).
+    assert calls == {
+        "repro.service.protocol.encode_frame": 10,
+        "repro.service.protocol.decode_body": 10,
+        "repro.service.protocol.parse_upload": 1,
+        "repro.service.server:DedupService.upload": 1,
+        "repro.service.server:DedupService.restore": 1,
+        "repro.service.meter:SideChannelMeter.observe_upload": 1,
+        "repro.service.meter:SideChannelMeter.observe_restore": 1,
+        "repro.service.loadgen:FrontendClient.request": 5,
+        "repro.service.loadgen:FrontendClient.close": 1,
     }
