@@ -60,7 +60,7 @@ from repro.datasets.columnar import (
     ColumnarBackupView,
     ColumnarTrace,
     PackedVocabulary,
-    _u32_array,
+    u32_array,
 )
 from repro.defenses.pipeline import (
     MLE_PREFIX,
@@ -304,7 +304,7 @@ def sharded_count(view: ColumnarBackupView, jobs: int = 1):
             for (start, stop), raw in zip(ranges, results):
                 previous = accumulate_counts(
                     merged,
-                    list(map(fingerprints.__getitem__, _u32_array(raw))),
+                    list(map(fingerprints.__getitem__, u32_array(raw))),
                     sizes[start:stop],
                     previous,
                 )

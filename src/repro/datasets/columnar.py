@@ -80,22 +80,22 @@ MAX_TRACE_VOCABULARY = 1 << 32
 DEFAULT_SPILL_THRESHOLD = 4_000_000
 _FLUSH_ENTRIES = 1 << 20
 
-_ID_TYPECODE = "I" if array("I").itemsize == 4 else "L"
-if array(_ID_TYPECODE).itemsize != 4:  # pragma: no cover - exotic ABI
+U32_TYPECODE = "I" if array("I").itemsize == 4 else "L"
+if array(U32_TYPECODE).itemsize != 4:  # pragma: no cover - exotic ABI
     raise ImportError("no 4-byte array typecode on this platform")
 
 
-def _u32_array(raw: bytes) -> array:
-    values = array(_ID_TYPECODE)
+def u32_array(raw: bytes) -> array:
+    values = array(U32_TYPECODE)
     values.frombytes(raw)
     if sys.byteorder == "big":  # pragma: no cover - big-endian host
         values.byteswap()
     return values
 
 
-def _u32_bytes(values: array) -> bytes:
+def u32_bytes(values: array) -> bytes:
     if sys.byteorder == "big":  # pragma: no cover - big-endian host
-        values = array(_ID_TYPECODE, values)
+        values = array(U32_TYPECODE, values)
         values.byteswap()
     return values.tobytes()
 
@@ -422,8 +422,8 @@ class ColumnarTraceWriter:
         self._ids_file = open(self.directory / IDS_FILE, "wb")
         self._sizes_file = open(self.directory / SIZES_FILE, "wb")
         self._vocab_buffer = bytearray()
-        self._ids = array(_ID_TYPECODE)
-        self._sizes = array(_ID_TYPECODE)
+        self._ids = array(U32_TYPECODE)
+        self._sizes = array(U32_TYPECODE)
         self._backups: list[dict] = []
         self._current: dict | None = None
         self._total = 0
@@ -488,8 +488,8 @@ class ColumnarTraceWriter:
             self._vocab_file.write(self._vocab_buffer)
             self._vocab_buffer.clear()
         if self._ids:
-            self._ids_file.write(_u32_bytes(self._ids))
-            self._sizes_file.write(_u32_bytes(self._sizes))
+            self._ids_file.write(u32_bytes(self._ids))
+            self._sizes_file.write(u32_bytes(self._sizes))
             del self._ids[:]
             del self._sizes[:]
 
@@ -611,12 +611,12 @@ class ColumnarBackupView:
 
     def ids(self) -> array:
         """The id column as an ``array('I')`` (pure-Python consumers)."""
-        return _u32_array(
+        return u32_array(
             self.trace._ids_map[self.start * 4 : self.stop * 4]
         )
 
     def sizes(self) -> array:
-        return _u32_array(
+        return u32_array(
             self.trace._sizes_map[self.start * 4 : self.stop * 4]
         )
 
@@ -635,7 +635,7 @@ class ColumnarBackupView:
         for offset in range(0, self.num_chunks, batch_size):
             stop = min(offset + batch_size, self.num_chunks)
             raw_ids = self.ids_slice(offset, stop)
-            raw_sizes = _u32_array(
+            raw_sizes = u32_array(
                 self.trace._sizes_map[
                     (self.start + offset) * 4 : (self.start + stop) * 4
                 ]
@@ -646,7 +646,7 @@ class ColumnarBackupView:
             )
 
     def ids_slice(self, offset: int, stop: int) -> array:
-        return _u32_array(
+        return u32_array(
             self.trace._ids_map[
                 (self.start + offset) * 4 : (self.start + stop) * 4
             ]

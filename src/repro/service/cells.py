@@ -84,20 +84,6 @@ def _run_service_grid(params: dict) -> tuple:
     return (row,)
 
 
-SERVE_NET_COLUMNS = (
-    "tenants",
-    "scheme",
-    "requests",
-    "uploads",
-    "restores",
-    "rejected_uploads",
-    "skipped_restores",
-    "dedup_ratio",
-    "cross_user_dedup_rate",
-    "identical_to_sim",
-)
-
-
 def _run_serve_net(params: dict) -> tuple:
     """Serve one config over a real socket and diff it against the sim.
 

@@ -104,6 +104,8 @@ from repro.service.traffic import UPLOAD, Request
 # Address tuples: ("unix", path) or ("tcp", host, port).  Plain tuples so
 # they pickle into load-generator worker processes unchanged.
 Address = tuple
+# What serving one request comes to: (frame kind, payload, close_after).
+Answer = tuple[int, dict, bool]
 
 _log = obs.get_logger("serve")
 
@@ -289,8 +291,8 @@ class DedupFrontend:
 
     # -- request dispatch (synchronous, ordered by the event loop) ----------
 
-    def _serve(self, kind: int, payload: dict) -> tuple[int, dict, bool]:
-        """Serve one request; returns (kind, payload, close_after)."""
+    def _serve(self, kind: int, payload: dict) -> Answer:
+        """Serve one request."""
         try:
             if kind == wire.HELLO:
                 return self._serve_hello(payload)
@@ -304,32 +306,23 @@ class DedupFrontend:
                 return wire.OK, {"closed": True}, True
             # A response kind (OK / ERROR) sent as a request: decode_body
             # accepts every kind the protocol defines, so it arrives here.
-            self.stats.count_error(wire.E_UNKNOWN_KIND)
-            return (
-                wire.ERROR,
-                wire.error_payload(
-                    wire.E_UNKNOWN_KIND, f"unknown frame kind 0x{kind:02x}"
-                ),
-                True,
+            raise wire.ProtocolError(
+                f"unknown frame kind 0x{kind:02x}", wire.E_UNKNOWN_KIND
             )
         except wire.ProtocolError as error:
-            # A malformed payload in a well-framed message: answer the
-            # error and keep the session — framing is still in sync.
+            # A malformed payload in a well-framed message keeps the
+            # session (framing is still in sync); a fatal code ends it.
             self.stats.count_error(error.code)
-            return wire.ERROR, wire.error_payload(error.code, str(error)), False
+            fatal = error.code in wire.FATAL_CODES
+            return wire.ERROR, wire.error_payload(error.code, str(error)), fatal
 
-    def _serve_hello(self, payload: dict) -> tuple[int, dict, bool]:
+    def _serve_hello(self, payload: dict) -> Answer:
         version = payload.get("protocol")
         if version != wire.PROTOCOL_VERSION:
-            self.stats.count_error(wire.E_PROTOCOL)
-            return (
-                wire.ERROR,
-                wire.error_payload(
-                    wire.E_PROTOCOL,
-                    f"protocol {version!r} unsupported "
-                    f"(server speaks {wire.PROTOCOL_VERSION})",
-                ),
-                True,
+            raise wire.ProtocolError(
+                f"protocol {version!r} unsupported "
+                f"(server speaks {wire.PROTOCOL_VERSION})",
+                wire.E_PROTOCOL,
             )
         return (
             wire.OK,
@@ -345,9 +338,7 @@ class DedupFrontend:
     # only belong to requests whose retries have long since resolved.
     _RID_CACHE_LIMIT = 4096
 
-    def _preempted(
-        self, payload: dict, tenant: int
-    ) -> tuple[int, dict, bool] | None:
+    def _preempted(self, payload: dict, tenant: int) -> Answer | None:
         """The answer that stands in for serving a parsed request, if
         any: the remembered response of a retried rid, or a rate limit."""
         rid = payload.get("rid")
@@ -366,20 +357,28 @@ class DedupFrontend:
             False,
         )
 
-    def _remember(self, payload: dict, kind: int, response: dict) -> None:
-        """Remember a rid request's final response for idempotent replay.
+    def _final(self, payload: dict, kind: int, response: dict) -> Answer:
+        """A request's final answer, remembered under its rid (if it
+        carries one) for idempotent replay.
 
         Admission rejections are deliberately *not* remembered — a retry
         should re-attempt admission, not replay the rejection.
         """
         rid = payload.get("rid")
-        if not isinstance(rid, str):
-            return
-        if len(self._rid_cache) >= self._RID_CACHE_LIMIT:
-            self._rid_cache.pop(next(iter(self._rid_cache)))
-        self._rid_cache[rid] = (kind, response)
+        if isinstance(rid, str):
+            if len(self._rid_cache) >= self._RID_CACHE_LIMIT:
+                self._rid_cache.pop(next(iter(self._rid_cache)))
+            self._rid_cache[rid] = (kind, response)
+        return kind, response, False
 
-    def _serve_upload(self, payload: dict) -> tuple[int, dict, bool]:
+    def _failed(self, payload: dict, code: str, error: Exception) -> Answer:
+        """The final answer of a request the engine refused."""
+        self.stats.count_error(code)
+        return self._final(
+            payload, wire.ERROR, wire.error_payload(code, str(error))
+        )
+
+    def _serve_upload(self, payload: dict) -> Answer:
         tenant, round_index, label, backup = wire.parse_upload(payload)
         preempted = self._preempted(payload, tenant)
         if preempted is not None:
@@ -395,22 +394,16 @@ class DedupFrontend:
             result = self.service.upload(tenant, backup, label=label)
         except QuotaExceededError as error:
             self.rejected_uploads += 1
-            self.stats.count_error(wire.E_QUOTA)
-            response = wire.error_payload(wire.E_QUOTA, str(error))
-            self._remember(payload, wire.ERROR, response)
-            return wire.ERROR, response, False
+            return self._failed(payload, wire.E_QUOTA, error)
         except ConfigurationError as error:
-            self.stats.count_error(wire.E_CONFLICT)
-            response = wire.error_payload(wire.E_CONFLICT, str(error))
-            self._remember(payload, wire.ERROR, response)
-            return wire.ERROR, response, False
+            return self._failed(payload, wire.E_CONFLICT, error)
         self.meter.observe_upload(request, result)
         self.stats.uploads += 1
-        response = wire.observables_payload(result.observables)
-        self._remember(payload, wire.OK, response)
-        return wire.OK, response, False
+        return self._final(
+            payload, wire.OK, wire.observables_payload(result.observables)
+        )
 
-    def _serve_restore(self, payload: dict) -> tuple[int, dict, bool]:
+    def _serve_restore(self, payload: dict) -> Answer:
         tenant, label = wire.parse_restore(payload)
         preempted = self._preempted(payload, tenant)
         if preempted is not None:
@@ -422,15 +415,12 @@ class DedupFrontend:
             # quota-rejected; over the wire the same condition surfaces
             # as not_found — counted identically (skipped_restores).
             self.skipped_restores += 1
-            self.stats.count_error(wire.E_NOT_FOUND)
-            response = wire.error_payload(wire.E_NOT_FOUND, str(error))
-            self._remember(payload, wire.ERROR, response)
-            return wire.ERROR, response, False
+            return self._failed(payload, wire.E_NOT_FOUND, error)
         self.meter.observe_restore(observables)
         self.stats.restores += 1
-        response = wire.observables_payload(observables)
-        self._remember(payload, wire.OK, response)
-        return wire.OK, response, False
+        return self._final(
+            payload, wire.OK, wire.observables_payload(observables)
+        )
 
     def stats_payload(self) -> dict[str, object]:
         """The STATS response: serving counters + store totals."""

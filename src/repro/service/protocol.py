@@ -1,20 +1,29 @@
-"""The framed wire protocol the socket frontend speaks.
+"""The framed wire protocol the socket frontend speaks (version 2).
 
-Frames are length-prefixed: a 4-byte big-endian unsigned length, then a
-1-byte frame kind, then a JSON payload (UTF-8, sorted keys).  The length
-covers the kind byte plus the payload, so an empty-payload frame is 3
-bytes of body behind a 4-byte header.  Fingerprints cross the wire as
-lowercase hex strings (the shared chunk space uses short fingerprints,
-so hex costs 2x — ``python3 -m bench`` reports the real price as
-``protocol.bytes_per_chunk``).
+Every frame is a 4-byte big-endian length and a body of that many bytes::
+
+    length:u32 | kind:u8 | meta_len:u32 | meta | tail
+
+``meta`` is a compact JSON object (UTF-8, sorted keys) of ``meta_len``
+bytes; ``tail`` is whatever the body holds beyond it, and is empty for
+every kind except ``UPLOAD_BATCH``.  There the chunk stream crosses the
+wire as bytes: ``chunks`` fingerprints of ``fingerprint_bytes`` bytes
+each, packed back to back, then ``chunks`` little-endian ``uint32``
+sizes (the byte order of :mod:`repro.datasets.columnar`) — so
+``len(tail) == chunks * (fingerprint_bytes + 4)``, the one equation a
+receiver checks before it reads a record.  ``python3 -m bench`` reports
+the price as ``protocol.bytes_per_chunk``.
+
+In Python a payload is a ``dict``: the meta fields plus, for an upload,
+the tail under the key :data:`TAIL` (which is never part of the meta).
 
 Request kinds (client → server):
 
 * ``HELLO`` — opens a session; carries the protocol version and is
   rejected (``protocol`` error) on a mismatch.
 * ``UPLOAD_BATCH`` — one upload session: tenant, label, traffic round,
-  and the plaintext chunk stream (fingerprints + sizes).  The server
-  runs the client-assisted dedup protocol of
+  and the plaintext chunk stream (fingerprints + sizes) in the tail.
+  The server runs the client-assisted dedup protocol of
   :meth:`~repro.service.server.DedupService.upload` — encrypt under the
   service scheme, one pipelined batched index probe, transfer only the
   needed-set — and answers with the request's
@@ -29,7 +38,11 @@ Responses are ``OK`` (result payload) or ``ERROR`` (``code`` +
 (``not_found``, ``label_conflict``, ``bad_request``), and transport
 errors (``oversized_frame``, ``idle_timeout``, ``protocol``) — the
 transport class is fatal (the server closes the connection after
-answering), the rest leave the session usable.
+answering), the rest leave the session usable.  A body whose first five
+bytes do not describe it (shorter than the prefix, or a ``meta_len``
+beyond its end — what a version-1 peer's ``kind | JSON`` reads as) is a
+``protocol`` error; a well-delimited body with a bad meta, a tail where
+none belongs, or fields that disagree with the tail is ``bad_request``.
 
 The codec is deliberately symmetric and dependency-free so the asyncio
 server (:mod:`repro.service.frontend`), the blocking client
@@ -41,12 +54,14 @@ from __future__ import annotations
 
 import json
 import struct
+from array import array
 
 from repro.common.errors import ReproError
 from repro.common.units import MiB
+from repro.datasets.columnar import U32_TYPECODE, u32_array, u32_bytes
 from repro.datasets.model import Backup
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 # Frame kinds: requests 0x01-0x0f, responses 0x81-0x8f.
 HELLO = 0x01
@@ -69,11 +84,18 @@ FRAME_NAMES = {
 
 HEADER = struct.Struct(">I")
 HEADER_BYTES = HEADER.size
-# Length and kind byte packed in one call; one encoder for every frame
+# What a body opens with (kind, meta length), and the same behind the
+# frame length, packed in one call; one encoder for every frame
 # (``json.dumps`` with non-default arguments builds one per call).
-_PREFIX = struct.Struct(">IB")
+_BODY_PREFIX = struct.Struct(">BI")
+_FRAME_PREFIX = struct.Struct(">IBI")
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 DEFAULT_MAX_FRAME_BYTES = 4 * MiB
+
+# The payload key of an UPLOAD_BATCH's binary tail; never in the meta.
+TAIL = "tail"
+# A fingerprint is at most a whole SHA-256 (``DefensePipeline``'s bound).
+MAX_FINGERPRINT_BYTES = 32
 
 # Error codes carried in ERROR payloads.  The transport class
 # (FATAL_CODES) desyncs or abuses the framing layer, so the server
@@ -134,39 +156,55 @@ class ProtocolError(ReproError):
 
 
 def encode_frame(kind: int, payload: dict) -> bytes:
-    """Serialize one frame: header + kind byte + JSON payload."""
-    body = _ENCODER.encode(payload).encode("utf-8")
-    return _PREFIX.pack(1 + len(body), kind) + body
+    """Serialize one frame: length, kind, meta length, JSON meta, tail."""
+    tail = b""
+    if TAIL in payload:
+        payload = dict(payload)
+        tail = payload.pop(TAIL)
+    meta = _ENCODER.encode(payload).encode("utf-8")
+    length = _BODY_PREFIX.size + len(meta) + len(tail)
+    return b"".join((_FRAME_PREFIX.pack(length, kind, len(meta)), meta, tail))
 
 
 def decode_body(body: bytes | bytearray) -> tuple[int, dict]:
     """Decode a frame body (everything after the length header).
 
+    An ``UPLOAD_BATCH`` payload carries its tail under :data:`TAIL` as a
+    view of ``body`` — nothing is copied until the records are parsed.
+
     Raises:
-        ProtocolError: the body is empty, the kind byte is not a frame
-            kind this protocol defines (``unknown_frame_kind`` — the
-            stream is corrupt or the peer speaks something else, so the
-            code is fatal and classed as garbage), the payload is not
-            valid JSON, or the payload is not a JSON object.
+        ProtocolError: the kind byte is not a frame kind this protocol
+            defines (``unknown_frame_kind`` — the stream is corrupt or
+            the peer speaks something else, so the code is fatal and
+            classed as garbage); the body is shorter than its prefix or
+            than the meta it announces (``protocol``, fatal: a peer of
+            another version); the meta is not a JSON object, or a kind
+            other than ``UPLOAD_BATCH`` has a tail (``bad_request``).
     """
-    if not body:
-        raise ProtocolError("empty frame body", code=E_PROTOCOL)
-    kind = body[0]
-    if kind not in FRAME_NAMES:
+    if body and body[0] not in FRAME_NAMES:
         raise ProtocolError(
-            f"unknown frame kind 0x{kind:02x}", code=E_UNKNOWN_KIND
+            f"unknown frame kind 0x{body[0]:02x}", code=E_UNKNOWN_KIND
+        )
+    start = end = _BODY_PREFIX.size
+    if len(body) >= start:
+        kind, meta_len = _BODY_PREFIX.unpack_from(body)
+        end += meta_len
+    if end > len(body):
+        raise ProtocolError(
+            f"prefix and meta need {end} bytes, the frame body has {len(body)}",
+            code=E_PROTOCOL,
         )
     try:
-        payload = json.loads(body[1:].decode("utf-8"))
+        payload = json.loads(body[start:end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
         # RecursionError: nesting deeper than the interpreter's stack.
-        raise ProtocolError(
-            f"malformed frame payload: {error}", code=E_BAD_REQUEST
-        ) from None
+        raise ProtocolError(f"malformed frame meta: {error}") from None
     if not isinstance(payload, dict):
-        raise ProtocolError(
-            "frame payload must be a JSON object", code=E_BAD_REQUEST
-        )
+        raise ProtocolError("frame meta must be a JSON object")
+    if kind == UPLOAD_BATCH:
+        payload[TAIL] = memoryview(body)[end:]
+    elif end != len(body):
+        raise ProtocolError(f"a {FRAME_NAMES[kind]} frame has no tail")
     return kind, payload
 
 
@@ -181,13 +219,27 @@ def hello_payload(client: str = "freqdedup-client") -> dict:
 def upload_payload(
     tenant: int, round_index: int, label: str, backup: Backup
 ) -> dict:
-    """The UPLOAD_BATCH payload for one plaintext chunk stream."""
+    """The UPLOAD_BATCH payload for one plaintext chunk stream.
+
+    Raises:
+        ProtocolError: the stream has no wire form — fingerprints of
+            more than one width, or a size that is not a ``uint32``.
+    """
+    fingerprints = backup.fingerprints
+    widths = set(map(len, fingerprints)) or {0}
+    if len(widths) > 1:
+        raise ProtocolError(f"fingerprints of mixed widths {sorted(widths)}")
+    try:
+        sizes = u32_bytes(array(U32_TYPECODE, backup.sizes))
+    except (OverflowError, TypeError):
+        raise ProtocolError("sizes must be integers in 0..2**32-1") from None
     return {
         "tenant": tenant,
         "round": round_index,
         "label": label,
-        "fingerprints": [fp.hex() for fp in backup.fingerprints],
-        "sizes": list(backup.sizes),
+        "chunks": len(fingerprints),
+        "fingerprint_bytes": widths.pop(),
+        TAIL: b"".join(fingerprints) + sizes,
     }
 
 
@@ -195,9 +247,11 @@ def restore_payload(tenant: int, label: str) -> dict:
     return {"tenant": tenant, "label": label}
 
 
-def _require(payload: dict, field: str, kinds) -> object:
+def _require(payload: dict, field: str, kind: type) -> object:
+    """A field of exactly this type (so no ``bool`` for an ``int``); an
+    integer — a tenant, a round, a count, a width — is never negative."""
     value = payload.get(field)
-    if not isinstance(value, kinds) or isinstance(value, bool):
+    if type(value) is not kind or (kind is int and value < 0):
         raise ProtocolError(f"missing or invalid field {field!r}")
     return value
 
@@ -207,27 +261,30 @@ def parse_upload(payload: dict) -> tuple[int, int, str, Backup]:
     plaintext backup)``.
 
     Raises:
-        ProtocolError: a field is missing, mistyped, or the fingerprint
-            and size lists disagree in length.
+        ProtocolError: a field is missing, mistyped or negative, or
+            ``chunks`` records of ``fingerprint_bytes`` (1..32) plus 4
+            bytes each are not exactly the tail.
     """
     tenant = _require(payload, "tenant", int)
     round_index = _require(payload, "round", int)
     label = _require(payload, "label", str)
-    fingerprints = _require(payload, "fingerprints", list)
-    sizes = _require(payload, "sizes", list)
-    if len(fingerprints) != len(sizes):
+    chunks = _require(payload, "chunks", int)
+    width = _require(payload, "fingerprint_bytes", int)
+    tail = payload.get(TAIL, b"")
+    if len(tail) != chunks * (width + 4) or (
+        chunks and not 1 <= width <= MAX_FINGERPRINT_BYTES
+    ):
         raise ProtocolError(
-            f"{len(fingerprints)} fingerprints but {len(sizes)} sizes"
+            f"{chunks} chunks of {width}-byte fingerprints (1.."
+            f"{MAX_FINGERPRINT_BYTES}) do not make a {len(tail)}-byte tail"
         )
-    try:
-        raw = [bytes.fromhex(fp) for fp in fingerprints]
-    except (TypeError, ValueError):
-        raise ProtocolError("fingerprints must be hex strings") from None
-    for size in sizes:
-        if not isinstance(size, int) or isinstance(size, bool) or size < 0:
-            raise ProtocolError("sizes must be non-negative integers")
+    # One C call cuts every fingerprint; the format is built per frame
+    # (``struct.unpack`` would cache a compiled copy of each length).
+    records = struct.Struct(f"{width}s" * chunks)
     return tenant, round_index, label, Backup(
-        label=label, fingerprints=raw, sizes=list(sizes)
+        label=label,
+        fingerprints=list(records.unpack_from(tail)),
+        sizes=u32_array(tail[records.size :]).tolist(),
     )
 
 

@@ -2,7 +2,9 @@
 
 Valid HELLO / UPLOAD / RESTORE / STATS frames are mutated — bit flips,
 truncation, length-field lies up and down, kind-byte swaps, duplicated
-and spliced frames, invalid UTF-8 and JSON, wrong field types — and each
+and spliced frames, a meta length that lies, invalid UTF-8 and JSON in
+the meta, wrong field types, a tail with a record dropped or appended,
+``chunks`` / ``fingerprint_bytes`` that contradict the tail — and each
 mutant is written to a fresh connection of one running
 :class:`~repro.service.frontend.DedupFrontend`.  Whatever the bytes:
 
@@ -19,7 +21,9 @@ message carries.
 The frontend reassembles frames itself, so a second, differential test
 sends a sample of the same mutants and two well-formed sessions once
 whole and once in seeded pieces — cut inside headers, at header|body,
-one byte before a frame's end, in runs of 1–7 bytes — to two frontends:
+inside the meta length, inside the meta, between an upload's
+fingerprints and its sizes, one byte before a frame's end, in runs of
+1–7 bytes — to two frontends:
 how the bytes were delivered must change nothing either of them
 answers, counts or stores.
 """
@@ -40,6 +44,7 @@ from repro.service.simulate import ServiceConfig
 
 from tests.integration.test_serve_frontend import (
     make_backup,
+    raw_frame,
     serve_log,  # noqa: F401 - fixture
     served,
     unhandled,
@@ -54,8 +59,8 @@ MUTATIONS = 320
 # Long enough that a slow host does not evict a client between connect
 # and send, short enough that the few mutants left waiting cost little.
 IDLE_TIMEOUT = 0.25
-# Mutations 1, 41, 81, … — truncations all — are not half-closed.
-WAIT_OUT_EVERY = 40
+# Mutations 1, 40, 79, … — truncations all — are not half-closed.
+WAIT_OUT_EVERY = 39
 # The fragmentation differential resends every 8th mutant in pieces, this
 # far apart: long enough that an idle server wakes for each piece (the
 # kernel coalescing two of them only lowers coverage, never fails).
@@ -82,10 +87,14 @@ def base_frames() -> list[tuple[int, dict]]:
     ]
 
 
-def framed(kind: int, payload_bytes: bytes) -> bytes:
-    return (
-        wire.HEADER.pack(1 + len(payload_bytes)) + bytes([kind]) + payload_bytes
-    )
+def meta_and_tail(payload: dict) -> tuple[dict, bytes]:
+    """A payload as it crosses the wire: the JSON fields, the tail."""
+    meta = {key: value for key, value in payload.items() if key != wire.TAIL}
+    return meta, bytes(payload.get(wire.TAIL, b""))
+
+
+def dumped(meta: dict) -> bytes:
+    return json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
 
 
 # -- mutation operators: (rng, kind, payload, every base frame) -> bytes ------
@@ -136,21 +145,33 @@ def spliced(rng, kind, payload, bases):
     )
 
 
+def meta_length_lie(rng, kind, payload, _):
+    meta, tail = meta_and_tail(payload)
+    meta = dumped(meta)
+    body = 5 + len(meta) + len(tail)
+    lie = rng.choice(
+        (0, 1, len(meta) - 1, len(meta) + 1, body - 1, body, body + 1, 2**32 - 1)
+    )
+    return raw_frame(kind, meta, tail, meta_len=lie)
+
+
 def invalid_utf8(rng, kind, payload, _):
-    body = bytearray(json.dumps(payload).encode())
-    at = rng.randrange(len(body))
-    body[at:at] = rng.choice((b"\xff\xfe", b"\xc3", b"\xed\xa0\x80"))
-    return framed(kind, bytes(body))
+    meta, tail = meta_and_tail(payload)
+    meta = bytearray(dumped(meta))
+    at = rng.randrange(len(meta))
+    meta[at:at] = rng.choice((b"\xff\xfe", b"\xc3", b"\xed\xa0\x80"))
+    return raw_frame(kind, bytes(meta), tail)
 
 
 def invalid_json(rng, kind, payload, _):
-    body = json.dumps(payload).encode()
-    return framed(
+    meta, tail = meta_and_tail(payload)
+    meta = dumped(meta)
+    return raw_frame(
         kind,
         rng.choice(
             (
-                body[:-1],
-                body + b"}",
+                meta[:-1],
+                meta + b"}",
                 b"[1,2]",
                 b"null",
                 b'"text"',
@@ -160,22 +181,52 @@ def invalid_json(rng, kind, payload, _):
                 b'{"a":' * 5000,
             )
         ),
+        tail,
     )
 
 
 def wrong_types(rng, kind, payload, _):
-    mutant = dict(payload)
-    field = rng.choice(sorted(mutant) + ["rid"])
-    mutant[field] = rng.choice(WRONG_VALUES)
-    if rng.random() < 0.3 and isinstance(payload.get("fingerprints"), list):
-        mutant["fingerprints"] = [
-            rng.choice(("zz", "abc", 5, None, "")) for _ in payload["sizes"]
-        ]
-    if rng.random() < 0.3 and isinstance(payload.get("sizes"), list):
-        mutant["sizes"] = [rng.choice((-4, "8", None, 2.5, True))] * len(
-            payload["sizes"]
+    meta, tail = meta_and_tail(payload)
+    field = rng.choice(sorted(meta) + ["rid", wire.TAIL])
+    meta[field] = rng.choice(WRONG_VALUES)
+    return raw_frame(kind, dumped(meta), tail)
+
+
+def tail_record_lost_or_gained(rng, kind, payload, _):
+    """One record more or fewer than the meta announces — a whole one
+    (fingerprint and size), or only one of its halves; on a kind that
+    has no tail, any tail at all."""
+    meta, tail = meta_and_tail(payload)
+    chunks, width = meta.get("chunks"), meta.get("fingerprint_bytes")
+    if not chunks:
+        return raw_frame(kind, dumped(meta), rng.choice((b"\0", b"\0" * 12)))
+    fingerprints, sizes = tail[: chunks * width], tail[chunks * width :]
+    fingerprints, sizes = rng.choice(
+        (
+            (fingerprints[width:], sizes[4:]),
+            (fingerprints[width:], sizes),
+            (fingerprints, sizes[4:]),
+            (fingerprints + b"x" * width, sizes + b"\0\x04\0\0"),
+            (fingerprints + b"x" * width, sizes),
+            (fingerprints, sizes + b"\0\x04\0\0"),
+            (b"", b""),
         )
-    return framed(kind, json.dumps(mutant).encode())
+    )
+    return raw_frame(kind, dumped(meta), fingerprints + sizes)
+
+
+def meta_contradicts_tail(rng, _kind, _payload, bases):
+    """``chunks`` or ``fingerprint_bytes`` off by a little or a lot (some
+    pairs still satisfy the length equation: a different, valid upload).
+    Always of the upload: no other base frame has a tail to contradict."""
+    kind, payload = next(b for b in bases if b[0] == wire.UPLOAD_BATCH)
+    meta, tail = meta_and_tail(payload)
+    field = rng.choice(("chunks", "fingerprint_bytes"))
+    was = meta.get(field, 0)
+    meta[field] = rng.choice((0, was - 1, was + 1, 33, 2**32, 10**30))
+    if rng.random() < 0.25:
+        meta["chunks"], meta["fingerprint_bytes"] = 3, 16  # 3 x 20 == 5 x 12
+    return raw_frame(kind, dumped(meta), tail)
 
 
 OPERATORS = (
@@ -186,9 +237,12 @@ OPERATORS = (
     kind_swap,
     duplicated,
     spliced,
+    meta_length_lie,
     invalid_utf8,
     invalid_json,
     wrong_types,
+    tail_record_lost_or_gained,
+    meta_contradicts_tail,
 )
 
 
@@ -281,16 +335,25 @@ def cut_points(rng, frames: list[bytes]) -> list[int]:
     """Seeded offsets at which to cut the stream ``b"".join(frames)``.
 
     For the first frame and three seeded others: inside the header (1|3
-    and 3|1), at header|body, and one byte before the frame's end; plus
-    two runs of 1-7-byte pieces starting anywhere.
+    and 3|1), at header|body, inside the meta length, inside the meta,
+    between the fingerprints and the sizes of an upload, and one byte
+    before the frame's end; plus two runs of 1-7-byte pieces starting
+    anywhere.
     """
     spans, at = [], 0
     for frame in frames:
-        spans.append((at, at + len(frame)))
+        spans.append((at, at + len(frame), frame))
         at += len(frame)
     cuts = set()
-    for start, end in [spans[0]] + rng.sample(spans, min(3, len(spans))):
-        cuts.update((start + 1, start + 3, start + wire.HEADER_BYTES, end - 1))
+    for start, end, frame in [spans[0]] + rng.sample(spans, min(3, len(spans))):
+        body = start + wire.HEADER_BYTES
+        cuts.update((start + 1, start + 3, body, body + 3, body + 12, end - 1))
+        try:
+            kind, payload = wire.decode_body(frame[wire.HEADER_BYTES :])
+        except wire.ProtocolError:
+            continue
+        if kind == wire.UPLOAD_BATCH and isinstance(payload.get("chunks"), int):
+            cuts.add(end - 4 * payload["chunks"])
     for _ in range(2):
         cut = rng.randrange(at)
         for _ in range(rng.randint(3, 6)):
@@ -372,10 +435,22 @@ def test_encode_frame_bytes_are_pinned():
         upload_ok(address, 0, "seeded")
         stats = frontend.stats_payload()
     for kind, payload in base_frames() + [(wire.OK, stats)]:
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        assert wire.encode_frame(kind, payload) == framed(
-            kind, canonical.encode("utf-8")
+        meta, tail = meta_and_tail(payload)
+        assert wire.encode_frame(kind, payload) == raw_frame(
+            kind, dumped(meta), tail
         )
     assert wire.encode_frame(wire.HELLO, wire.hello_payload("fuzz")) == (
-        b'\x00\x00\x00\x1f\x01{"client":"fuzz","protocol":1}'
+        b"\x00\x00\x00\x23\x01\x00\x00\x00\x1e"
+        b'{"client":"fuzz","protocol":2}'
+    )
+    backup = make_backup("pin", ["a", "bc", "def"], size=4096)
+    backup.sizes[2] = 2**32 - 1
+    payload = wire.upload_payload(7, 1, "pin", backup)
+    payload["rid"] = "r-0"
+    assert wire.encode_frame(wire.UPLOAD_BATCH, payload) == (
+        b"\x00\x00\x00\x7a\x02\x00\x00\x00\x51"
+        b'{"chunks":3,"fingerprint_bytes":8,"label":"pin","rid":"r-0",'
+        b'"round":1,"tenant":7}'
+        b"a\0\0\0\0\0\0\0bc\0\0\0\0\0\0def\0\0\0\0\0"
+        b"\x00\x10\x00\x00\x00\x10\x00\x00\xff\xff\xff\xff"
     )

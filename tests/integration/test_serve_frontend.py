@@ -23,6 +23,8 @@ import logging
 import os
 import shutil
 import socket
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -181,6 +183,61 @@ class TestIdentity:
             assert identity_check(frontend)["identical"]
 
 
+# The server half of the cross-process check: its own interpreter, so
+# its own copy of the codec module; serves until its stdin closes.
+_SERVER_PROCESS = """
+import sys
+from repro.service.frontend import FrontendServer, build_frontend
+from repro.service.simulate import ServiceConfig
+
+frontend = build_frontend(ServiceConfig(tenants=2, rounds=3, seed=int(sys.argv[2])))
+with FrontendServer(frontend, ("unix", sys.argv[1])):
+    print("listening", flush=True)
+    sys.stdin.read()
+frontend.service.close()
+"""
+
+
+def test_cross_process_replay_matches_the_simulator(tmp_path):
+    """Bytes written by one interpreter's codec and read by another's:
+    the served totals are the in-process simulator's."""
+    config = ServiceConfig(tenants=2, rounds=3, seed=8)
+    path = str(tmp_path / "wire.sock")
+    with subprocess.Popen(
+        [sys.executable, "-c", _SERVER_PROCESS, path, str(config.seed)],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        text=True,
+    ) as server:
+        try:
+            assert server.stdout.readline() == "listening\n"
+            counts = replay_stream(("unix", path), config)
+            with FrontendClient(("unix", path)) as client:
+                stats = client.stats()
+        finally:
+            server.stdin.close()  # the server stops; leaving the block waits
+    assert server.returncode == 0
+    expected = simulate(config)
+    assert counts["errors"] == 0 and counts["uploads"] > 0
+    assert {
+        key: stats[key]
+        for key in (
+            "uploads", "restores", "rejected_uploads", "skipped_restores",
+            "tenants", "stored_bytes", "unique_chunks_stored", "errors",
+        )
+    } == {
+        "uploads": counts["uploads"],
+        "restores": counts["restores"],
+        "rejected_uploads": expected.rejected_uploads,
+        "skipped_restores": expected.skipped_restores,
+        "tenants": len(expected.service.tenants()),
+        "stored_bytes": expected.service.stored_bytes,
+        "unique_chunks_stored": expected.service.unique_chunks_stored(),
+        "errors": {},
+    }
+
+
 # -- protocol robustness ------------------------------------------------------
 
 
@@ -203,6 +260,20 @@ def upload_frame(tenant: int, label: str) -> bytes:
     )
 
 
+def raw_frame(kind: int, meta: bytes, tail: bytes = b"", meta_len=None) -> bytes:
+    """A frame assembled by hand: any meta bytes, any tail, and a meta
+    length that may lie — what ``encode_frame`` cannot be made to say."""
+    meta_len = len(meta) if meta_len is None else meta_len
+    body = bytes([kind]) + meta_len.to_bytes(4, "big") + meta + tail
+    return wire.HEADER.pack(len(body)) + body
+
+
+def raw_upload(tail: bytes = b"", **fields) -> bytes:
+    """An UPLOAD_BATCH whose meta and tail need not agree."""
+    meta = {"tenant": 0, "round": 0, "label": "raw", **fields}
+    return raw_frame(wire.UPLOAD_BATCH, json.dumps(meta).encode(), tail)
+
+
 class TestProtocolRobustness:
     @pytest.fixture()
     def frontend_address(self):
@@ -215,11 +286,16 @@ class TestProtocolRobustness:
         _, address = frontend_address
         with FrontendClient(address) as client:
             client.hello()
-            body = bytes([wire.UPLOAD_BATCH]) + b"{not json"
-            client.send_raw(wire.HEADER.pack(len(body)) + body)
-            kind, payload = client.recv_frame()
-            assert kind == wire.ERROR
-            assert payload["code"] == wire.E_BAD_REQUEST
+            for frame in (
+                raw_frame(wire.UPLOAD_BATCH, b"{not json"),
+                raw_frame(wire.UPLOAD_BATCH, b"[1,2]"),
+                # Only an upload has a tail.
+                raw_frame(wire.STATS, b"{}", tail=b"\0"),
+            ):
+                client.send_raw(frame)
+                kind, payload = client.recv_frame()
+                assert kind == wire.ERROR
+                assert payload["code"] == wire.E_BAD_REQUEST
             # Framing stayed in sync: the session still serves requests.
             kind, payload = client.upload(
                 0, 0, "after-garbage", make_backup("after-garbage", ["a", "b"])
@@ -237,6 +313,111 @@ class TestProtocolRobustness:
             assert payload["code"] == wire.E_BAD_REQUEST
             kind, _ = client.request(wire.STATS, {})
             assert kind == wire.OK
+
+    @pytest.mark.parametrize(
+        "frame, message",
+        [
+            # A size the wire has no room for cannot even be spelled; the
+            # nearest lies are a tail one size short or one byte long.
+            (
+                raw_upload(b"f" * 8 + b"\xff" * 3, chunks=1, fingerprint_bytes=8),
+                "1 chunks of 8-byte fingerprints (1..32) do not make a 11-byte tail",
+            ),
+            (
+                raw_upload(b"f" * 8 + b"\xff" * 16, chunks=1, fingerprint_bytes=8),
+                "do not make a 24-byte tail",
+            ),
+            # A zero-length fingerprint is not a chunk ...
+            (
+                raw_upload(b"\0" * 4, chunks=1, fingerprint_bytes=0),
+                "1 chunks of 0-byte fingerprints (1..32)",
+            ),
+            # ... nor is one longer than any digest this system cuts.
+            (
+                raw_upload(b"f" * 37, chunks=1, fingerprint_bytes=33),
+                "1 chunks of 33-byte fingerprints (1..32)",
+            ),
+            # Two widths in one batch: whichever the meta claims, the
+            # tail is the wrong length for it.
+            (
+                raw_upload(b"a" * 8 + b"b" * 6 + b"\0" * 8, chunks=2, fingerprint_bytes=8),
+                "2 chunks of 8-byte fingerprints (1..32) do not make a 22-byte tail",
+            ),
+            (raw_upload(chunks=-1, fingerprint_bytes=8), "invalid field 'chunks'"),
+            (raw_upload(chunks=10**30, fingerprint_bytes=8), "do not make a 0-byte tail"),
+            (raw_upload(tenant=-5, chunks=0, fingerprint_bytes=0), "invalid field 'tenant'"),
+            (raw_upload(round=-1, chunks=0, fingerprint_bytes=0), "invalid field 'round'"),
+            (
+                raw_frame(wire.RESTORE, b'{"tenant":-5,"label":"raw"}'),
+                "invalid field 'tenant'",
+            ),
+        ],
+        ids=[
+            "tail-short", "tail-long", "width-0", "width-33", "mixed-widths",
+            "chunks-negative", "chunks-huge", "tenant-negative",
+            "round-negative", "restore-tenant-negative",
+        ],
+    )
+    def test_upload_the_tail_contradicts_is_refused(
+        self, frontend_address, frame, message
+    ):
+        """Each was answered ``OK`` by protocol 1 (as a 10**30-byte size,
+        an empty or odd-width hex fingerprint, a negative tenant)."""
+        frontend, address = frontend_address
+        with FrontendClient(address) as client:
+            client.hello()
+            client.send_raw(frame)
+            kind, payload = client.recv_frame()
+            assert (kind, payload["code"]) == (wire.ERROR, wire.E_BAD_REQUEST)
+            assert message in payload["message"]
+            # Nothing was stored, no namespace opened, the session serves on.
+            stats = client.stats()
+            assert (stats["tenants"], stats["stored_bytes"]) == (0, 0)
+            assert client.upload(0, 0, "after", make_backup("after", ["a"]))[0] == wire.OK
+        assert frontend.stats.errors == {wire.E_BAD_REQUEST: 1}
+
+    @pytest.mark.parametrize(
+        "backup",
+        [
+            Backup("mixed", [b"12345678", b"123456"], [512, 512]),
+            # Equal in total to two 8-byte fingerprints: only a per-chunk
+            # look tells.
+            Backup("mixed-same-sum", [b"1234567", b"123456789"], [512, 512]),
+            Backup("huge", [b"12345678"], [2**32]),
+            Backup("negative", [b"12345678"], [-1]),
+        ],
+        ids=lambda backup: backup.label,
+    )
+    def test_client_refuses_a_backup_with_no_wire_form(self, backup):
+        with pytest.raises(wire.ProtocolError):
+            wire.upload_payload(0, 0, backup.label, backup)
+
+    def test_version_1_peer_gets_one_answer_then_eof(self, frontend_address):
+        """A v1 frame is ``kind | JSON``: its first four JSON bytes read
+        as a meta length far beyond the body."""
+        frontend, address = frontend_address
+        body = b'\x01{"client":"freqdedup-client","protocol":1}'
+        with FrontendClient(address, timeout=5.0) as client:
+            client.send_raw(wire.HEADER.pack(len(body)) + body)
+            kind, payload = client.recv_frame()
+            assert (kind, payload["code"]) == (wire.ERROR, wire.E_PROTOCOL)
+            assert f"the frame body has {len(body)}" in payload["message"]
+            with pytest.raises(ConnectionError):
+                client.recv_frame()
+        assert frontend.stats.errors == {wire.E_PROTOCOL: 1}
+        assert frontend.stats.errors_by_class[wire.CLASS_TRANSPORT] == 1
+        assert frontend.stats.frames_in == 0
+
+    def test_body_shorter_than_its_prefix_is_fatal(self, frontend_address):
+        frontend, address = frontend_address
+        with FrontendClient(address, timeout=5.0) as client:
+            client.hello()
+            client.send_raw(wire.HEADER.pack(3) + bytes([wire.STATS]) + b"{}")
+            kind, payload = client.recv_frame()
+            assert (kind, payload["code"]) == (wire.ERROR, wire.E_PROTOCOL)
+            with pytest.raises(ConnectionError):
+                client.recv_frame()
+        assert frontend.stats.errors_by_class[wire.CLASS_TRANSPORT] == 1
 
     def test_unknown_frame_kind_is_fatal(self, frontend_address):
         # An undefined kind byte means the stream is garbage (corrupt,
