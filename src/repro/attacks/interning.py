@@ -571,9 +571,10 @@ class ArrayStats:
 
     # -- rank extraction ----------------------------------------------------
 
-    def _tie_order(self, tie_break: str):
-        """The full frequency ranking as index positions into the
-        ordered arrays, under ``tie_break`` (cached).
+    def _ranked(self, tie_break: str, among=slice(None)):
+        """The ordered-array positions ``among`` (ascending; all of them
+        by default) by descending count under ``tie_break``, as indices
+        into ``among``.
 
         ``insertion``: the arrays are already in first-occurrence order,
         so a stable sort on descending count reproduces
@@ -581,16 +582,20 @@ class ArrayStats:
         ``fingerprint``: ties order by fingerprint bytes, recovered from
         the vocabulary's lexicographic ranks without decoding.
         """
+        numpy = accel.numpy
+        counts = self.ordered_counts[among]
+        if tie_break == INSERTION:
+            return numpy.argsort(-counts, kind="stable")
+        check_tie_breaks(tie_break)
+        ranks = self.vocabulary._ids.sort_ranks()[self.ordered_ids[among]]
+        return numpy.lexsort((ranks, -counts))
+
+    def _tie_order(self, tie_break: str):
+        """The full frequency ranking as index positions into the
+        ordered arrays, under ``tie_break`` (cached)."""
         order = self._tie_orders.get(tie_break)
         if order is None:
-            numpy = accel.numpy
-            if tie_break == INSERTION:
-                order = numpy.argsort(-self.ordered_counts, kind="stable")
-            else:
-                check_tie_breaks(tie_break)
-                ranks = self.vocabulary._ids.sort_ranks()[self.ordered_ids]
-                order = numpy.lexsort((ranks, -self.ordered_counts))
-            self._tie_orders[tie_break] = order
+            order = self._tie_orders[tie_break] = self._ranked(tie_break)
         return order
 
     def decode(self, ids) -> list[bytes]:
@@ -598,8 +603,29 @@ class ArrayStats:
         return list(map(self.vocabulary._fingerprints.__getitem__, ids.tolist()))
 
     def top_ranked_ids(self, limit: int | None = None, tie_break: str = INSERTION):
-        """The ``limit`` top-frequency chunk ids under ``tie_break``."""
-        return self.ordered_ids[self._tie_order(tie_break)[:limit]]
+        """The ``limit`` top-frequency chunk ids under ``tie_break``.
+
+        A short prefix does not sort the table: a partition finds the
+        ``limit``-th largest count, and only the chunks at or above it —
+        a subsequence, so still in first-occurrence order — are ranked,
+        which is the prefix of the full ranking. The full order is used
+        when something (:meth:`class_tops`) has built it already.
+        """
+        counts = self.ordered_counts
+        if (
+            limit is None
+            or not 0 < limit < len(counts)
+            or tie_break in self._tie_orders
+        ):
+            return self.ordered_ids[self._tie_order(tie_break)[:limit]]
+        numpy = accel.numpy
+        pivot = len(counts) - limit
+        candidates = numpy.flatnonzero(
+            counts >= numpy.partition(counts, pivot)[pivot]
+        )
+        return self.ordered_ids[
+            candidates[self._ranked(tie_break, candidates)[:limit]]
+        ]
 
     def top_ranked(
         self, limit: int | None = None, tie_break: str = INSERTION
@@ -698,21 +724,24 @@ class ArrayStats:
         )
         return offsets, ids[keep], ((table << limit.bit_length()) | rank)[keep]
 
-    def with_vocabulary(self, vocabulary, first_sizes) -> "ArrayStats":
-        """The same counted stream under another fingerprint decode.
-
-        A deterministic per-chunk encryption maps the plaintext id stream
-        to the ciphertext id stream unchanged, so the ciphertext COUNT
-        *is* this COUNT — only the vocabulary (ciphertext fingerprints)
-        and the per-chunk sizes (padded) differ. Sharing the arrays makes
-        deriving the ciphertext stats O(unique), not a second pass.
+    def compacted(self, vocabulary, first_sizes) -> "ArrayStats":
+        """The same counted stream re-interned into ``vocabulary``, which
+        holds exactly its distinct chunks in first-occurrence order: ids
+        become frequency-table ranks ``0..U-1`` (what a fresh
+        :func:`interned_count` of the stream would assign), so nothing
+        downstream is sized by the vocabulary this COUNT ran over.
         """
+        numpy = accel.numpy
+        previous, current = (
+            self._rank_lookup[ids].astype(numpy.uint64)
+            for ids in unpack_pairs(self.ordered_pairs)
+        )
         return ArrayStats(
             vocabulary,
-            self.ordered_ids,
+            numpy.arange(len(self.ordered_ids), dtype=self.ordered_ids.dtype),
             self.ordered_counts,
             first_sizes,
-            self.ordered_pairs,
+            (previous << numpy.uint64(PAIR_SHIFT)) | current,
             self.ordered_pair_counts,
         )
 

@@ -19,13 +19,20 @@ numpy the workers only read their shards and the reference loop
 stream order into a plain :class:`~repro.attacks.frequency.ChunkStats`.
 
 :func:`columnar_attack_report` builds the source the one driver
-(:func:`repro.attacks.evaluation.evaluate`) runs and scores: it derives
-the MLE ciphertext side at the *vocabulary* level (the ciphertext id
-stream of a deterministic per-chunk encryption is the plaintext id stream,
-so the counted arrays are reused verbatim — only the fingerprint decode
-and the padded sizes differ), maps the known-plaintext draw to leaked
-pairs without building the fingerprint set, and supplies the
-vocabulary-level ground truth.
+(:func:`repro.attacks.evaluation.evaluate`) runs and scores, and what it
+builds is what the paper's adversary holds: the ciphertext of *one*
+target backup. Under a deterministic per-chunk encryption the target's
+ciphertext stream is its plaintext stream mapped through a bijection, so
+no second COUNT runs: the target's distinct chunks — not the trace's
+vocabulary — are encrypted once each (:func:`encrypt_vocabulary`) into a
+compact ciphertext id space, ids ``0..U-1`` in first-occurrence order
+exactly as interning the ciphertext stream would assign them, and the
+counted arrays are re-interned into it. Every ciphertext-side array is
+therefore sized by the target backup, the truncation-collision rule is
+the pipeline's per-backup one, the known-plaintext draw maps to leaked
+pairs without building the fingerprint set, and the ground truth is one
+id indirection (ciphertext id → the target's ``c``-th distinct plaintext
+id).
 """
 
 from __future__ import annotations
@@ -35,7 +42,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
-from itertools import islice
 from multiprocessing import get_context
 
 from repro import faults, obs
@@ -65,7 +71,7 @@ from repro.datasets.columnar import (
 from repro.defenses.pipeline import (
     MLE_PREFIX,
     DefenseScheme,
-    cipher_fingerprint,
+    cipher_fingerprints,
     padded_size,
 )
 
@@ -316,33 +322,48 @@ def sharded_count(view: ColumnarBackupView, jobs: int = 1):
 
 
 # ---------------------------------------------------------------------------
-# MLE ciphertext side at the vocabulary level
+# MLE ciphertext side: the target's distinct chunks, encrypted once each
 
 _ENCRYPT_BLOCK = 4096
 
 
-def encrypt_vocabulary(trace: ColumnarTrace) -> PackedVocabulary:
-    """The trace's vocabulary under the MLE pipeline's deterministic
+def encrypt_vocabulary(trace: ColumnarTrace, target_stats) -> PackedVocabulary:
+    """The vocabulary an adversary interning the target's ciphertext
+    stream would hold: the distinct chunks ``target_stats`` counted, in
+    first-occurrence order, under the MLE pipeline's deterministic
     per-chunk encryption (same truncated-hash fingerprints as
     :class:`repro.defenses.pipeline.DefensePipeline`).
 
     Deterministic encryption maps each plaintext fingerprint to one
-    ciphertext fingerprint, so encrypting the vocabulary once stands in
-    for encrypting the whole stream: chunk ids are unchanged. A truncation
-    collision would break the id bijection, so it is rejected exactly like
-    the pipeline rejects it.
+    ciphertext fingerprint, so encrypting the distinct chunks once stands
+    in for encrypting the whole stream. A truncation collision among them
+    would break that bijection, so it is rejected exactly like the
+    pipeline rejects it — per backup: chunks the target does not hold are
+    neither hashed nor compared.
     """
     width = trace.fingerprint_bytes
-    # Block-joined: a vocabulary is already distinct, so it takes no memo
-    # (a ``CipherMap`` would hold a second copy of it), and one block of
-    # digests at a time keeps the transient objects in cache.
-    fingerprints = iter(trace.vocabulary._fingerprints)
-    blocks = []
-    while block := list(islice(fingerprints, _ENCRYPT_BLOCK)):
-        blocks.append(
-            b"".join([cipher_fingerprint(MLE_PREFIX, fp, width) for fp in block])
+    numpy = accel.numpy
+    if numpy is not None:
+        ids = target_stats.ordered_ids
+        records = numpy.frombuffer(
+            trace.vocabulary._fingerprints._buffer,
+            dtype=f"V{width}",
+            count=trace.num_unique,
         )
-    vocabulary = PackedVocabulary(b"".join(blocks), width, trace.num_unique)
+        # One gather and one block of digests at a time: the transient
+        # objects stay in cache and off the peak RSS. Distinct already,
+        # so no memo (a ``CipherMap`` would hold a second copy).
+        plain_blocks = (
+            records[ids[start : start + _ENCRYPT_BLOCK]].tolist()
+            for start in range(0, len(ids), _ENCRYPT_BLOCK)
+        )
+    else:  # RAM-bound anyway: the frequency table's keys, as one block
+        plain_blocks = (target_stats.frequencies,)
+    packed = b"".join(
+        b"".join(cipher_fingerprints(MLE_PREFIX, block, width))
+        for block in plain_blocks
+    )
+    vocabulary = PackedVocabulary(packed, width, target_stats.unique_chunks)
     if vocabulary._ids.has_duplicates():
         raise ConfigurationError(
             "ciphertext fingerprint collision; increase fingerprint_bytes"
@@ -351,68 +372,73 @@ def encrypt_vocabulary(trace: ColumnarTrace) -> PackedVocabulary:
 
 
 class _VocabTruth:
-    """Lazy ciphertext → plaintext ground truth through the shared ids."""
+    """Lazy ciphertext → plaintext ground truth: ciphertext id ``c`` is
+    the target's ``c``-th distinct chunk, plaintext id ``plain_ids[c]``."""
 
-    __slots__ = ("_cipher", "_plain")
+    __slots__ = ("_cipher", "_plain", "_plain_ids")
 
-    def __init__(self, cipher_vocabulary, plain_vocabulary):
+    def __init__(self, cipher_vocabulary, plain_vocabulary, plain_ids):
         self._cipher = cipher_vocabulary
         self._plain = plain_vocabulary
+        self._plain_ids = plain_ids
 
     def get(self, cipher_fingerprint: bytes, default=None):
-        chunk_id = self._cipher._ids.get(cipher_fingerprint)
-        if chunk_id is None:
+        cipher_id = self._cipher._ids.get(cipher_fingerprint)
+        if cipher_id is None:
             return default
-        return self._plain._fingerprints[chunk_id]
+        return self._plain._fingerprints[self._plain_ids[cipher_id]]
 
 
 # ---------------------------------------------------------------------------
 # The columnar source of the evaluation driver
 
 
-def _encrypted_stats(plain_stats, plain_vocabulary, cipher_vocabulary):
-    """Derive the MLE ciphertext-side stats from the plaintext COUNT.
+def _ciphertext_side(plain_stats, plain_vocabulary, cipher_vocabulary):
+    """The MLE ciphertext-side stats and ground truth, derived from the
+    target's plaintext COUNT.
 
     The ciphertext stream is the plaintext stream mapped through the
     encryption bijection: counts, first positions and adjacency are
     identical; only the fingerprints and the sizes (padded to the
     pipeline's cipher block, :func:`repro.defenses.pipeline.padded_size`)
-    change. No second COUNT pass runs: the array stats swap their decode
-    vocabulary, the dict stats of the numpy-less path are re-keyed.
+    change. No second COUNT pass runs: the array stats are re-interned
+    into the ciphertext vocabulary
+    (:meth:`~repro.attacks.interning.ArrayStats.compacted`), the dict
+    stats of the numpy-less path are re-keyed.
     """
     if accel.numpy is not None:
-        return plain_stats.with_vocabulary(
-            cipher_vocabulary, padded_size(plain_stats.first_sizes)
+        return (
+            plain_stats.compacted(
+                cipher_vocabulary, padded_size(plain_stats.first_sizes)
+            ),
+            _VocabTruth(cipher_vocabulary, plain_vocabulary, plain_stats.ordered_ids),
         )
-    cipher_of = dict(
-        zip(plain_vocabulary._fingerprints, cipher_vocabulary._fingerprints)
-    )
+    cipher_of = dict(zip(plain_stats.frequencies, cipher_vocabulary._fingerprints))
 
     def rekey(table: dict, convert=lambda value: value) -> dict:
         return {cipher_of[fp]: convert(value) for fp, value in table.items()}
 
-    return ChunkStats(
+    stats = ChunkStats(
         rekey(plain_stats.frequencies),
         rekey(plain_stats.left, rekey),
         rekey(plain_stats.right, rekey),
         rekey(plain_stats.sizes, padded_size),
     )
+    return stats, {cipher_fp: fp for fp, cipher_fp in cipher_of.items()}
 
 
-def _pairs_at(ciphertext_stats, truth: _VocabTruth, positions) -> dict[bytes, bytes]:
+def _pairs_at(ciphertext_stats, truth, positions) -> dict[bytes, bytes]:
     """The leaked pairs at ``positions`` of the sorted unique ciphertext
     fingerprints (:func:`~repro.attacks.evaluation.leaked_positions`),
-    found through the vocabulary index's lexicographic ranks — the
+    found through the ciphertext vocabulary's lexicographic ranks — the
     fingerprint list itself is never built."""
     if not positions:
         return {}
     numpy = accel.numpy
     if numpy is not None:
-        ranks = ciphertext_stats.vocabulary._ids.sort_ranks()
-        by_fingerprint = numpy.argsort(ranks[ciphertext_stats.ordered_ids])
-        sampled = ciphertext_stats.decode(
-            ciphertext_stats.ordered_ids[by_fingerprint[positions]]
-        )
+        # Every id of the compact vocabulary is in the target.
+        by_fingerprint = numpy.argsort(ciphertext_stats.vocabulary._ids.sort_ranks())
+        sampled = ciphertext_stats.decode(by_fingerprint[positions])
     else:
         unique = sorted(ciphertext_stats.frequencies)
         sampled = [unique[position] for position in positions]
@@ -442,8 +468,8 @@ def columnar_attack_report(
     :class:`~repro.attacks.evaluation.AttackEvaluator` — the differential
     tests pin report equality at small scales — but the source it hands
     :func:`~repro.attacks.evaluation.evaluate` is counted already: both
-    COUNT passes run sharded and the ciphertext side is derived at the
-    vocabulary level.
+    COUNT passes run sharded and the ciphertext side is derived from the
+    target's, its distinct chunks encrypted once each.
     """
     built = build_attack(attack, u, v, w, block_size)
     if not hasattr(built, "run_counted"):
@@ -459,11 +485,11 @@ def columnar_attack_report(
         target_view = trace.view(target)
         target_plain_stats = sharded_count(target_view, jobs=jobs)
         auxiliary_stats = sharded_count(auxiliary_view, jobs=jobs)
-        cipher_vocabulary = encrypt_vocabulary(trace)
-        ciphertext_stats = _encrypted_stats(
-            target_plain_stats, trace.vocabulary, cipher_vocabulary
+        ciphertext_stats, truth = _ciphertext_side(
+            target_plain_stats,
+            trace.vocabulary,
+            encrypt_vocabulary(trace, target_plain_stats),
         )
-        truth = _VocabTruth(cipher_vocabulary, trace.vocabulary)
         source = AttackSource(
             scheme=DefenseScheme.MLE.value,
             auxiliary_label=auxiliary_view.label,

@@ -166,25 +166,6 @@ class CountStores:
             )
         )
 
-    @classmethod
-    def detect(cls, directory: str | os.PathLike) -> "CountStores":
-        """Reopen whichever persistent layout exists under ``directory``.
-
-        Raises :class:`~repro.common.errors.ConfigurationError` when no
-        persisted COUNT state is found.
-        """
-        directory = Path(directory)
-        if (directory / "meta.kv").exists():
-            return cls.open(directory, "kvstore")
-        if (directory / "meta.db").exists():
-            return cls.open(directory, "sqlite")
-        meta_dir = directory / "meta"
-        if meta_dir.is_dir():
-            shard_files = sorted(meta_dir.glob("shard-*.db"))
-            if shard_files:
-                return cls.open(directory, "sharded", shards=len(shard_files))
-        raise ConfigurationError(f"no persisted stats under {directory}")
-
     def flush(self) -> None:
         for store in (self.meta, self.left, self.right):
             store.flush()

@@ -255,9 +255,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "attack an on-disk columnar trace directory (see generate "
             "--columnar) instead of a canonical dataset: both COUNT "
             "passes run sharded over the memory-mapped id stream "
-            "(--jobs), the MLE ciphertext side is derived at the "
-            "vocabulary level, and no full frequency table is ever "
-            "materialized in RAM"
+            "(--jobs), the MLE ciphertext side is derived from the "
+            "target's COUNT (each of its distinct chunks encrypted "
+            "once), and no full frequency table is ever materialized "
+            "in RAM"
         ),
     )
     attack.add_argument(

@@ -43,7 +43,7 @@ import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import rng_from
@@ -134,16 +134,30 @@ MLE_PREFIX = b"mle|"
 _DIGEST_BYTES = hashlib.sha256().digest_size
 
 
-def cipher_fingerprint(prefix: bytes, plaintext_fp: bytes, length: int) -> bytes:
-    """§7.1's simulated encryption, the one place it is spelt:
-    ``SHA-256(prefix ∥ plaintext fingerprint)`` truncated to ``length``
-    bytes — and never silently to fewer than were asked for."""
+def _check_width(length: int) -> None:
     if not 0 <= length <= _DIGEST_BYTES:
         raise ConfigurationError(
             f"cannot truncate a {_DIGEST_BYTES}-byte digest to {length} "
             "bytes; set fingerprint_bytes"
         )
+
+
+def cipher_fingerprint(prefix: bytes, plaintext_fp: bytes, length: int) -> bytes:
+    """§7.1's simulated encryption, the one place it is spelt:
+    ``SHA-256(prefix ∥ plaintext fingerprint)`` truncated to ``length``
+    bytes — and never silently to fewer than were asked for."""
+    _check_width(length)
     return hashlib.sha256(prefix + plaintext_fp).digest()[:length]
+
+
+def cipher_fingerprints(
+    prefix: bytes, plaintext_fps: Iterable[bytes], length: int
+) -> list[bytes]:
+    """:func:`cipher_fingerprint` of every chunk of a batch, the width
+    checked once for all of them."""
+    _check_width(length)
+    sha256 = hashlib.sha256
+    return [sha256(prefix + fp).digest()[:length] for fp in plaintext_fps]
 
 
 class CipherMap(dict):

@@ -391,7 +391,7 @@ class TestStreamingCountEquivalence:
 
 class TestCountStoresLayouts:
     @pytest.mark.parametrize("backend", ("kvstore", "sqlite", "sharded:2"))
-    def test_open_then_detect_roundtrip(self, backend, tmp_path):
+    def test_open_then_reopen_roundtrip(self, backend, tmp_path):
         backup = synthetic_backup(num_chunks=400, num_unique=60)
         reference = count_with_neighbors(backup)
         stores = CountStores.open(tmp_path / "s", backend)
@@ -401,13 +401,9 @@ class TestCountStoresLayouts:
         from repro.attacks.streaming import BackendChunkStats
 
         reloaded = BackendChunkStats.from_stores(
-            CountStores.detect(tmp_path / "s")
+            CountStores.open(tmp_path / "s", backend)
         )
         assert_stats_identical(reference, reloaded)
-
-    def test_detect_missing_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            CountStores.detect(tmp_path / "nothing")
 
     def test_unknown_backend_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):

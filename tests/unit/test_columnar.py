@@ -17,6 +17,7 @@ every seam:
 
 import pytest
 
+from repro.attacks import sharded
 from repro.attacks.evaluation import AttackEvaluator
 from repro.attacks.frequency import count_with_neighbors
 from repro.attacks.interning import (
@@ -47,7 +48,13 @@ from repro.datasets.columnar import (
     write_series,
 )
 from repro.datasets.model import Backup, BackupSeries
-from repro.defenses.pipeline import DefensePipeline, DefenseScheme
+from repro.defenses.pipeline import (
+    MLE_PREFIX,
+    DefensePipeline,
+    DefenseScheme,
+    cipher_fingerprint,
+    cipher_fingerprints,
+)
 
 
 def small_series() -> BackupSeries:
@@ -302,24 +309,152 @@ class TestColumnarAttackEquivalence:
         finally:
             trace.close()
 
-    def test_encrypted_vocabulary_is_the_pipelines_mle_fingerprints(
-        self, tmp_path
+    def test_every_pair_of_a_longer_series_equals_in_ram_evaluator(
+        self, tmp_path, count_mode, monkeypatch
     ):
-        # The identity the vocabulary-level ciphertext side rests on: id i
-        # of the encrypted vocabulary is the MLE pipeline's ciphertext
-        # fingerprint of plaintext id i. Pinned, so neither side can
-        # drift alone.
+        # Vocabulary >> target: four backups, every ordered (auxiliary,
+        # target) pair — target not last, auxiliary after target. Seed 5:
+        # both ciphertext-only attacks land on all twelve pairs.
+        config = StreamConfig(chunks=4_000, backups=4)
+        trace = ensure_stream_columnar(tmp_path / "trace", config, seed=5)
+        observed = []
+        evaluate = sharded.evaluate
+
+        def recording(built, source, *args):
+            observed.append(source.observed)
+            return evaluate(built, source, *args)
+
+        monkeypatch.setattr(sharded, "evaluate", recording)
+        try:
+            series = BackupSeries(
+                name="stream-synthetic",
+                backups=[view.to_backup() for view in trace.views()],
+            )
+            encrypted = DefensePipeline(DefenseScheme.MLE).encrypt_series(
+                series
+            )
+            evaluator = AttackEvaluator(encrypted)
+            adversary_counts = [
+                interned_count(backup.ciphertext) for backup in encrypted.backups
+            ]
+            assert (
+                2 * max(count.unique_chunks for count in adversary_counts)
+                < trace.num_unique
+            )
+            for auxiliary in range(4):
+                for target in range(4):
+                    if auxiliary == target:
+                        continue
+                    for attack in ("locality", "advanced"):
+                        for rate in (0.0, 0.01):
+                            expected = evaluator.run(
+                                _build(attack), auxiliary, target,
+                                leakage_rate=rate, seed=0,
+                            )
+                            for jobs in (1, 2):
+                                report = columnar_attack_report(
+                                    trace, attack, auxiliary=auxiliary,
+                                    target=target, leakage_rate=rate, jobs=jobs,
+                                )
+                                assert report == expected
+                    if count_mode == "accelerated":
+                        # The compact stats *are* the COUNT of an adversary
+                        # interning the target's ciphertext stream.
+                        compact, reference = observed[-1], adversary_counts[target]
+                        assert list(compact.vocabulary._fingerprints) == (
+                            reference.vocabulary._fingerprints
+                        )
+                        for name in (
+                            "ordered_ids", "ordered_counts", "first_sizes",
+                            "ordered_pairs", "ordered_pair_counts",
+                        ):
+                            assert (
+                                getattr(compact, name).tolist()
+                                == getattr(reference, name).tolist()
+                            ), name
+        finally:
+            trace.close()
+
+    @staticmethod
+    def _colliding_bytes():
+        """One-byte chunks ``a``, ``b`` whose one-byte MLE fingerprints
+        collide, and three more with ciphertext bytes of their own."""
+        by_cipher: dict[bytes, list[bytes]] = {}
+        for value in range(256):
+            plain = bytes([value])
+            by_cipher.setdefault(
+                cipher_fingerprint(MLE_PREFIX, plain, 1), []
+            ).append(plain)
+        groups = sorted(by_cipher.values())
+        a, b = next(group for group in groups if len(group) > 1)[:2]
+        return a, b, [group[0] for group in groups if a not in group][:3]
+
+    def test_collision_across_backups_is_scored_like_in_ram(
+        self, tmp_path, count_mode
+    ):
+        # docs/defenses.md: "chunks that never share a backup are not an
+        # error". ``a`` is only in the auxiliary, ``b`` only in the target.
+        a, b, (x, y, z) = self._colliding_bytes()
+        series = BackupSeries(
+            name="collide",
+            backups=[
+                Backup(label="aux", fingerprints=[x, y, a, z, x, y, x], sizes=[4096] * 7),
+                Backup(label="target", fingerprints=[x, y, b, z, x, y, x], sizes=[4096] * 7),
+            ],
+        )
+        evaluator = AttackEvaluator(
+            DefensePipeline(DefenseScheme.MLE).encrypt_series(series)
+        )
+        with write_series(series, tmp_path / "trace") as trace:
+            for attack in ("locality", "advanced"):
+                expected = evaluator.run(_build(attack), -2, -1)
+                assert columnar_attack_report(trace, attack) == expected
+                assert str(expected).endswith("rate=75.00% (3/4, precision 75.00%)")
+
+    def test_collision_inside_the_target_is_rejected_like_the_pipeline(
+        self, tmp_path, count_mode
+    ):
+        a, b, (x, y, _) = self._colliding_bytes()
+        series = BackupSeries(
+            name="collide",
+            backups=[
+                Backup(label="aux", fingerprints=[x, y, x], sizes=[4096] * 3),
+                Backup(label="target", fingerprints=[x, a, y, b], sizes=[4096] * 4),
+            ],
+        )
+        message = "ciphertext fingerprint collision; increase fingerprint_bytes"
+        with pytest.raises(ConfigurationError, match=message):
+            DefensePipeline(DefenseScheme.MLE).encrypt_series(series)
+        with write_series(series, tmp_path / "trace") as trace:
+            with pytest.raises(ConfigurationError, match=message):
+                columnar_attack_report(trace, "locality")
+            # The colliding pair is the target's alone: as an auxiliary
+            # it is plaintext, and nothing of it is encrypted.
+            columnar_attack_report(trace, "locality", auxiliary=1, target=0)
+
+    def test_encrypted_vocabulary_is_the_pipelines_mle_fingerprints(
+        self, tmp_path, count_mode
+    ):
+        # The identity the compact ciphertext side rests on: id i of the
+        # encrypted vocabulary is the MLE pipeline's ciphertext fingerprint
+        # of the target's i-th distinct chunk — and nothing the target
+        # does not hold is in it. Pinned, so neither side can drift alone.
         plain = [b"chunk-fingerprint-01", bytes(range(20)), b"\x00" * 20]
         backup = Backup(
             label="kat",
             fingerprints=[plain[i] for i in (0, 1, 0, 0, 2, 0)],
             sizes=[100, 4096, 100, 100, 15, 100],
         )
+        earlier = Backup(
+            label="earlier", fingerprints=[b"\xff" * 20, plain[2]], sizes=[1, 15]
+        )
         trace = write_series(
-            BackupSeries(name="kat", backups=[backup]), tmp_path / "trace"
+            BackupSeries(name="kat", backups=[earlier, backup]), tmp_path / "trace"
         )
         try:
-            encrypted = list(encrypt_vocabulary(trace)._fingerprints)
+            encrypted = list(
+                encrypt_vocabulary(trace, sharded_count(trace.view(1)))._fingerprints
+            )
         finally:
             trace.close()
         assert [fingerprint.hex() for fingerprint in encrypted] == [
@@ -333,7 +468,25 @@ class TestColumnarAttackEquivalence:
         ]
         assert pipeline.truth == dict(zip(encrypted, plain))
 
-    def test_vocabulary_wider_than_the_digest_is_rejected(self, tmp_path):
+    def test_batch_hash_is_the_single_hash_per_element(self):
+        plain = [b"chunk-fingerprint-01", bytes(range(20)), b"", b"\x00" * 40]
+        assert cipher_fingerprints(MLE_PREFIX, plain[:1], 8) == [
+            bytes.fromhex("9d4e2295ef08e3b9")
+        ]
+        for width in (1, 8, 20, 32):
+            assert cipher_fingerprints(MLE_PREFIX, iter(plain), width) == [
+                cipher_fingerprint(MLE_PREFIX, fingerprint, width)
+                for fingerprint in plain
+            ]
+        with pytest.raises(ConfigurationError, match="33 bytes"):
+            cipher_fingerprint(MLE_PREFIX, plain[0], 33)
+        # The batch refuses the width before it hashes anything.
+        with pytest.raises(ConfigurationError, match="33 bytes"):
+            cipher_fingerprints(MLE_PREFIX, iter([None]), 33)
+
+    def test_vocabulary_wider_than_the_digest_is_rejected(
+        self, tmp_path, count_mode
+    ):
         # A 40-byte vocabulary cannot keep its width under a truncated
         # SHA-256: refused, not packed as 32-byte records read 40 apart.
         backup = Backup(label="wide", fingerprints=[b"\x01" * 40], sizes=[1])
@@ -342,7 +495,7 @@ class TestColumnarAttackEquivalence:
         )
         try:
             with pytest.raises(ConfigurationError, match="40 bytes"):
-                encrypt_vocabulary(trace)
+                encrypt_vocabulary(trace, sharded_count(trace.view(0)))
         finally:
             trace.close()
 

@@ -779,6 +779,52 @@ class TestThreeSourceDifferential:
             StreamingCount(left_only)
 
 
+class TestPartialRanking:
+    """``top_ranked_ids`` takes a short prefix by partition instead of
+    sorting the table: every prefix must be the full ranking's."""
+
+    def test_every_prefix_of_heavily_tied_tables(self):
+        if accel.numpy is None:
+            pytest.skip("array stats need numpy")
+        rng = random.Random(2024)
+        for case in range(60):
+            distinct = rng.choice(
+                (0, 1, 2, rng.randrange(3, 30), rng.randrange(30, 90))
+            )
+            if case % 20 == 0:
+                distinct = rng.randrange(200, 400)
+            most = rng.choice((1, 2, 3, 9))  # few count values: heavy ties
+            stream = [
+                fingerprint
+                for fingerprint in (rng.randbytes(5) for _ in range(distinct))
+                for _ in range(rng.randint(1, most))
+            ]
+            rng.shuffle(stream)
+            backup = Backup(
+                label="ties",
+                fingerprints=stream,
+                sizes=[rng.choice((100, 4096, 5000)) for _ in stream],
+            )
+            oracle = count_with_neighbors(backup)
+            assert oracle.unique_chunks == distinct
+            for tie_break in (INSERTION, FINGERPRINT):
+                ranked = rank_by_frequency(oracle.frequencies, tie_break)
+                for cached_first in (False, True):
+                    stats = interned_count(backup)
+                    if cached_first:
+                        stats._tie_order(tie_break)
+                    for limit in range(1, distinct):
+                        assert stats.top_ranked(limit, tie_break) == ranked[:limit]
+                    # A proper prefix never sorted the whole table.
+                    assert (tie_break in stats._tie_orders) == cached_first
+                    for limit in (None, 0, distinct, distinct + 1):
+                        assert stats.top_ranked(limit, tie_break) == ranked[:limit]
+            # class_tops (the full order's one user) after partial calls.
+            stats = interned_count(backup)
+            stats.top_ranked_ids(1, INSERTION)
+            assert_rankings_equal_oracle(stats, oracle, limit=2, block_size=16)
+
+
 class TestChunkVocabulary:
     def test_intern_is_stable_and_dense(self):
         vocabulary = ChunkVocabulary()
