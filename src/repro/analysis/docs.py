@@ -11,6 +11,8 @@ Two small, dependency-free maintenance tools behind the ``docs`` CI job:
 * :func:`check_links` scans Markdown files for relative links and
   reports targets that do not exist — the docs suite is cross-linked
   (README ↔ ``docs/*.md``), and a rename must not leave dangling links.
+  It also imports every backticked ``repro.<dotted>`` name, so a deleted
+  or moved module, class or function cannot stay named in the prose.
 
 Help text is rendered at a pinned 80-column width, so output is
 byte-stable regardless of the invoking terminal.  Argparse formatting
@@ -29,6 +31,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import re
 import sys
@@ -112,6 +115,25 @@ def check_cli_doc(path: str | os.PathLike) -> list[str]:
 
 
 _LINK = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
+# A backticked dotted name, bare or called: `repro.x.y` or `repro.x.f(...)`.
+_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)[`(]")
+
+
+def _resolves(name: str) -> bool:
+    """Whether ``name`` imports: its longest importable module prefix,
+    then ``getattr`` for each remaining part."""
+    parts = name.split(".")
+    for stop in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:stop]))
+        except ImportError:
+            continue
+        for part in parts[stop:]:
+            if not hasattr(target, part):
+                return False
+            target = getattr(target, part)
+        return True
+    return False
 
 
 def _markdown_files(paths: list[str | os.PathLike]) -> list[Path]:
@@ -126,15 +148,18 @@ def _markdown_files(paths: list[str | os.PathLike]) -> list[Path]:
 
 
 def check_links(paths: list[str | os.PathLike]) -> list[str]:
-    """Dangling relative links in the given Markdown files/directories.
+    """Dangling relative links and unresolved ``repro.*`` names in the
+    given Markdown files/directories.
 
     External (``http(s)://``, ``mailto:``) and pure-anchor (``#…``)
     links are skipped; relative targets are resolved against the linking
     file and must exist (a trailing ``#anchor`` is stripped first).
+    Every backticked ``repro.<dotted>`` name must import (see
+    :func:`_resolves`).
 
     Returns:
-        One ``file: broken target`` line per dangling link (empty list =
-        all links resolve).
+        One ``file: broken link -> target`` or ``file: unresolved name ->
+        name`` line per problem (empty list = everything resolves).
     """
     problems: list[str] = []
     for source in _markdown_files(paths):
@@ -152,6 +177,9 @@ def check_links(paths: list[str | os.PathLike]) -> list[str]:
             resolved = (source.parent / relative).resolve()
             if not resolved.exists():
                 problems.append(f"{source}: broken link -> {target}")
+        for match in _NAME.finditer(text):
+            if not _resolves(match.group(1)):
+                problems.append(f"{source}: unresolved name -> {match.group(1)}")
     return problems
 
 
@@ -173,7 +201,10 @@ def main(argv: list[str] | None = None) -> int:
         "--links",
         nargs="+",
         metavar="PATH",
-        help="check relative links in Markdown files/directories",
+        help=(
+            "check relative links and backticked repro.* names in "
+            "Markdown files/directories"
+        ),
     )
     args = parser.parse_args(argv)
 

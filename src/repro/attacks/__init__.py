@@ -9,9 +9,9 @@
   is run and scored into an :class:`InferenceReport`, in ciphertext-only
   or known-plaintext mode; :class:`AttackEvaluator` is its source over an
   encrypted series, :func:`build_attack` the attacks by name.
-* :class:`StreamingCount` / :func:`streaming_count` — batch-ingesting COUNT
-  flushing through a pluggable :class:`~repro.index.backends.KVBackend`;
-  :func:`backend_count` hands it to :func:`evaluate` as its ``count=``.
+* :func:`columnar_attack_report` — the out-of-core source: both COUNT
+  passes sharded over a memory-mapped columnar trace
+  (:func:`sharded_count`).
 """
 
 from repro.attacks.advanced import AdvancedLocalityAttack
@@ -41,27 +41,9 @@ from repro.attacks.interning import (
     interned_count,
 )
 from repro.attacks.locality import LocalityAttack
-from repro.attacks.persistent import (
-    backend_count,
-    load_chunk_stats,
-    persist_chunk_stats,
-)
 from repro.attacks.sharded import columnar_attack_report, sharded_count
-from repro.attacks.streaming import (
-    BackendChunkStats,
-    CountStores,
-    StreamingCount,
-    streaming_count,
-)
 
 __all__ = [
-    "BackendChunkStats",
-    "CountStores",
-    "StreamingCount",
-    "streaming_count",
-    "backend_count",
-    "load_chunk_stats",
-    "persist_chunk_stats",
     "columnar_attack_report",
     "sharded_count",
     "AdvancedLocalityAttack",

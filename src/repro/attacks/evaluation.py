@@ -31,12 +31,6 @@ from repro.common.rng import rng_from
 from repro.datasets.model import Backup, resolve_index
 from repro.defenses.pipeline import EncryptedBackup, EncryptedSeries
 
-#: ``count(backup, side)`` with ``side`` ``"ciphertext"`` or
-#: ``"auxiliary"``: the COUNT pass of a counted-stats attack, when it
-#: should not be the attack's own in-RAM one (see
-#: :func:`repro.attacks.persistent.backend_count`).
-Count = Callable[[Backup, str], Any]
-
 # The attacks build_attack knows; CLI validation derives from this.
 KNOWN_ATTACKS = ("basic", "locality", "advanced")
 
@@ -267,22 +261,19 @@ def evaluate(
     source: AttackSource,
     leakage_rate: float = 0.0,
     seed: int = 0,
-    count: Count | None = None,
 ) -> InferenceReport:
     """Run ``attack`` over ``source`` and score it.
 
     Draws the known-plaintext sample (:func:`leaked_positions`) and
     restricts it to what the adversary can see; runs ``attack.run`` over
-    two backups — or ``attack.run_counted`` over their ``count`` passes,
-    for an attack that has one — or ``attack.run_counted`` over a source
-    that is counted already; scores the result against the source's truth
-    and denominator.
+    two backups, or ``attack.run_counted`` over a source that is counted
+    already; scores the result against the source's truth and
+    denominator.
 
     Args:
         leakage_rate: fraction of the target's unique ciphertext chunks
             leaked as known pairs (0 = ciphertext-only mode).
         seed: determinises the leakage sample.
-        count: the COUNT pass to use instead of the attack's own.
     """
     leaked = source.pairs_at(
         leaked_positions(
@@ -297,14 +288,10 @@ def evaluate(
         }
     observed, auxiliary = source.observed, source.auxiliary
     known = leaked or None  # nothing leaked selects ciphertext-only mode
-    if not isinstance(observed, Backup):
-        result = attack.run_counted(observed, auxiliary, known)
-    elif count is None or not hasattr(attack, "run_counted"):
+    if isinstance(observed, Backup):
         result = attack.run(observed, auxiliary, known)
     else:
-        result = attack.run_counted(
-            count(observed, "ciphertext"), count(auxiliary, "auxiliary"), known
-        )
+        result = attack.run_counted(observed, auxiliary, known)
     return InferenceReport(
         attack=result.attack_name,
         scheme=source.scheme,
@@ -345,7 +332,6 @@ class AttackEvaluator:
         target: int,
         leakage_rate: float = 0.0,
         seed: int = 0,
-        count: Count | None = None,
     ) -> InferenceReport:
         """Run ``attack`` with backup ``auxiliary`` as the adversary's prior
         knowledge against backup ``target``.
@@ -358,8 +344,6 @@ class AttackEvaluator:
             leakage_rate: fraction of the target's unique ciphertext chunks
                 leaked as known pairs (0 = ciphertext-only mode).
             seed: determinises the leakage sample.
-            count: the COUNT pass to use instead of the attack's own
-                (see :func:`evaluate`).
 
         Returns:
             An :class:`InferenceReport` scoring the attack's output pairs
@@ -369,4 +353,4 @@ class AttackEvaluator:
         source = AttackSource.of_backups(
             self.encrypted.scheme.value, encrypted_target, plaintext_aux
         )
-        return evaluate(attack, source, leakage_rate, seed, count)
+        return evaluate(attack, source, leakage_rate, seed)

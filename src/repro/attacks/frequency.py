@@ -24,7 +24,7 @@ are broken matters (the paper discusses this in §4.1):
 
 Both orders are deterministic, so every experiment is exactly reproducible.
 
-COUNT has three sources and one kernel per accelerator mode — with numpy
+COUNT has two sources and one kernel per accelerator mode — with numpy
 the shard kernel and merge of :mod:`repro.attacks.interning`
 (``count_shard`` / ``merge_shards``), without it :func:`accumulate_counts`
 (this module) — all with byte-identical output:
@@ -36,13 +36,13 @@ in-RAM backup     ``interning.interned_count``: one shard  ``ArrayStats`` over t
                                                            resident vocabulary
 columnar shards   ``sharded.sharded_count``: N shards in   ``ArrayStats`` over the mapped
                   worker processes                         vocabulary
-streamed batches  ``streaming.StreamingCount``: one shard  ``BackendChunkStats``: neighbor
-                  per batch, the carried chunk as lead     tables in a ``KVBackend``
 ================  =======================================  ==============================
 
-Without numpy the first two rows yield a plain :class:`ChunkStats`. The
-dict-only :func:`count_with_neighbors` is that fallback and the
-*reference oracle* the differential tests pin every row against.
+Without numpy both rows yield a plain :class:`ChunkStats`. The dict-only
+:func:`count_with_neighbors` is that fallback and the *reference oracle*
+the differential tests pin every row against. The columnar trace is the
+out-of-core row: its id stream and vocabulary stay memory-mapped files,
+and no table over them becomes a Python dict.
 """
 
 from __future__ import annotations

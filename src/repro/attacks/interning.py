@@ -22,10 +22,8 @@ runs the same two functions over id arrays:
 
 An in-RAM backup is one shard (:func:`interned_count`), a columnar backup
 is N shards counted in worker processes
-(:func:`repro.attacks.sharded.sharded_count`), a streamed batch is a
-shard whose lead is the carried previous chunk
-(:class:`repro.attacks.streaming.StreamingCount`); the table in
-:mod:`repro.attacks.frequency` lists the three side by side.
+(:func:`repro.attacks.sharded.sharded_count`); the table in
+:mod:`repro.attacks.frequency` lists the two side by side.
 
 The locality/advanced attacks stay on ids after COUNT: over two
 :class:`ArrayStats` their BFS seeds from :func:`seed_pairs`, probes the

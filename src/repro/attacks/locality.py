@@ -105,9 +105,8 @@ class LocalityAttack(Attack):
     def _table_steps(self, ciphertext_stats: ChunkStats, plaintext_stats: ChunkStats):
         """Steps keyed on fingerprints, over any ``ChunkStats``-shaped
         stats: every analysis ranks two dict tables (:meth:`_analyse`).
-        The numpy-less and the backend-resident
-        (:class:`~repro.attacks.streaming.BackendChunkStats`) path, and
-        the oracle the id steps are differentially tested against."""
+        The numpy-less path, and the oracle the id steps are
+        differentially tested against."""
         stats = (ciphertext_stats, plaintext_stats)
         sides = (
             (ciphertext_stats.left, plaintext_stats.left),
@@ -178,8 +177,9 @@ class LocalityAttack(Attack):
         leaked_pairs: dict[bytes, bytes] | None = None,
     ) -> AttackResult:
         # In-RAM COUNT, byte-identical to count_with_neighbors (the
-        # reference); any other COUNT enters at run_counted (see
-        # repro.attacks.evaluation.evaluate's ``count``).
+        # reference); any other COUNT enters at run_counted (a source
+        # whose ``observed`` is counted already, see
+        # repro.attacks.evaluation.evaluate).
         return self.run_counted(
             interned_count(ciphertext), interned_count(auxiliary), leaked_pairs
         )

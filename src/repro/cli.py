@@ -47,7 +47,6 @@ from repro.analysis.workloads import (
 from repro.attacks import (
     KNOWN_ATTACKS,
     AttackEvaluator,
-    backend_count,
     build_attack,
     columnar_attack_report,
 )
@@ -304,30 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
     attack.add_argument("-u", type=int, default=1)
     attack.add_argument("-v", type=int, default=15)
     attack.add_argument("-w", type=int, default=200_000)
-    attack.add_argument(
-        "--workdir",
-        metavar="DIR",
-        help=(
-            "keep COUNT state on disk under DIR (the paper's LevelDB "
-            "mode); reruns against the same backups skip recounting"
-        ),
-    )
-    attack.add_argument(
-        "--backend",
-        choices=("kvstore", "sqlite", "sharded"),
-        default="kvstore",
-        help=(
-            "key-value backend for --workdir COUNT state: the WAL-log "
-            "kvstore (default), a batched SQLite store, or hash-partitioned "
-            "SQLite shards"
-        ),
-    )
-    attack.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=4,
-        help="shard count for --backend sharded (default 4)",
-    )
     attack.add_argument(
         "--nodes",
         type=_positive_int,
@@ -945,27 +920,10 @@ def _check_attack_flags(args: argparse.Namespace) -> None:
                 "--columnar and --nodes > 1 are separate experiments; "
                 "drop one of the two"
             )
-        if args.workdir:
-            raise SystemExit(
-                "--columnar keeps COUNT state in flat arrays, not backend "
-                "stores; --workdir does not apply (see "
-                "repro.attacks.persistent.persist_chunk_stats for "
-                "backend-backed columnar COUNT)"
-            )
         return
     if args.jobs != 1:
         print(
             "warning: --jobs has no effect without --columnar",
-            file=sys.stderr,
-        )
-    if args.workdir is None and (args.backend != "kvstore" or args.shards != 4):
-        print(
-            "warning: --backend/--shards have no effect without --workdir",
-            file=sys.stderr,
-        )
-    if args.workdir and args.attack == "basic":
-        print(
-            "warning: --workdir is ignored for the basic attack",
             file=sys.stderr,
         )
     if not 0 <= args.compromised_node < args.nodes:
@@ -973,17 +931,12 @@ def _check_attack_flags(args: argparse.Namespace) -> None:
             f"compromised node {args.compromised_node} is outside the "
             f"cluster (use 0 .. {args.nodes - 1})"
         )
-    if args.nodes > 1 and args.workdir:
-        raise SystemExit(
-            "--workdir COUNT persistence is not supported for partial-view "
-            "(--nodes > 1) attacks; drop one of the two"
-        )
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
     """One attack, one report: the flags pick the adversary's source — an
     on-disk columnar trace, one compromised node's shard of a dataset's
-    target, or the whole target (its COUNT under ``--workdir`` if given)."""
+    target, or the whole target."""
     _check_attack_flags(args)
     if args.columnar is not None:
         report = columnar_attack_report(
@@ -1024,11 +977,6 @@ def _cmd_attack(args: argparse.Namespace) -> int:
                 target=args.target,
                 leakage_rate=args.leakage_rate,
                 seed=args.seed,
-                count=(
-                    backend_count(args.workdir, args.backend, args.shards)
-                    if args.workdir
-                    else None
-                ),
             )
     print(report)
     return 0

@@ -620,47 +620,15 @@ class ColumnarBackupView:
             self.trace._sizes_map[self.start * 4 : self.stop * 4]
         )
 
-    def iter_batches(
-        self, batch_size: int = 64 * 1024
-    ) -> Iterator[tuple[list[bytes], list[int]]]:
-        """Decode the stream to ``(fingerprints, sizes)`` batches.
-
-        This is the adapter feeding bytes-keyed consumers — e.g.
-        :class:`repro.attacks.streaming.StreamingCount.ingest` — without
-        ever materializing the whole stream.
-        """
-        if batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-        fingerprints = self.trace.vocabulary._fingerprints
-        for offset in range(0, self.num_chunks, batch_size):
-            stop = min(offset + batch_size, self.num_chunks)
-            raw_ids = self.ids_slice(offset, stop)
-            raw_sizes = u32_array(
-                self.trace._sizes_map[
-                    (self.start + offset) * 4 : (self.start + stop) * 4
-                ]
-            )
-            yield (
-                list(map(fingerprints.__getitem__, raw_ids)),
-                raw_sizes.tolist(),
-            )
-
-    def ids_slice(self, offset: int, stop: int) -> array:
-        return u32_array(
-            self.trace._ids_map[
-                (self.start + offset) * 4 : (self.start + stop) * 4
-            ]
-        )
-
     def to_backup(self) -> Backup:
         """Materialize the view as an in-RAM Backup (small scales only —
         this rebuilds one bytes object per occurrence)."""
-        fingerprints: list[bytes] = []
-        sizes: list[int] = []
-        for batch_fps, batch_sizes in self.iter_batches():
-            fingerprints.extend(batch_fps)
-            sizes.extend(batch_sizes)
-        return Backup(label=self.label, fingerprints=fingerprints, sizes=sizes)
+        fingerprints = self.trace.vocabulary._fingerprints
+        return Backup(
+            label=self.label,
+            fingerprints=list(map(fingerprints.__getitem__, self.ids())),
+            sizes=self.sizes().tolist(),
+        )
 
 
 class ColumnarTrace:

@@ -3,8 +3,8 @@
 * :class:`KVBackend` and its implementations (:class:`KVStore`,
   :class:`SQLiteBackend`, :class:`ShardedBackend`, built via
   :func:`open_backend`) — the pluggable backend seam every
-  fingerprint-keyed table sits behind (the paper keeps these tables in
-  LevelDB, §5.2).
+  storage-side fingerprint-keyed table sits behind (the paper keeps its
+  tables in LevelDB, §5.2).
 * :class:`KVStore` — an embedded, ordered key-value store with optional
   write-ahead-log persistence; without a path, the in-memory backend.
 * :class:`BloomFilter` — the in-memory filter of the DDFS prototype

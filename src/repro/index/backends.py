@@ -1,11 +1,14 @@
 """Pluggable key-value backends for the fingerprint-keyed tables (§5.2).
 
-The paper's implementation keeps the COUNT co-occurrence tables in LevelDB
-so frequency analysis scales to multi-million-chunk FSL backups. This
-module provides the same seam for the reproduction: every fingerprint-keyed
-table — attack COUNT state, the DDFS on-disk fingerprint index — talks to a
-:class:`KVBackend`, and the backend decides whether the data lives in a
-dict, a SQLite file, or a set of hash-partitioned shards.
+The paper's implementation keeps its fingerprint-keyed tables in LevelDB.
+This module provides the same seam for the reproduction: every
+fingerprint-keyed table on the storage side — the DDFS on-disk fingerprint
+index, the service's and the cluster's shared index, the columnar trace
+writer's vocabulary spill — talks to a :class:`KVBackend`, and the backend
+decides whether the data lives in a dict, a SQLite file, or a set of
+hash-partitioned shards. (The attacks' out-of-core COUNT is the columnar
+trace, :mod:`repro.datasets.columnar`, which keeps its tables in flat
+arrays instead.)
 
 Backends:
 
@@ -20,14 +23,6 @@ Backends:
   (CRC32 of the key, deterministic across processes). The seam for
   multi-process or remote sharding in later work.
 
-Every backend preserves **first-insertion order** under
-:meth:`~KVBackend.insertion_items`, exactly like a Python dict: re-putting
-an existing key keeps its original position. The attacks' tie-break
-behaviour (see :mod:`repro.attacks.frequency`) depends on this, which is
-why :class:`ShardedBackend` prefixes each stored value with a global
-insertion sequence number — per-shard order alone would not reconstruct the
-stream order.
-
 Use :func:`open_backend` to build a backend from a spec string
 (``"memory"``, ``"kvstore"``, ``"sqlite"``, ``"sharded"`` or
 ``"sharded:N"``); this is what the CLI and the storage constructors accept.
@@ -38,7 +33,6 @@ from __future__ import annotations
 import heapq
 import os
 import sqlite3
-import struct
 import time
 import zlib
 from pathlib import Path
@@ -59,16 +53,14 @@ __all__ = [
 
 @runtime_checkable
 class KVBackend(Protocol):
-    """Byte-keyed associative store with dict-like insertion semantics.
+    """Byte-keyed associative store.
 
     Contract (shared by every implementation, and what the conformance
     tests in ``tests/unit/test_backends.py`` assert):
 
     * keys and values are ``bytes``;
-    * :meth:`put` of an existing key overwrites the value but keeps the
-      key's first-insertion position;
+    * :meth:`put` of an existing key overwrites the value;
     * :meth:`keys` / :meth:`items` iterate in ascending byte order;
-    * :meth:`insertion_items` iterates in first-insertion order;
     * :meth:`put_batch` is equivalent to sequential :meth:`put` calls but
       lets the backend amortize write overhead;
     * :meth:`flush` makes all buffered writes visible/durable;
@@ -90,8 +82,6 @@ class KVBackend(Protocol):
     def keys(self) -> Iterator[bytes]: ...
 
     def items(self) -> Iterator[tuple[bytes, bytes]]: ...
-
-    def insertion_items(self) -> Iterator[tuple[bytes, bytes]]: ...
 
     def flush(self) -> None: ...
 
@@ -115,9 +105,7 @@ class SQLiteBackend:
     Writes are buffered in a dict and drained with one ``executemany`` per
     ``batch_size`` puts (or on :meth:`flush` / any whole-store read), so
     the per-put overhead stays close to a dict assignment while the data
-    can spill to disk. The table carries an ``AUTOINCREMENT`` sequence
-    column and upserts keep the original row, which preserves
-    first-insertion iteration order across process restarts.
+    can spill to disk.
 
     A file-backed store can be opened by several processes (the cluster
     nodes of one host, a concurrent bench); SQLite then serializes
@@ -160,8 +148,7 @@ class SQLiteBackend:
             self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute(
             "CREATE TABLE IF NOT EXISTS kv ("
-            " seq INTEGER PRIMARY KEY AUTOINCREMENT,"
-            " key BLOB NOT NULL UNIQUE,"
+            " key BLOB PRIMARY KEY NOT NULL,"
             " value BLOB NOT NULL)"
         )
         self._conn.commit()
@@ -273,11 +260,6 @@ class SQLiteBackend:
         assert self._conn is not None
         yield from self._conn.execute("SELECT key, value FROM kv ORDER BY key")
 
-    def insertion_items(self) -> Iterator[tuple[bytes, bytes]]:
-        self._drain()
-        assert self._conn is not None
-        yield from self._conn.execute("SELECT key, value FROM kv ORDER BY seq")
-
     # -- lifecycle ----------------------------------------------------------
 
     def flush(self) -> None:
@@ -297,19 +279,11 @@ class SQLiteBackend:
         self.close()
 
 
-_SEQ = struct.Struct(">Q")
-
-
 class ShardedBackend:
     """Hash-partitions keys across N sub-backends.
 
     Routing uses ``crc32(key) % shards`` — deterministic across processes,
-    so a persisted sharded store reopens onto the same layout. Each stored
-    value is prefixed with an 8-byte global insertion sequence number;
-    :meth:`insertion_items` merge-sorts the shards by that prefix, which
-    reconstructs the exact global first-insertion order the tie-break
-    logic needs. Reopening scans each shard once to recover the sequence
-    counter.
+    so a persisted sharded store reopens onto the same layout.
 
     Args:
         shards: the sub-backends (any :class:`KVBackend` mix).
@@ -319,13 +293,6 @@ class ShardedBackend:
         if not shards:
             raise ConfigurationError("ShardedBackend needs at least one shard")
         self._shards = list(shards)
-        next_seq = 0
-        for shard in self._shards:
-            for _, raw in shard.insertion_items():
-                seq = _SEQ.unpack_from(raw)[0]
-                if seq >= next_seq:
-                    next_seq = seq + 1
-        self._next_seq = next_seq
 
     @property
     def num_shards(self) -> int:
@@ -338,34 +305,15 @@ class ShardedBackend:
 
     def put(self, key: bytes, value: bytes) -> None:
         _check_pair(key, value)
-        shard = self._shard_for(key)
-        raw = shard.get(key)
-        if raw is None:
-            prefix = _SEQ.pack(self._next_seq)
-            self._next_seq += 1
-        else:
-            prefix = raw[: _SEQ.size]
-        shard.put(key, prefix + value)
+        self._shard_for(key).put(key, value)
 
     def put_batch(self, items: Iterable[tuple[bytes, bytes]]) -> None:
-        # Group per shard so each sub-backend sees one batched write; a
-        # dict per shard also catches duplicate keys within the batch
-        # (they must reuse the sequence number of the first occurrence).
+        # Group per shard so each sub-backend sees one batched write.
         buffers: list[dict[bytes, bytes]] = [{} for _ in self._shards]
         shard_count = len(self._shards)
         for key, value in items:
             _check_pair(key, value)
-            index = zlib.crc32(key) % shard_count
-            buffer = buffers[index]
-            raw = buffer.get(key)
-            if raw is None:
-                raw = self._shards[index].get(key)
-            if raw is None:
-                prefix = _SEQ.pack(self._next_seq)
-                self._next_seq += 1
-            else:
-                prefix = raw[: _SEQ.size]
-            buffer[key] = prefix + value
+            buffers[zlib.crc32(key) % shard_count][key] = value
         for shard, buffer in zip(self._shards, buffers):
             if buffer:
                 shard.put_batch(buffer.items())
@@ -376,10 +324,7 @@ class ShardedBackend:
     # -- read path ----------------------------------------------------------
 
     def get(self, key: bytes, default: bytes | None = None) -> bytes | None:
-        raw = self._shard_for(key).get(key)
-        if raw is None:
-            return default
-        return raw[_SEQ.size :]
+        return self._shard_for(key).get(key, default)
 
     def __contains__(self, key: bytes) -> bool:
         return key in self._shard_for(key)
@@ -391,22 +336,10 @@ class ShardedBackend:
         yield from heapq.merge(*(shard.keys() for shard in self._shards))
 
     def items(self) -> Iterator[tuple[bytes, bytes]]:
-        merged = heapq.merge(
+        yield from heapq.merge(
             *(shard.items() for shard in self._shards),
             key=lambda pair: pair[0],
         )
-        for key, raw in merged:
-            yield key, raw[_SEQ.size :]
-
-    def insertion_items(self) -> Iterator[tuple[bytes, bytes]]:
-        # Within one shard insertion order is sequence order, so a k-way
-        # merge on the prefix reconstructs the global stream order.
-        merged = heapq.merge(
-            *(shard.insertion_items() for shard in self._shards),
-            key=lambda pair: pair[1][: _SEQ.size],
-        )
-        for key, raw in merged:
-            yield key, raw[_SEQ.size :]
 
     # -- lifecycle ----------------------------------------------------------
 

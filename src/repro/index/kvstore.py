@@ -6,9 +6,8 @@ requested). An optional append-only write-ahead log provides durability:
 every mutation is logged, and :meth:`KVStore.open` replays the log to
 rebuild state. :meth:`compact` rewrites the log to drop superseded records.
 
-This intentionally mirrors the subset of LevelDB behaviour the paper's
-attack code relies on: byte-keyed associative arrays holding frequency
-counts and neighbor co-occurrence lists, larger than what one would want to
+This mirrors the subset of LevelDB behaviour a fingerprint index relies
+on: a byte-keyed associative array, larger than what one would want to
 rebuild from scratch per run.
 """
 
@@ -91,11 +90,6 @@ class KVStore:
         """(key, value) pairs in ascending key order."""
         for key in sorted(self._data):
             yield key, self._data[key]
-
-    def insertion_items(self) -> Iterator[tuple[bytes, bytes]]:
-        """(key, value) pairs in first-insertion order (preserved across
-        log replay; deletions forget the original slot)."""
-        return iter(self._data.items())
 
     def range(self, start: bytes, end: bytes) -> Iterator[tuple[bytes, bytes]]:
         """Pairs with ``start <= key < end`` in ascending key order."""

@@ -1,24 +1,17 @@
 """One way to run and score an attack: every source, one report.
 
 :func:`repro.attacks.evaluation.evaluate` is the only place an attack is
-run and scored; the in-RAM evaluator, ``count=`` on every backend, the
-columnar report and the partial view only build its source. One small
-series through all of them must therefore give *equal*
-:class:`~repro.attacks.evaluation.InferenceReport`s — and at the CLI, one
-line: ``attack fsl --workdir`` on any backend prints the in-RAM golden,
-state left by another stream is never scored, and the same bad input
-exits the same clean way whichever source the flags pick.
+run and scored; the in-RAM evaluator, the columnar report and the partial
+view only build its source. One small series through all of them must
+therefore give *equal* :class:`~repro.attacks.evaluation.InferenceReport`s
+— and at the CLI, one line: ``attack --columnar`` over the columnar FSL
+trace prints the in-RAM golden, and the same bad input exits the same
+clean way whichever source the flags pick.
 """
 
 import pytest
 
-from repro.attacks import (
-    AttackEvaluator,
-    backend_count,
-    build_attack,
-    columnar_attack_report,
-    persistent,
-)
+from repro.attacks import AttackEvaluator, build_attack, columnar_attack_report
 from repro.cli import main
 from repro.cluster import partial_view_report
 from repro.datasets.columnar import StreamConfig, synthesize_columnar, write_series
@@ -46,17 +39,6 @@ def expected(tiny_encrypted_mle):
 
 
 class TestOneSeriesEverySource:
-    @pytest.mark.parametrize("spec", ["memory", "kvstore", "sqlite", "sharded:2"])
-    def test_count_on_every_backend(self, spec, tmp_path, tiny_encrypted_mle, expected):
-        evaluator = AttackEvaluator(tiny_encrypted_mle)
-        count = backend_count(tmp_path / "work", spec)
-        for run in ("first", "reuse"):
-            for attack, rate in CASES:
-                report = evaluator.run(
-                    build_attack(attack), -2, -1, leakage_rate=rate, count=count
-                )
-                assert report == expected[attack, rate], (run, attack, rate)
-
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_columnar_report(self, jobs, tmp_path, count_mode, tiny_fsl_series, expected):
         with write_series(tiny_fsl_series, tmp_path / "trace") as trace:
@@ -84,29 +66,57 @@ def _golden(name: str) -> str:
         return handle.read()
 
 
-class TestWorkdirCLI:
-    @pytest.mark.parametrize("backend", ["kvstore", "sqlite", "sharded"])
-    def test_prints_the_in_ram_golden(self, backend, tmp_path, capsys):
-        argv = ["attack", "fsl", "--workdir", str(tmp_path), "--backend", backend]
-        assert main(argv + ["--shards", "2"]) == 0
+@pytest.fixture(scope="module")
+def fsl_columnar(tmp_path_factory):
+    directory = str(tmp_path_factory.mktemp("fsl") / "trace")
+    assert main(["generate", "fsl", directory, "--columnar"]) == 0
+    return directory
+
+
+class TestColumnarCLI:
+    """The out-of-core source at the CLI: the columnar FSL trace prints
+    the in-RAM report byte for byte."""
+
+    def test_prints_the_in_ram_golden(self, fsl_columnar, capsys):
+        capsys.readouterr()
+        assert main(["attack", "--columnar", fsl_columnar]) == 0
         assert capsys.readouterr().out == _golden("golden_attack_fsl.txt")
 
-    def test_state_of_another_scheme_is_not_scored(self, tmp_path, capsys, monkeypatch):
-        workdir = ["--workdir", str(tmp_path)]
-        lines = {}
-        for scheme in ("mle", "minhash"):
-            argv = ["attack", "fsl", "--scheme", scheme]
-            assert main(argv) == 0
-            lines[scheme] = capsys.readouterr().out
-            # Both schemes' backups carry the same labels, so the second
-            # one finds the first one's completed COUNT state under them.
-            assert main(argv + workdir) == 0
-            assert capsys.readouterr().out == lines[scheme], scheme
-        assert lines["mle"] != lines["minhash"]
-        # The same stream again reuses the state: nothing is recounted.
-        monkeypatch.setattr(persistent, "persist_chunk_stats", None)
-        assert main(["attack", "fsl", "--scheme", "minhash"] + workdir) == 0
-        assert capsys.readouterr().out == lines["minhash"]
+    def test_advanced_prints_the_in_ram_report(self, fsl_columnar, capsys):
+        capsys.readouterr()
+        assert main(["attack", "fsl", "--attack", "advanced"]) == 0
+        in_ram = capsys.readouterr().out
+        assert in_ram.startswith("advanced [mle] ")
+        argv = ["attack", "--columnar", fsl_columnar, "--attack", "advanced"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == in_ram
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--auxiliary", "0", "--target", "1"],
+            ["--leakage-rate", "0.05", "--seed", "7"],
+            ["-u", "3", "-v", "8"],
+        ],
+        ids=["pair", "leakage", "uv"],
+    )
+    def test_flags_print_the_in_ram_report(self, flags, fsl_columnar, capsys):
+        capsys.readouterr()
+        assert main(["attack", "fsl"] + flags) == 0
+        in_ram = capsys.readouterr().out
+        assert in_ram != _golden("golden_attack_fsl.txt")
+        assert main(["attack", "--columnar", fsl_columnar] + flags) == 0
+        assert capsys.readouterr().out == in_ram
+
+    @pytest.mark.parametrize(
+        "flag", [["--workdir", "state"], ["--backend", "sqlite"], ["--shards", "2"]]
+    )
+    def test_no_count_state_flags(self, flag):
+        # COUNT state has one out-of-core home, the columnar trace: the
+        # attack command takes no directory or backend to keep it in.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["attack", "fsl"] + flag)
+        assert exit_info.value.code == 2
 
 
 @pytest.fixture(scope="module")
@@ -123,15 +133,17 @@ class TestOneSourceOneError:
             (["--auxiliary", "99"], "backup index 99 out of range"),
             (["--leakage-rate", "1.5"], "leakage_rate must be in [0, 1]"),
             (["-u", "0"], "u, v and w must all be >= 1"),
+            (["--target", "99"], "backup index 99 out of range"),
+            (["--leakage-rate", "-0.5"], "leakage_rate must be in [0, 1]"),
+            (["-w", "0"], "u, v and w must all be >= 1"),
         ],
     )
-    @pytest.mark.parametrize("source", ["dataset", "workdir", "columnar", "nodes"])
+    @pytest.mark.parametrize("source", ["dataset", "columnar", "nodes"])
     def test_bad_input_exits_with_its_message(
-        self, source, bad_input, message, tmp_path, columnar_directory
+        self, source, bad_input, message, columnar_directory
     ):
         argv = {
             "dataset": ["synthetic"],
-            "workdir": ["synthetic", "--workdir", str(tmp_path)],
             "columnar": ["--columnar", columnar_directory],
             "nodes": ["synthetic", "--nodes", "2"],
         }[source]

@@ -1,20 +1,16 @@
-"""Conformance and equivalence tests for the pluggable KV backends.
+"""Conformance tests for the pluggable KV backends.
 
-Every backend must behave like a byte-keyed Python dict: overwrites keep
-first-insertion order, ``keys()``/``items()`` iterate in ascending byte
-order, and batch writes equal sequential puts. The equivalence tests pin
-the tentpole property: the streaming COUNT produces byte-identical output
-— including tie-break-sensitive iteration order — on every backend.
+Every backend must behave like a byte-keyed Python dict whose views are
+sorted: overwrites replace the value, ``keys()``/``items()`` iterate in
+ascending byte order, batch writes equal sequential puts, and a
+file-backed store reopens onto the same data.
 """
 
 import random
 
 import pytest
 
-from repro.attacks.frequency import count_with_neighbors
-from repro.attacks.streaming import CountStores, StreamingCount, streaming_count
 from repro.common.errors import ConfigurationError, StorageError
-from repro.datasets.model import Backup
 from repro.index.backends import (
     KVBackend,
     ShardedBackend,
@@ -89,17 +85,6 @@ class TestConformance:
         assert backend.get(b"key") == b""
         assert b"key" in backend
 
-    def test_overwrite_keeps_insertion_position(self, backend):
-        backend.put(b"z", b"1")
-        backend.put(b"m", b"2")
-        backend.put(b"a", b"3")
-        backend.put(b"m", b"22")  # must stay in the middle
-        assert list(backend.insertion_items()) == [
-            (b"z", b"1"),
-            (b"m", b"22"),
-            (b"a", b"3"),
-        ]
-
     def test_ordered_iteration(self, backend):
         pairs = {b"cc": b"3", b"aa": b"1", b"bb": b"2", b"dd": b"4"}
         for key, value in pairs.items():
@@ -112,8 +97,7 @@ class TestConformance:
     def test_put_batch_equals_sequential_puts(self, backend):
         items = [(b"b", b"1"), (b"a", b"2"), (b"c", b"3"), (b"a", b"4")]
         backend.put_batch(items)
-        reference = dict(items)  # sequential puts: last value, first slot
-        assert list(backend.insertion_items()) == list(reference.items())
+        reference = dict(items)  # sequential puts: the last value wins
         assert list(backend.items()) == sorted(reference.items())
 
     def test_delete(self, backend):
@@ -123,13 +107,63 @@ class TestConformance:
         assert backend.delete(b"a") is False
         assert b"a" not in backend
         assert len(backend) == 1
-        assert list(backend.insertion_items()) == [(b"b", b"2")]
+        assert list(backend.items()) == [(b"b", b"2")]
 
     def test_rejects_non_bytes(self, backend):
         with pytest.raises(StorageError):
             backend.put("text", b"value")
         with pytest.raises(StorageError):
             backend.put(b"key", 42)
+
+    def test_empty_store_views(self, backend):
+        assert list(backend.keys()) == []
+        assert list(backend.items()) == []
+        assert backend.delete(b"missing") is False
+        assert len(backend) == 0
+
+    def test_keys_sort_bytewise(self, backend):
+        # Byte order, not text order: a prefix sorts before its
+        # extensions, and 0x00 / 0xff sort at the two ends.
+        keys = [b"b", b"a\x00", b"\xff", b"a", b"\x00", b"a\xff", b"B"]
+        backend.put_batch((key, b"v") for key in keys)
+        assert list(backend.keys()) == sorted(keys)
+        assert [key for key, _ in backend.items()] == sorted(keys)
+
+    def test_values_are_stored_verbatim(self, backend):
+        # Values come back byte for byte: no framing, prefix or encoding
+        # added on the way in, whatever their length or content.
+        values = {
+            b"all": bytes(range(256)),
+            b"eight": b"\x00" * 8,
+            b"one": b"\x01",
+            b"empty": b"",
+        }
+        for key, value in values.items():
+            backend.put(key, value)
+        for key, value in values.items():
+            assert backend.get(key) == value
+        assert dict(backend.items()) == values
+
+    def test_delete_of_a_buffered_write(self, backend):
+        # The SQLite backend's batch of 3 still holds these two writes.
+        backend.put(b"a", b"1")
+        backend.put(b"b", b"2")
+        assert backend.delete(b"a") is True
+        assert backend.get(b"a") is None
+        assert b"a" not in backend
+        assert list(backend.items()) == [(b"b", b"2")]
+
+    def test_reinsert_after_delete(self, backend):
+        backend.put_batch([(b"a", b"1"), (b"b", b"2"), (b"c", b"3")])
+        assert backend.delete(b"b") is True
+        backend.put(b"b", b"22")
+        assert backend.get(b"b") == b"22"
+        assert len(backend) == 3
+        assert list(backend.items()) == [
+            (b"a", b"1"),
+            (b"b", b"22"),
+            (b"c", b"3"),
+        ]
 
     def test_interleaved_reads_and_writes(self, backend):
         # Reads between puts must see buffered writes (the SQLite backend
@@ -155,15 +189,15 @@ class TestPersistence:
         reopened = reopen_backend(spec, tmp_path)
         assert len(reopened) == 3
         assert reopened.get(b"m") == b"22"
-        assert list(reopened.insertion_items()) == [
-            (b"z", b"1"),
-            (b"m", b"22"),
+        assert list(reopened.items()) == [
             (b"a", b"3"),
+            (b"m", b"22"),
+            (b"z", b"1"),
         ]
         reopened.close()
 
     @pytest.mark.parametrize("spec", PERSISTENT_SPECS)
-    def test_writes_after_reopen_extend_insertion_order(self, spec, tmp_path):
+    def test_writes_after_reopen_overwrite_and_extend(self, spec, tmp_path):
         store = make_backend(spec, tmp_path)
         store.put(b"first", b"1")
         store.put(b"second", b"2")
@@ -171,12 +205,48 @@ class TestPersistence:
 
         reopened = reopen_backend(spec, tmp_path)
         reopened.put(b"third", b"3")
-        reopened.put(b"first", b"11")  # overwrite keeps the oldest slot
-        assert [key for key, _ in reopened.insertion_items()] == [
-            b"first",
-            b"second",
-            b"third",
+        reopened.put(b"first", b"11")
+        assert list(reopened.items()) == [
+            (b"first", b"11"),
+            (b"second", b"2"),
+            (b"third", b"3"),
         ]
+        reopened.close()
+
+
+    @pytest.mark.parametrize("spec", PERSISTENT_SPECS)
+    def test_delete_survives_reopen(self, spec, tmp_path):
+        store = make_backend(spec, tmp_path)
+        store.put_batch([(b"a", b"1"), (b"b", b"2"), (b"c", b"3")])
+        assert store.delete(b"b") is True
+        store.close()
+
+        reopened = reopen_backend(spec, tmp_path)
+        assert b"b" not in reopened
+        assert list(reopened.items()) == [(b"a", b"1"), (b"c", b"3")]
+        reopened.close()
+
+    @pytest.mark.parametrize("spec", PERSISTENT_SPECS)
+    def test_batch_larger_than_a_drain_survives_reopen(self, spec, tmp_path):
+        pairs = [(b"k%02d" % i, b"v%d" % i) for i in range(20)]
+        store = make_backend(spec, tmp_path)
+        store.put_batch(reversed(pairs))
+        store.close()
+
+        reopened = reopen_backend(spec, tmp_path)
+        assert len(reopened) == 20
+        assert list(reopened.items()) == pairs
+        reopened.close()
+
+    @pytest.mark.parametrize("spec", PERSISTENT_SPECS)
+    def test_empty_store_reopens_empty_and_writable(self, spec, tmp_path):
+        make_backend(spec, tmp_path).close()
+
+        reopened = reopen_backend(spec, tmp_path)
+        assert len(reopened) == 0
+        assert list(reopened.items()) == []
+        reopened.put(b"key", b"value")
+        assert reopened.get(b"key") == b"value"
         reopened.close()
 
 
@@ -261,18 +331,30 @@ class TestShardedBackend:
         assert populated > 1
         assert sum(len(shard) for shard in shards) == 64
 
+    def test_merged_views_are_sorted_across_shards(self):
+        store = ShardedBackend([KVStore() for _ in range(5)])
+        keys = [b"k%03d" % i for i in range(40)]
+        random.Random(3).shuffle(keys)
+        for key in keys:
+            store.put(key, b"v" + key)
+        assert list(store.keys()) == sorted(keys)
+        assert list(store.items()) == [(key, b"v" + key) for key in sorted(keys)]
+
+    def test_each_shard_holds_its_pairs_verbatim(self):
+        # A shard stores exactly what was put, so each one is readable
+        # on its own as a plain backend.
+        shards = [KVStore() for _ in range(3)]
+        store = ShardedBackend(shards)
+        pairs = {b"key-%02d" % i: b"value-%02d" % i for i in range(30)}
+        store.put_batch(pairs.items())
+        held = {}
+        for shard in shards:
+            held.update(shard.items())
+        assert held == pairs
+
     def test_needs_at_least_one_shard(self):
         with pytest.raises(ConfigurationError):
             ShardedBackend([])
-
-    def test_global_insertion_order_across_shards(self):
-        store = ShardedBackend([KVStore() for _ in range(5)])
-        keys = [b"k%03d" % i for i in range(40)]
-        rng = random.Random(3)
-        rng.shuffle(keys)
-        for key in keys:
-            store.put(key, b"v")
-        assert [key for key, _ in store.insertion_items()] == keys
 
 
 class TestOpenBackend:
@@ -303,108 +385,3 @@ class TestOpenBackend:
             "shard-01.db",
         ]
 
-
-# -- streaming COUNT equivalence ---------------------------------------------
-
-
-def synthetic_backup(
-    num_chunks: int = 2500, num_unique: int = 300, seed: int = 9
-) -> Backup:
-    """A skewed synthetic trace: few hot chunks, a long cold tail."""
-    rng = random.Random(seed)
-    pool = [rng.randbytes(8) for _ in range(num_unique)]
-    size_of = {fp: rng.randrange(1024, 8192) for fp in pool}
-    fingerprints = [
-        pool[min(int(rng.random() ** 3 * num_unique), num_unique - 1)]
-        for _ in range(num_chunks)
-    ]
-    return Backup(
-        label="synthetic",
-        fingerprints=fingerprints,
-        sizes=[size_of[fp] for fp in fingerprints],
-    )
-
-
-def assert_stats_identical(reference, stats):
-    """Byte-identical COUNT: same tables *and* same iteration order."""
-    assert list(stats.frequencies.items()) == list(
-        reference.frequencies.items()
-    )
-    assert stats.sizes == reference.sizes
-    for fingerprint in reference.frequencies:
-        for side in ("left", "right"):
-            expected = getattr(reference, side).get(fingerprint, {})
-            actual = getattr(stats, side).get(fingerprint, {})
-            assert list(actual.items()) == list(expected.items())
-
-
-def count_stores_for(spec: str, tmp_path) -> CountStores:
-    return CountStores(
-        make_backend(spec, tmp_path / "meta"),
-        make_backend(spec, tmp_path / "left"),
-        make_backend(spec, tmp_path / "right"),
-    )
-
-
-class TestStreamingCountEquivalence:
-    @pytest.mark.parametrize(
-        "spec", ("memory", "kvstore", "sqlite", "sqlite-file", "sharded")
-    )
-    def test_identical_to_in_memory_count(self, spec, tmp_path):
-        backup = synthetic_backup()
-        reference = count_with_neighbors(backup)
-        stores = count_stores_for(spec, tmp_path)
-        # A small, non-round batch size forces many delta merges and
-        # unaligned batch boundaries.
-        stats = streaming_count(backup, stores, batch_size=257)
-        assert_stats_identical(reference, stats)
-        assert stats.unique_chunks == reference.unique_chunks
-
-    def test_incremental_ingest_matches_single_pass(self):
-        backup = synthetic_backup(num_chunks=900)
-        reference = count_with_neighbors(backup)
-        counter = StreamingCount(batch_size=64)
-        for start in range(0, 900, 123):  # uneven slices across calls
-            counter.ingest(
-                backup.fingerprints[start : start + 123],
-                backup.sizes[start : start + 123],
-            )
-        assert counter.total_chunks == 900
-        assert_stats_identical(reference, counter.finalize())
-
-    def test_mismatched_lengths_rejected(self):
-        counter = StreamingCount()
-        with pytest.raises(ConfigurationError):
-            counter.ingest([b"aa"], [1, 2])
-
-    def test_bad_batch_size_rejected(self):
-        with pytest.raises(ConfigurationError):
-            StreamingCount(batch_size=0)
-
-    def test_empty_count_finalizes_to_empty_stats(self):
-        # Matches count_with_neighbors on an empty backup.
-        stats = StreamingCount().finalize()
-        assert stats.unique_chunks == 0
-        assert stats.frequencies == {}
-        assert stats.left.get(b"x") == {}
-
-
-class TestCountStoresLayouts:
-    @pytest.mark.parametrize("backend", ("kvstore", "sqlite", "sharded:2"))
-    def test_open_then_reopen_roundtrip(self, backend, tmp_path):
-        backup = synthetic_backup(num_chunks=400, num_unique=60)
-        reference = count_with_neighbors(backup)
-        stores = CountStores.open(tmp_path / "s", backend)
-        streaming_count(backup, stores, batch_size=97)
-        stores.close()
-
-        from repro.attacks.streaming import BackendChunkStats
-
-        reloaded = BackendChunkStats.from_stores(
-            CountStores.open(tmp_path / "s", backend)
-        )
-        assert_stats_identical(reference, reloaded)
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            CountStores.open(tmp_path, "leveldb")

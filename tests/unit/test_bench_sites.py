@@ -14,13 +14,9 @@ import importlib
 import pytest
 
 from bench.layers import SITES
-from repro.attacks import (
-    AttackEvaluator,
-    backend_count,
-    build_attack,
-    columnar_attack_report,
-)
+from repro.attacks import AttackEvaluator, build_attack, columnar_attack_report
 from repro.chunking import ChunkerSpec, GearChunker
+from repro.common import accel
 from repro.crypto.mle import ConvergentEncryption
 from repro.datasets.columnar import write_series
 from repro.datasets.filesystem import deterministic_bytes
@@ -71,24 +67,23 @@ def test_attack_sites_are_called_through(
     calls = _count_calls(monkeypatch, lambda site: site.name.startswith("attacks."))
 
     # One evaluator run per attack in RAM (interned_count; with numpy, the
-    # id steps) and one over backend-resident tables (the dict steps, whose
-    # every analysis is a freq_analysis / sized_freq_analysis) ...
+    # id steps) and one columnar report in this count mode ...
     evaluator = AttackEvaluator(tiny_encrypted_mle)
     for attack in ("locality", "advanced"):
         evaluator.run(build_attack(attack), -2, -1)
-        evaluator.run(
-            build_attack(attack), -2, -1,
-            count=backend_count(tmp_path / attack, "memory"),
-        )
-    # ... and one columnar report.
     with write_series(tiny_fsl_series, tmp_path / "trace") as trace:
         columnar_attack_report(trace, "locality")
+    # ... and one evaluator run per attack in the fallback mode, whose dict
+    # steps make every analysis a freq_analysis / sized_freq_analysis.
+    monkeypatch.setattr(accel, "numpy", None)
+    for attack in ("locality", "advanced"):
+        evaluator.run(build_attack(attack), -2, -1)
 
     # A seeding analysis plus two per BFS iteration: many, not counted.
     assert calls.pop("repro.attacks.locality.freq_analysis") > 100
     assert calls.pop("repro.attacks.advanced.sized_freq_analysis") > 100
     assert calls == {
-        "repro.attacks.locality.interned_count": 4,
+        "repro.attacks.locality.interned_count": 8,
         "repro.attacks.sharded.sharded_count": 2,
         "repro.attacks.sharded.encrypt_vocabulary": 1,
         "repro.attacks.locality:LocalityAttack.run_counted": 5,

@@ -428,14 +428,3 @@ class TestClusteredService:
     def test_attack_cli_validates_compromised_node(self):
         with pytest.raises(SystemExit):
             main(["attack", "synthetic", "--nodes", "2", "--compromised-node", "5"])
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "attack",
-                    "synthetic",
-                    "--nodes",
-                    "2",
-                    "--workdir",
-                    "/tmp/pv",
-                ]
-            )

@@ -11,8 +11,8 @@ every seam:
   iteration order — under both accel modes;
 * :func:`~repro.attacks.sharded.columnar_attack_report` equals the full
   in-RAM :class:`~repro.attacks.evaluation.AttackEvaluator` pipeline;
-* generation and the persistent COUNT both resume safely after an
-  interrupt (manifest / completion marker as the only commit points).
+* generation resumes safely after an interrupt (the manifest as the only
+  commit point).
 """
 
 import pytest
@@ -25,11 +25,6 @@ from repro.attacks.interning import (
     PAIR_SHIFT,
     check_vocabulary_capacity,
     interned_count,
-)
-from repro.attacks.persistent import (
-    _stream_identity,
-    load_chunk_stats,
-    persist_chunk_stats,
 )
 from repro.attacks.sharded import (
     columnar_attack_report,
@@ -516,61 +511,3 @@ def _build(name):
         return LocalityAttack()
     return AdvancedLocalityAttack()
 
-
-def assert_backend_stats_identical(persisted, reference):
-    """Like :func:`assert_stats_identical`, but for backend-resident
-    neighbor tables (:class:`NeighborStore` is per-key, not iterable)."""
-    assert dict(persisted.frequencies.items()) == dict(
-        reference.frequencies.items()
-    )
-    assert list(persisted.frequencies) == list(reference.frequencies)
-    assert dict(persisted.sizes.items()) == dict(reference.sizes.items())
-    for side in ("left", "right"):
-        store = getattr(persisted, side)
-        oracle = getattr(reference, side)
-        for fingerprint in reference.frequencies:
-            table = store.get(fingerprint) or {}
-            expected = oracle.get(fingerprint) or {}
-            assert dict(table) == dict(expected)
-            assert list(table) == list(expected)
-
-
-class TestPersistentColumnarCount:
-    def test_marker_resume_after_interrupt(self, tmp_path, count_mode):
-        trace = write_series(small_series(), tmp_path / "trace")
-        try:
-            view = trace.view(1)
-            state = tmp_path / "state"
-            # Simulate an interrupted COUNT: partial store files, no marker.
-            state.mkdir()
-            (state / "meta.db").write_bytes(b"partial")
-            with pytest.raises(ConfigurationError):
-                load_chunk_stats(state)
-            stats = persist_chunk_stats(view, state, backend="sqlite")
-            reference = count_with_neighbors(view.to_backup())
-            assert_backend_stats_identical(stats, reference)
-            marker = (state / "COUNT_STATE").read_text().splitlines()
-            assert marker[0] == "sqlite"
-            # The stream's identity: the view never materialised, yet it
-            # names the same stream as the backup it decodes to.
-            assert marker[1].split()[0] == str(len(view))
-            assert marker[1] == _stream_identity(view.to_backup())
-            # Completed state refuses a recount (it would double-merge) …
-            with pytest.raises(ConfigurationError, match="already persisted"):
-                persist_chunk_stats(view, state, backend="sqlite")
-            # … and reopens through the marker, byte-identical.
-            assert_backend_stats_identical(load_chunk_stats(state), reference)
-        finally:
-            trace.close()
-
-    def test_empty_view_rejected(self, tmp_path):
-        with ColumnarTraceWriter(
-            tmp_path / "trace", name="empty", fingerprint_bytes=4
-        ) as writer:
-            writer.add_backup(Backup(label="a", fingerprints=[], sizes=[]))
-        trace = ColumnarTrace.open(tmp_path / "trace")
-        try:
-            with pytest.raises(ConfigurationError, match="empty"):
-                persist_chunk_stats(trace.view(0), tmp_path / "state")
-        finally:
-            trace.close()

@@ -80,6 +80,47 @@ class TestLinkChecker:
         )
         assert check_links([page]) == []
 
+    def test_unresolved_repro_name_reported(self, tmp_path):
+        page = tmp_path / "page.md"
+        page.write_text(
+            "`repro.attacks.evaluation.evaluate` and `repro.attacks.nowhere.run`",
+            encoding="utf-8",
+        )
+        assert check_links([page]) == [
+            f"{page}: unresolved name -> repro.attacks.nowhere.run"
+        ]
+
+    def test_modules_attributes_and_calls_resolve(self, tmp_path):
+        page = tmp_path / "page.md"
+        page.write_text(
+            "`repro.attacks`, `repro.attacks.evaluation.InferenceReport`, "
+            "`repro.attacks.evaluation.AttackEvaluator.run` and "
+            "`repro.attacks.evaluation.evaluate(attack, source)`",
+            encoding="utf-8",
+        )
+        assert check_links([page]) == []
+
+    def test_missing_attribute_of_a_real_module_reported(self, tmp_path):
+        page = tmp_path / "page.md"
+        page.write_text(
+            "`repro.attacks.evaluation.Count` and "
+            "`repro.attacks.evaluation.AttackEvaluator.nothing(x)`",
+            encoding="utf-8",
+        )
+        assert check_links([page]) == [
+            f"{page}: unresolved name -> repro.attacks.evaluation.Count",
+            f"{page}: unresolved name -> "
+            "repro.attacks.evaluation.AttackEvaluator.nothing",
+        ]
+
+    def test_only_backticked_repro_names_are_checked(self, tmp_path):
+        page = tmp_path / "page.md"
+        page.write_text(
+            "repro.attacks.gone in prose, `numpy.nowhere`, `reproducer.x`",
+            encoding="utf-8",
+        )
+        assert check_links([page]) == []
+
     def test_anchored_relative_link_resolves_to_file(self, tmp_path):
         page = tmp_path / "page.md"
         (tmp_path / "other.md").write_text("x", encoding="utf-8")

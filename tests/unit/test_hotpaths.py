@@ -6,10 +6,10 @@ Every optimized loop must be byte-identical to its reference oracle:
   ``cut_points_reference`` — random / all-zero / repeated data, forced
   ``max_size`` cuts, inputs shorter than ``min_size``, and for gear every
   mask width 1-20 on both sides of the vectorized scan's ``min_size`` gate;
-* the three COUNT sources (in-RAM ``interned_count``, ``sharded_count``
-  over a columnar trace, ``StreamingCount``) vs ``count_with_neighbors``
-  on the same streams, including table iteration order (the
-  tie-break-sensitive part) and the array stats' partial rankings;
+* the two COUNT sources (in-RAM ``interned_count``, ``sharded_count``
+  over a columnar trace) vs ``count_with_neighbors`` on the same streams,
+  including table iteration order (the tie-break-sensitive part) and the
+  array stats' partial rankings;
 * the engine's batched unique-ingest vs the per-chunk S1–S4 path, and a
   seeded search over the three entry points of the one DDFS chunk path.
 """
@@ -43,7 +43,6 @@ from repro.attacks.interning import (
 )
 from repro.attacks.locality import LocalityAttack
 from repro.attacks.sharded import sharded_count
-from repro.attacks.streaming import CountStores, StreamingCount
 from repro.chunking import ChunkerSpec, GearChunker, RabinChunker
 from repro.chunking import fastscan
 from repro.common import accel
@@ -51,7 +50,6 @@ from repro.common.errors import ConfigurationError
 from repro.datasets.columnar import ColumnarTrace, ColumnarTraceWriter
 from repro.datasets.model import Backup
 from repro.defenses.pipeline import padded_size
-from repro.index.backends import open_backend
 
 SPEC = ChunkerSpec(min_size=64, avg_size=256, max_size=1024)
 
@@ -253,63 +251,6 @@ class TestCountEquivalence:
         assert dict(fast.left.items()) == reference.left
         assert dict(fast.right.items()) == reference.right
 
-    @given(token_streams(), st.integers(min_value=1, max_value=50))
-    @settings(max_examples=25, deadline=None)
-    def test_streaming_count_equals_reference(self, fingerprints, batch_size):
-        sizes = [64 + (index % 5) for index in range(len(fingerprints))]
-        backup = Backup(label="s", fingerprints=fingerprints, sizes=sizes)
-        reference = count_with_neighbors(backup)
-        counter = StreamingCount(batch_size=batch_size)
-        counter.ingest_backup(backup)
-        stats = counter.finalize()
-        assert stats.frequencies == reference.frequencies
-        assert list(stats.frequencies) == list(reference.frequencies)
-        assert stats.sizes == reference.sizes
-        for fingerprint in reference.left:
-            assert stats.left.get(fingerprint) == reference.left[fingerprint]
-            assert list(stats.left.get(fingerprint)) == list(
-                reference.left[fingerprint]
-            )
-        for fingerprint in reference.right:
-            assert stats.right.get(fingerprint) == reference.right[fingerprint]
-
-    def test_streaming_count_fallback_mode(self, count_mode):
-        rng = random.Random(6)
-        tokens = [rng.randbytes(8) for _ in range(30)]
-        fingerprints = [rng.choice(tokens) for _ in range(1_500)]
-        sizes = [128] * len(fingerprints)
-        backup = Backup(label="sf", fingerprints=fingerprints, sizes=sizes)
-        reference = count_with_neighbors(backup)
-        counter = StreamingCount(batch_size=64)
-        counter.ingest_backup(backup)
-        stats = counter.finalize()
-        assert stats.frequencies == reference.frequencies
-        for fingerprint in reference.left:
-            assert stats.left.get(fingerprint) == reference.left[fingerprint]
-
-    def test_counter_batch_alignment_is_invisible(self, count_mode):
-        rng = random.Random(7)
-        tokens = [rng.randbytes(8) for _ in range(20)]
-        fingerprints = [rng.choice(tokens) for _ in range(800)]
-        sizes = [rng.randrange(1, 500) for _ in fingerprints]
-        whole = StreamingCount(batch_size=len(fingerprints))
-        whole.ingest(fingerprints, sizes)
-        split = StreamingCount(batch_size=11)
-        for start in range(0, len(fingerprints), 37):
-            split.ingest(
-                fingerprints[start : start + 37], sizes[start : start + 37]
-            )
-        assert whole.total_chunks == split.total_chunks == len(fingerprints)
-        whole_stats, split_stats = whole.finalize(), split.finalize()
-        assert whole_stats.frequencies == split_stats.frequencies
-        assert list(whole_stats.frequencies) == list(split_stats.frequencies)
-        assert whole_stats.sizes == split_stats.sizes
-        for fingerprint in tokens:
-            for side in ("left", "right"):
-                ours = getattr(whole_stats, side).get(fingerprint)
-                theirs = getattr(split_stats, side).get(fingerprint)
-                assert ours == theirs and list(ours) == list(theirs)
-
     def test_count_frequencies_counter_semantics(self):
         backup = Backup(
             label="cf",
@@ -323,8 +264,7 @@ class TestCountEquivalence:
 
 
 def assert_equals_oracle(stats, oracle):
-    """All four tables and their iteration order; backend-resident
-    neighbor tables (per-key, not iterable) are probed in oracle order."""
+    """All four tables and their iteration order."""
     assert dict(stats.frequencies.items()) == oracle.frequencies
     assert list(stats.frequencies) == list(oracle.frequencies)
     assert dict(stats.sizes.items()) == oracle.sizes
@@ -332,16 +272,14 @@ def assert_equals_oracle(stats, oracle):
     assert stats.unique_chunks == oracle.unique_chunks
     for side in ("left", "right"):
         ours, theirs = getattr(stats, side), getattr(oracle, side)
-        if hasattr(ours, "items"):
-            assert list(ours) == list(theirs)
-            assert len(ours) == len(theirs)
+        assert list(ours) == list(theirs)
+        assert len(ours) == len(theirs)
         for fingerprint in oracle.frequencies:
             expected = theirs.get(fingerprint, {})
             assert list((ours.get(fingerprint) or {}).items()) == list(
                 expected.items()
             )
-            if hasattr(ours, "items"):
-                assert (fingerprint in ours) == (fingerprint in theirs)
+            assert (fingerprint in ours) == (fingerprint in theirs)
 
 
 def assert_rankings_equal_oracle(stats, oracle, limit, block_size):
@@ -439,21 +377,14 @@ def encrypted_pair(target, auxiliary, size_of):
 
 
 @contextmanager
-def counted_every_way(ciphertext, auxiliary, jobs=2, batch_size=7):
+def counted_every_way(ciphertext, auxiliary, jobs=2):
     """Yields ``(oracle, others)``, each a ``(ciphertext stats, auxiliary
-    stats)`` pair — the dict COUNT, ``interned_count``, ``sharded_count``
-    over one written columnar trace (one mapped vocabulary under both
-    views; open while the block runs), and the KV-resident streaming
-    COUNT."""
+    stats)`` pair — the dict COUNT, ``interned_count``, and
+    ``sharded_count`` over one written columnar trace (one mapped
+    vocabulary under both views; open while the block runs)."""
     backups = (ciphertext, auxiliary)
     oracle = tuple(map(count_with_neighbors, backups))
     others = {"interned": tuple(map(interned_count, backups))}
-    streamed = []
-    for backup in backups:
-        counter = StreamingCount(CountStores.in_memory(), batch_size=batch_size)
-        counter.ingest_backup(backup)
-        streamed.append(counter.finalize())
-    others["backend"] = tuple(streamed)
     with tempfile.TemporaryDirectory() as directory:
         with ColumnarTraceWriter(directory, name="a", fingerprint_bytes=8) as writer:
             for backup in backups:
@@ -520,7 +451,8 @@ def sample_leaked(truth, auxiliary, seed):
 
 
 class TestThreeSourceDifferential:
-    """One stream, three sources, one oracle."""
+    """One stream counted three ways — the dict oracle, in RAM, over a
+    columnar trace."""
 
     @seed(15)
     @settings(
@@ -534,17 +466,14 @@ class TestThreeSourceDifferential:
             max_size=120,
         ),
         st.sampled_from([1, 2, 3, 7]),
-        st.integers(1, 40),
         st.integers(1, 5),
     )
-    @example([], 3, 4, 2)  # empty backup
-    @example([(TOKENS[0], 7)], 7, 1, 1)  # one chunk
-    @example([(TOKENS[3], 33)] * 9, 2, 4, 3)  # one repeated chunk
-    # A shard (and a batch) boundary on every position.
-    @example([(TOKENS[i % 5], 16 * i + 1) for i in range(7)], 7, 1, 2)
-    def test_sources_equal_oracle(
-        self, count_mode, records, jobs, batch_size, limit
-    ):
+    @example([], 3, 2)  # empty backup
+    @example([(TOKENS[0], 7)], 7, 1)  # one chunk
+    @example([(TOKENS[3], 33)] * 9, 2, 3)  # one repeated chunk
+    # A shard boundary on every position.
+    @example([(TOKENS[i % 5], 16 * i + 1) for i in range(7)], 7, 2)
+    def test_sources_equal_oracle(self, count_mode, records, jobs, limit):
         backup = Backup(
             label="d",
             fingerprints=[fingerprint for fingerprint, _ in records],
@@ -566,13 +495,6 @@ class TestThreeSourceDifferential:
                         assert_rankings_equal_oracle(stats, oracle, limit, 16)
             finally:
                 trace.close()
-        for spec in ("memory", "sqlite"):
-            stores = CountStores(*(open_backend(spec) for _ in range(3)))
-            counter = StreamingCount(stores, batch_size=batch_size)
-            counter.ingest_backup(backup)
-            assert counter.total_chunks == len(backup)
-            assert_equals_oracle(counter.finalize(), oracle)
-            stores.close()
 
     @seed(16)
     @settings(
@@ -764,20 +686,6 @@ class TestThreeSourceDifferential:
         assert second.frequencies == {b"c": 1, b"a": 1, b"d": 1}
         assert second.left.get(b"a") == {b"c": 1}
 
-    def test_streaming_count_rejects_populated_stores(self):
-        stores = CountStores.in_memory()
-        counter = StreamingCount(stores)
-        counter.ingest([b"a", b"b"], [1, 2])
-        counter.finalize()
-        # Counting into the leftovers would resume without the carried
-        # previous chunk or the chunk total, then rewrite every record.
-        with pytest.raises(ConfigurationError, match="load_chunk_stats"):
-            StreamingCount(stores)
-        left_only = CountStores.in_memory()
-        left_only.left.put(b"a", b"")
-        with pytest.raises(ConfigurationError, match="empty stores"):
-            StreamingCount(left_only)
-
 
 class TestPartialRanking:
     """``top_ranked_ids`` takes a short prefix by partition instead of
@@ -850,10 +758,6 @@ class TestChunkVocabulary:
             assert len(vocabulary) == 3
         assert second.frequencies == {b"y": 1, b"z": 1}
         assert second.sizes == {b"y": 3, b"z": 4}
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            StreamingCount().ingest([b"a"], [])
 
 
 class TestBatchedUniqueIngest:
@@ -986,7 +890,7 @@ class TestOneChunkPath:
                 for cid, container in engine.containers.containers.items()
             ],
             (engine.containers.open_chunks, engine.containers.stored_bytes()),
-            list(engine.index._store.insertion_items()),
+            list(engine.index._store._data.items()),
         )
 
     @staticmethod
