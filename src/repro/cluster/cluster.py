@@ -39,6 +39,7 @@ unique-chunk ingest), plus what only a cluster has:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro import faults, obs
@@ -260,38 +261,25 @@ class DedupCluster:
 
     # -- the service storage-tier operations --------------------------------
 
-    def dedup_response(self, unique: dict[bytes, int]) -> set[bytes]:
-        """Resolve an upload's unique fingerprints to the needed-set.
+    def dedup_response(self, unique: dict[bytes, int]) -> list[bytes]:
+        """Resolve an upload's unique fingerprints to the needed ones, in
+        stream order.
 
-        Mirrors the single-engine dedup response per owning node: the
-        node's in-memory state first (fingerprint cache, open container
-        buffer), then one batched probe of the node's on-disk index, and
-        step-S4 container prefetch for confirmed duplicates.  Nodes are
-        probed in ascending id order, so the response is deterministic
-        regardless of dict iteration oddities upstream.
+        Each owning node runs the single-engine dedup response
+        (:meth:`~repro.storage.ddfs.DDFSEngine.dedup_response`) over its
+        share, in ascending node id; node caches are independent, so
+        splitting by node first changes no decision.
         """
         per_node: dict[int, list[bytes]] = {}
         for fingerprint in unique:
-            node = self.nodes[self.router.node_of(fingerprint)]
-            if node.engine.cache.lookup(fingerprint) is not None:
-                continue
-            if node.engine.containers.in_open_buffer(fingerprint):
-                continue
-            per_node.setdefault(node.node_id, []).append(fingerprint)
+            per_node.setdefault(self.router.node_of(fingerprint), []).append(fingerprint)
         needed: set[bytes] = set()
         for node_id in sorted(per_node):
             node = self.nodes[node_id]
-            candidates = per_node[node_id]
-            node.index_probes += len(candidates)
-            known = node.engine.index.lookup_batch(candidates)
-            needed.update(fp for fp in candidates if fp not in known)
-            prefetched: set[int] = set()
-            for fingerprint in candidates:
-                container_id = known.get(fingerprint)
-                if container_id is not None and container_id not in prefetched:
-                    prefetched.add(container_id)
-                    node.engine.prefetch_container(container_id)
-        return needed
+            node_needed, probed = node.engine.dedup_response(per_node[node_id])
+            node.index_probes += probed
+            needed.update(node_needed)
+        return [fp for fp in unique if fp in needed]
 
     def ingest(self, fingerprints: list[bytes], sizes: list[int]) -> None:
         """Store a batch of resolved-unique chunks on their owning nodes.
@@ -338,11 +326,8 @@ class DedupCluster:
         fingerprints; returns how many chunks were actually stored.
         """
         unique: dict[bytes, int] = {}
-        for fingerprint, size in zip(fingerprints, sizes):
-            if fingerprint not in unique:
-                unique[fingerprint] = size
-        needed = self.dedup_response(unique)
-        batch_fps = [fp for fp in unique if fp in needed]
+        deque(map(unique.setdefault, fingerprints, sizes), maxlen=0)
+        batch_fps = self.dedup_response(unique)
         batch_sizes = [unique[fp] for fp in batch_fps]
         self.ingest(batch_fps, batch_sizes)
         return len(batch_fps)

@@ -589,16 +589,6 @@ class ColumnarBackupView:
     def __len__(self) -> int:
         return self.span.num_chunks
 
-    def ids_array(self):
-        """The backup's id column as a zero-copy ``uint32`` numpy array."""
-        numpy = accel.numpy
-        return numpy.frombuffer(
-            self.trace._ids_map,
-            dtype="<u4",
-            count=self.num_chunks,
-            offset=self.start * 4,
-        )
-
     def sizes_array(self):
         """The backup's size column as a zero-copy ``uint32`` numpy array."""
         numpy = accel.numpy

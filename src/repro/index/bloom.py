@@ -13,10 +13,17 @@ import hashlib
 import math
 import struct
 
+from repro.common import accel
 from repro.common.errors import ConfigurationError
 
 _HALVES = struct.Struct(">QQ").unpack
 _BIT = tuple(1 << shift for shift in range(8))
+
+#: Fewest keys :meth:`BloomFilter.add_many` hands to numpy; a smaller batch
+#: runs the scalar :meth:`~BloomFilter.add` loop. The vector form's fixed
+#: cost (~20 array calls) makes the two break even near 24 keys on a
+#: 10⁶-key filter; at 64 the vector form is 1.8× ahead.
+NUMPY_MIN_BATCH = 64
 
 
 class BloomFilter:
@@ -70,6 +77,57 @@ class BloomFilter:
             if pos >= num_bits:
                 pos -= num_bits
         self.inserted += 1
+        return present
+
+    def add_many(self, keys: list[bytes]) -> int:
+        """:meth:`add` of each key in order; returns how many reported
+        present.
+
+        A probe counts as already set if its bit was set before the batch
+        or an earlier key of the batch set it, so the bits, ``inserted``
+        and the count equal the scalar loop's.
+        """
+        numpy = accel.numpy
+        count = len(keys)
+        if numpy is None or count < NUMPY_MIN_BATCH:
+            return sum(map(self.add, keys))
+        num_bits, hashes = self.num_bits, self.num_hashes
+        halves = numpy.frombuffer(
+            b"".join([hashlib.blake2b(key, digest_size=16).digest() for key in keys]),
+            dtype=">u8",
+        ).reshape(count, 2)
+        # Probe i of a key is (h1 + i·h2) mod m, exactly the scalar walk.
+        probes = (
+            halves[:, :1] % num_bits
+            + (halves[:, 1:] | 1) % num_bits * numpy.arange(hashes, dtype=numpy.uint64)
+        ) % num_bits
+        probes = probes.ravel().astype(numpy.int64)
+        total = probes.size
+        bits = numpy.frombuffer(self._bits, dtype=numpy.uint8)
+        was_set = bits[probes >> 3] & numpy.left_shift(1, probes & 7) != 0
+        # One sort orders the probes by (position, probe number), so the
+        # first probe of each run of equal positions is the batch's first.
+        ordered = numpy.sort(probes * total + numpy.arange(total))
+        positions, order = numpy.divmod(ordered, total)
+        starts = numpy.empty(total, dtype=bool)
+        starts[0] = True
+        numpy.not_equal(positions[1:], positions[:-1], out=starts[1:])
+        if not starts.all():
+            # A position probed again: the key that probed it first set
+            # it for every later key (its own later probes see it unset
+            # anyway, through the first one).
+            first = order[numpy.maximum.accumulate(numpy.where(starts, numpy.arange(total), 0))]
+            later = first // hashes < order // hashes
+            was_set[order[later]] = True
+        present = int(was_set.reshape(count, hashes).all(axis=1).sum())
+        # Distinct positions ascend, so the bits of one byte are adjacent:
+        # OR them together and store each touched byte once.
+        positions = positions[starts]
+        index = positions >> 3
+        masks = numpy.left_shift(1, positions & 7).astype(numpy.uint8)
+        byte_starts = numpy.flatnonzero(numpy.diff(index, prepend=-1))
+        bits[index[byte_starts]] |= numpy.bitwise_or.reduceat(masks, byte_starts)
+        self.inserted += count
         return present
 
     def __contains__(self, key: bytes) -> bool:

@@ -12,8 +12,9 @@ fingerprint entry, 32 B in the evaluation) plus hit/miss accounting.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Generic, Hashable, Iterable, Iterator, TypeVar
+from collections import OrderedDict, deque
+from itertools import filterfalse
+from typing import Collection, Generic, Hashable, Iterable, Iterator, TypeVar
 
 from repro.common.errors import ConfigurationError
 
@@ -110,6 +111,20 @@ class FingerprintCache:
         else:
             self.hits += 1
         return value
+
+    def lookup_many(self, fingerprints: Collection[bytes]) -> list[bytes]:
+        """:meth:`lookup` of each fingerprint in order; returns the misses
+        in order. Hits are refreshed in stream order, and the hit/miss
+        counters advance exactly as the loop would move them."""
+        entries = self._lru._entries
+        deque(
+            map(entries.move_to_end, filter(entries.__contains__, fingerprints)),
+            maxlen=0,
+        )
+        misses = list(filterfalse(entries.__contains__, fingerprints))
+        self.misses += len(misses)
+        self.hits += len(fingerprints) - len(misses)
+        return misses
 
     def insert(self, fingerprint: bytes, container_id: int) -> int:
         """Cache a mapping; returns how many entries were evicted."""

@@ -36,12 +36,9 @@ import shutil
 import tempfile
 
 from repro.scenarios.cells import register_cell_kind
-from repro.scenarios.spec import Cell
 from repro.service.simulate import (
-    ServiceConfig,
     attack_pairs,
     config_from_params,
-    config_params,
     evaluate_pair,
     headline_metrics,
     simulate,
@@ -122,22 +119,6 @@ def _run_serve_net(params: dict) -> tuple:
         ("identical_to_sim", identical),
     )
     return (row,)
-
-
-def serve_net_cells(configs) -> tuple[Cell, ...]:
-    """One ``serve_net`` cell per :class:`ServiceConfig`."""
-    cells = []
-    for config in configs:
-        if not isinstance(config, ServiceConfig):
-            config = config_from_params(dict(config))
-        cells.append(
-            Cell(
-                kind="serve_net",
-                params=config_params(config),
-                tags=(("tenants", config.tenants), ("seed", config.seed)),
-            )
-        )
-    return tuple(cells)
 
 
 register_cell_kind(

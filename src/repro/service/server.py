@@ -128,6 +128,9 @@ class _Tenant:
     uploads: int = 0
     restores: int = 0
     recipes: dict[str, Backup] = field(default_factory=dict)
+    # Per label: the upload's distinct chunks and their bytes, which its
+    # restores report again.
+    unique: dict[str, tuple[int, int]] = field(default_factory=dict)
 
 
 class _SingleNodeTier:
@@ -151,36 +154,10 @@ class _SingleNodeTier:
         """Metadata bytes the index has moved so far (running total)."""
         return self.engine.index.stats.total_bytes
 
-    def dedup_response(self, unique: dict[bytes, int]) -> set[bytes]:
-        """Resolve an upload's unique fingerprints to the needed-set.
-
-        In-memory state first (fingerprint cache, open container
-        buffer), then one batched probe of the on-disk index (amortized
-        through the KV backend), then step-S4 container prefetch for
-        every confirmed duplicate.
-        """
-        engine = self.engine
-        candidates = []
-        for fingerprint in unique:
-            if engine.cache.lookup(fingerprint) is not None:
-                continue
-            if engine.containers.in_open_buffer(fingerprint):
-                continue
-            candidates.append(fingerprint)
-        known = engine.index.lookup_batch(candidates)
-        needed = {fp for fp in candidates if fp not in known}
-
-        # Confirmed duplicates mirror step S4: prefetch each hit
-        # container's fingerprints into the cache (first-occurrence
-        # order), so later uploads of co-located chunks resolve at S1
-        # without re-probing the index — chunk locality, cross-tenant.
-        prefetched: set[int] = set()
-        for fingerprint in candidates:
-            container_id = known.get(fingerprint)
-            if container_id is not None and container_id not in prefetched:
-                prefetched.add(container_id)
-                engine.prefetch_container(container_id)
-        return needed
+    def dedup_response(self, unique: dict[bytes, int]) -> list[bytes]:
+        """Resolve an upload's unique fingerprints to the needed ones, in
+        stream order (:meth:`~repro.storage.ddfs.DDFSEngine.dedup_response`)."""
+        return self.engine.dedup_response(unique)[0]
 
     def ingest(self, fingerprints: list[bytes], sizes: list[int]) -> None:
         self.engine.ingest_unique_batch(fingerprints, sizes)
@@ -365,7 +342,7 @@ class DedupService:
         # index for the rest (amortized through the KV backend; per owning
         # node when the tier is a cluster).
         unique = stream.first_sizes()
-        needed = self._tier.dedup_response(unique)
+        needed_fingerprints = self._tier.dedup_response(unique)
 
         # Transfer: only the needed chunks cross the wire, as one batch
         # (first occurrence of each, stream order). The dedup response
@@ -373,8 +350,7 @@ class DedupService:
         # the index — so they skip the per-chunk S1–S4 chain and take the
         # tier's batched unique-ingest path, with identical dedup
         # decisions and metered bytes.
-        needed_fingerprints = [fp for fp in unique if fp in needed]
-        needed_sizes = [unique[fp] for fp in needed_fingerprints]
+        needed_sizes = list(map(unique.__getitem__, needed_fingerprints))
         transferred_bytes = sum(needed_sizes)
         self._tier.ingest(needed_fingerprints, needed_sizes)
         stored_chunks = len(needed_fingerprints)
@@ -387,7 +363,7 @@ class DedupService:
         shaped_extra_bytes = 0
         if self.shaping.is_active():
             extra = shape_response(
-                self.shaping, tenant, label, unique, needed
+                self.shaping, tenant, label, unique, set(needed_fingerprints)
             )
             for fingerprint, size in unique.items():
                 if fingerprint in extra:
@@ -396,6 +372,8 @@ class DedupService:
 
         metadata_bytes = self._tier.metadata_bytes - metadata_before
         state.recipes[label] = stream
+        unique_chunks, unique_bytes = len(unique), sum(unique.values())
+        state.unique[label] = unique_chunks, unique_bytes
         state.logical_bytes += logical_bytes
         state.transferred_bytes += transferred_bytes
         state.uploads += 1
@@ -410,8 +388,8 @@ class DedupService:
             transferred_bytes=transferred_bytes,
             metadata_bytes=metadata_bytes,
             total_chunks=len(stream),
-            unique_chunks=len(unique),
-            unique_bytes=sum(unique.values()),
+            unique_chunks=unique_chunks,
+            unique_bytes=unique_bytes,
             stored_chunks=stored_chunks,
             shaped_extra_bytes=shaped_extra_bytes,
         )
@@ -437,7 +415,7 @@ class DedupService:
             )
         state.restores += 1
         logical_bytes = recipe.logical_bytes
-        unique_sizes = recipe.first_sizes()
+        unique_chunks, unique_bytes = state.unique[label]
         observables = RequestObservables(
             kind=RESTORE,
             tenant=tenant,
@@ -449,8 +427,8 @@ class DedupService:
             transferred_bytes=logical_bytes,
             metadata_bytes=self._tier.entry_bytes * len(recipe),
             total_chunks=len(recipe),
-            unique_chunks=len(unique_sizes),
-            unique_bytes=sum(unique_sizes.values()),
+            unique_chunks=unique_chunks,
+            unique_bytes=unique_bytes,
             stored_chunks=0,
         )
         self._request_counter += 1

@@ -12,7 +12,9 @@ ciphertext bytes; the trace-driven prototype stores metadata only).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 from repro.common.errors import ConfigurationError, StorageError
@@ -92,6 +94,44 @@ class ContainerStore:
         if self._open_bytes >= self.container_size:
             return self.flush()
         return None
+
+    def extend(self, fingerprints: list[bytes], sizes: list[int]) -> list[int]:
+        """:meth:`append` of each metadata-only chunk in order; returns the
+        ids of the containers sealed on the way, in order.
+
+        The running sizes give every seal point at once: a run of chunks
+        fills the open container up to the first chunk that takes it to
+        ``container_size``, and the next run starts on an empty one.
+        """
+        if self.keep_payload and fingerprints:
+            raise StorageError("payload-keeping store requires chunk data")
+        # totals[i]: open bytes before chunk i, were nothing sealed.
+        totals = list(accumulate(sizes, initial=self._open_bytes))
+        sealed: list[int] = []
+        start, base, count = 0, 0, len(fingerprints)
+        while start < count:
+            end = min(count, bisect_left(totals, base + self.container_size, start + 1))
+            # tuple.__new__ builds each entry without the Python-level
+            # ``ContainerEntry.__new__`` frame.
+            entries = list(
+                map(
+                    tuple.__new__,
+                    repeat(ContainerEntry),
+                    zip(
+                        fingerprints[start:end],
+                        sizes[start:end],
+                        [total - base for total in totals[start:end]],
+                    ),
+                )
+            )
+            self._open_entries += entries
+            self._open_index.update(zip(fingerprints[start:end], entries))
+            self._open_bytes = totals[end] - base
+            if self._open_bytes >= self.container_size:
+                sealed.append(self.flush())
+                base = totals[end]
+            start = end
+        return sealed
 
     def flush(self) -> int | None:
         """Seal the open container; returns its id, or None if empty."""

@@ -16,12 +16,15 @@ Implements the paper's four-step deduplication workflow for each incoming
   whole container holding the chunk into the cache (loading access),
   banking on chunk locality to turn the following chunks into S1 hits.
 
-There is one chunk path: :meth:`DDFSEngine.process_backup`,
-:meth:`DDFSEngine.process_chunk` (the content path's entry) and
-:meth:`DDFSEngine.ingest_unique_batch` (the service's transfer path) are
-shells over the same bound loop, and every container seal — the loop's,
-a backup boundary's, garbage collection's — writes the index through the
-same method.
+There is one per-chunk path: :meth:`DDFSEngine.process_backup` and
+:meth:`DDFSEngine.process_chunk` (the content path's entry) are shells
+over the same bound loop. The multi-tenant service runs the same steps
+over a whole upload in batches, each with the loop's exact outcome:
+:meth:`DDFSEngine.dedup_response` (S1, the open buffer, one batched S3
+probe, S4) and :meth:`DDFSEngine.ingest_unique_batch` (S2 as one Bloom
+test-and-set, one container extend). Every container seal — the loop's,
+the batch's, a backup boundary's, garbage collection's — writes the
+index through the same method.
 
 The engine processes whole backups and emits one
 :class:`~repro.storage.metrics.BackupWriteReport` per backup — exactly the
@@ -30,7 +33,8 @@ series Figures 13/14 plot for MLE vs the combined defense.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import filterfalse, repeat
+from typing import Collection
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import MiB
@@ -93,17 +97,10 @@ class DDFSEngine:
         sizes,
         payloads=None,
         report: BackupWriteReport | None = None,
-        resolved: bool = False,
     ) -> int:
         """The one S1–S4 body: deduplicate a run of chunks in a single
         bound loop, tallies written to ``report`` once; returns how many
-        chunks were stored.
-
-        ``resolved`` is the service's transfer path: a front-end already
-        ran S1 and S3 and found every chunk unique, so S1 is skipped and a
-        Bloom hit charges its (known-negative) index probe instead of
-        making it.
-        """
+        chunks were stored."""
         lookup = self.cache.lookup
         buffered = self.containers.in_open_buffer
         test_and_set = self.bloom.add
@@ -115,38 +112,32 @@ class DDFSEngine:
             payloads = repeat(None)
         for fingerprint, size, data in zip(fingerprints, sizes, payloads):
             logical_bytes += size
-            if not resolved:
-                # S1: in-memory fingerprint cache (plus the open container
-                # buffer, so duplicates of not-yet-sealed chunks are not
-                # double-stored).
-                if lookup(fingerprint) is not None:
-                    hits += 1
-                    continue
-                if buffered(fingerprint):
-                    continue
+            # S1: in-memory fingerprint cache (plus the open container
+            # buffer, so duplicates of not-yet-sealed chunks are not
+            # double-stored).
+            if lookup(fingerprint) is not None:
+                hits += 1
+                continue
+            if buffered(fingerprint):
+                continue
             # S2: one Bloom test-and-set; unset bits mean definitely unique.
             if test_and_set(fingerprint):
-                if not resolved:
-                    # S3: possible duplicate — confirm against the on-disk
-                    # index.
-                    container_id = index.lookup(fingerprint)
-                    if container_id is not None:
-                        # S4: confirmed duplicate — prefetch the whole
-                        # container's fingerprints into the cache (chunk
-                        # locality). The test-and-set changed no bit and
-                        # is not an insertion.
-                        self.bloom.inserted -= 1
-                        self._load_container(container_id)
-                        continue
+                # S3: possible duplicate — confirm against the on-disk
+                # index.
+                container_id = index.lookup(fingerprint)
+                if container_id is not None:
+                    # S4: confirmed duplicate — prefetch the whole
+                    # container's fingerprints into the cache (chunk
+                    # locality). The test-and-set changed no bit and is
+                    # not an insertion.
+                    self.bloom.inserted -= 1
+                    self._load_container(container_id)
+                    continue
                 false_positives += 1
             stored += 1
             stored_bytes += size
             if self._index_sealed(append(fingerprint, size, data)):
                 sealed += 1
-        if resolved and false_positives:
-            # S3 would confirm "not a duplicate"; the probes are still
-            # metered even though their outcome is known.
-            index.charge_index_probes(false_positives)
         self.bloom_false_positives += false_positives
         if report is not None:
             chunks = len(fingerprints)
@@ -157,9 +148,8 @@ class DDFSEngine:
             report.stored_bytes += stored_bytes
             report.containers_written += sealed
             report.bloom_false_positives += false_positives
-            if not resolved:
-                report.cache_hits += hits
-                report.cache_misses += chunks - hits
+            report.cache_hits += hits
+            report.cache_misses += chunks - hits
         return stored
 
     def _index_sealed(self, container_id: int | None) -> bool:
@@ -193,14 +183,52 @@ class DDFSEngine:
 
         Dedup decisions and metered index/update bytes are identical to
         feeding each chunk through :meth:`process_chunk`: every chunk is
-        definitely stored, a bloom false positive still charges one
-        (batched) index probe, and container seals flush index updates
-        at the same points. The S1 cache is *not* consulted (the dedup
-        response already probed it while resolving the needed-set), so
-        the engine's cache hit/miss counters — and a report's
+        definitely stored, so S2 runs as one batched Bloom test-and-set
+        (:meth:`~repro.index.bloom.BloomFilter.add_many`) whose false
+        positives each charge one index probe (the answer is known), and
+        the chunks join the containers in one
+        :meth:`~repro.storage.container.ContainerStore.extend`, each seal
+        writing the index in order. The S1 cache is *not* consulted (the
+        dedup response already probed it while resolving the needed-set),
+        so the engine's cache hit/miss counters — and a report's
         ``cache_misses`` — advance only on the per-chunk path.
         """
-        self._dedup(fingerprints, sizes, report=report, resolved=True)
+        false_positives = self.bloom.add_many(fingerprints)
+        self.index.charge_index_probes(false_positives)
+        self.bloom_false_positives += false_positives
+        sealed = self.containers.extend(fingerprints, sizes)
+        for container_id in sealed:
+            self._index_sealed(container_id)
+        if report is not None:
+            stored_bytes = sum(sizes)
+            report.total_chunks += len(fingerprints)
+            report.logical_bytes += stored_bytes
+            report.unique_chunks += len(fingerprints)
+            report.stored_bytes += stored_bytes
+            report.containers_written += len(sealed)
+            report.bloom_false_positives += false_positives
+
+    def dedup_response(self, fingerprints: Collection[bytes]) -> tuple[list[bytes], int]:
+        """Resolve an upload's distinct fingerprints to the ones this
+        engine needs transferred — the multi-tenant service's batched
+        dedup response.
+
+        S1 is one bulk cache probe, then the open container buffer, then
+        one batched on-disk index probe of what is left; each confirmed
+        duplicate's container is prefetched (S4) in first-occurrence
+        order, so later uploads of co-located chunks resolve at S1 —
+        chunk locality, across tenants. Returns the needed fingerprints in
+        stream order and how many the index probed.
+        """
+        candidates = list(
+            filterfalse(
+                self.containers.in_open_buffer, self.cache.lookup_many(fingerprints)
+            )
+        )
+        known = self.index.lookup_batch(candidates)
+        for container_id in dict.fromkeys(known.values()):
+            self.prefetch_container(container_id)
+        return [fp for fp in candidates if fp not in known], len(candidates)
 
     def _load_container(self, container_id: int) -> None:
         container = self.containers.get(container_id)

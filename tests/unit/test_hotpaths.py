@@ -10,8 +10,11 @@ Every optimized loop must be byte-identical to its reference oracle:
   over a columnar trace) vs ``count_with_neighbors`` on the same streams,
   including table iteration order (the tie-break-sensitive part) and the
   array stats' partial rankings;
-* the engine's batched unique-ingest vs the per-chunk S1–S4 path, and a
-  seeded search over the three entry points of the one DDFS chunk path.
+* the engine's batched unique-ingest vs the per-chunk S1–S4 path, a
+  seeded search over the entry points of the one DDFS chunk path, and
+  each batch kernel of the service's upload path (Bloom ``add_many``,
+  ``FingerprintCache.lookup_many``, ``ContainerStore.extend``, and S4's
+  ``LRUCache.put_many``) against a loop of the per-item call.
 """
 
 import functools
@@ -828,14 +831,15 @@ class TestBatchedUniqueIngest:
 
 
 class TestOneChunkPath:
-    """``process_backup``, a ``process_chunk``-per-chunk replay and (for
-    all-unique batches) ``ingest_unique_batch`` are shells over one body:
-    a seeded search over the regimes where they could part — a saturated
-    Bloom filter (false positives), a cache smaller than one container
-    (a prefetch evicts itself), containers of a few chunks, back-to-back
-    duplicates, re-writes after ``collect_garbage`` — compares every
-    report field and the whole engine state, and pins a digest of it all
-    computed on the commit before the paths were fused."""
+    """``process_backup`` and a ``process_chunk``-per-chunk replay are
+    shells over one body, and (for all-unique batches) the batch kernels
+    of ``ingest_unique_batch`` must reach the same state: a seeded search
+    over the regimes where they could part — a saturated Bloom filter
+    (false positives), a cache smaller than one container (a prefetch
+    evicts itself), containers of a few chunks, back-to-back duplicates,
+    re-writes after ``collect_garbage`` — compares every report field and
+    the whole engine state, and pins a digest of it all computed on the
+    commit before the paths were fused."""
 
     SEEDS = range(60)
     # SHA-256 over every seed's reports + final state, from the parent
@@ -973,3 +977,161 @@ class TestOneChunkPath:
             assert self._state(engines[2]) == self._state(engines[0])
             false_positives += whole.bloom_false_positives
         assert false_positives > 100
+
+    def test_unique_batch_above_crossover(self, count_mode):
+        """The cases above run batches of 30-90 chunks; these are past
+        ``NUMPY_MIN_BATCH``, so the accelerated half runs the vector
+        Bloom kernel against the per-chunk path's scalar ``add``."""
+        from repro.index.bloom import NUMPY_MIN_BATCH
+        from repro.storage.metrics import BackupWriteReport
+
+        false_positives = 0
+        for seed in range(20):
+            rng = random.Random(2000 + seed)
+            count = rng.randrange(NUMPY_MIN_BATCH, 3 * NUMPY_MIN_BATCH)
+            fingerprints = list(dict.fromkeys(rng.randbytes(6) for _ in range(count)))
+            backup = Backup(
+                label="unique",
+                fingerprints=fingerprints,
+                sizes=[50 + fp[0] % 100 for fp in fingerprints],
+            )
+            engines = [self._engine(random.Random(seed)) for _ in range(2)]
+            whole = engines[0].process_backup(backup)
+            batched = BackupWriteReport(label="unique")
+            engines[1].ingest_unique_batch(
+                backup.fingerprints, backup.sizes, report=batched
+            )
+            engines[1].finish_backup(batched)
+            batched.metadata = engines[1].index.take_stats()
+            batched.cache_misses = whole.cache_misses
+            engines[1].cache.misses = engines[0].cache.misses
+            assert batched == whole, f"seed {seed}"
+            assert self._state(engines[1]) == self._state(engines[0])
+            false_positives += whole.bloom_false_positives
+        assert false_positives > 100
+
+
+class TestBatchKernels:
+    """Each batch kernel of the service's upload path against a loop of
+    the per-item call, under both accel modes and with batches on both
+    sides of the Bloom kernel's ``NUMPY_MIN_BATCH``."""
+
+    @staticmethod
+    def _batch_sizes():
+        from repro.index.bloom import NUMPY_MIN_BATCH
+
+        return (0, 1, NUMPY_MIN_BATCH - 1, NUMPY_MIN_BATCH, 3 * NUMPY_MIN_BATCH)
+
+    @pytest.mark.parametrize("num_bits", [8, 13, 64, 4099])
+    def test_bloom_add_many_matches_add_loop(self, count_mode, num_bits):
+        from repro.index.bloom import NUMPY_MIN_BATCH, BloomFilter
+
+        def tiny():
+            # Seven probes into as few as 8 bits: collisions between keys
+            # and among one key's own probes on every batch.
+            bloom = BloomFilter(capacity=1, false_positive_rate=0.5)
+            bloom.num_bits, bloom.num_hashes = num_bits, 7
+            bloom._bits = bytearray((num_bits + 7) // 8)
+            return bloom
+
+        rng = random.Random(num_bits)
+        loop, batched = tiny(), tiny()
+        scalar_calls = []
+
+        def counted_add(key):
+            scalar_calls.append(key)
+            return BloomFilter.add(batched, key)
+
+        batched.add = counted_add
+        for size in self._batch_sizes() * 3:
+            keys = [rng.randbytes(rng.randrange(1, 8)) for _ in range(size - size // 8)]
+            keys += keys[: size // 8]  # repeats inside one batch
+            scalar_calls.clear()
+            expected = sum(map(loop.add, keys))
+            assert batched.add_many(keys) == expected
+            assert batched._bits == loop._bits
+            assert batched.inserted == loop.inserted
+            vector = count_mode == "accelerated" and len(keys) >= NUMPY_MIN_BATCH
+            assert scalar_calls == ([] if vector else keys)
+
+    def test_bloom_add_many_at_service_size(self, count_mode):
+        from repro.index.bloom import BloomFilter
+
+        rng = random.Random(5)
+        loop, batched = BloomFilter(1000, 0.01), BloomFilter(1000, 0.01)
+        for size in self._batch_sizes() * 4:
+            keys = [rng.randbytes(20) for _ in range(size)]
+            assert batched.add_many(keys) == sum(map(loop.add, keys))
+        assert batched._bits == loop._bits
+        assert batched.inserted == loop.inserted == sum(self._batch_sizes()) * 4
+
+    def test_put_many_matches_put_loop(self, count_mode):
+        from repro.index.cache import LRUCache
+
+        rng = random.Random(6)
+        pool = [rng.randbytes(4) for _ in range(40)]
+        loop, batched = LRUCache(12), LRUCache(12)
+        for step, size in enumerate(self._batch_sizes()[:3] + (5, 12, 13, 30)):
+            # Distinct keys, some already cached, some batches longer than
+            # the capacity.
+            keys = rng.sample(pool, min(size, len(pool)))
+            for key in keys:
+                loop.put(key, step)
+            batched.put_many(keys, step)
+            assert list(batched._entries.items()) == list(loop._entries.items())
+
+    def test_lookup_many_matches_lookup_loop(self, count_mode):
+        from repro.index.cache import FingerprintCache
+
+        rng = random.Random(7)
+        pool = [rng.randbytes(4) for _ in range(60)]
+        loop, batched = FingerprintCache(32 * 20), FingerprintCache(32 * 20)
+        for cache in (loop, batched):
+            cache.insert_many(pool[:20], 1)
+        for size in self._batch_sizes() + (45,):
+            stream = [rng.choice(pool) for _ in range(min(size, 45))]
+            misses = [fp for fp in stream if loop.lookup(fp) is None]
+            assert batched.lookup_many(stream) == misses
+            assert (batched.hits, batched.misses) == (loop.hits, loop.misses)
+            assert list(batched._lru) == list(loop._lru)
+            new = rng.sample(pool, 5)
+            loop.insert_many(new, size)
+            batched.insert_many(new, size)
+
+    def test_extend_matches_append_loop(self, count_mode):
+        from repro.common.errors import StorageError
+        from repro.storage.container import ContainerStore
+
+        def state(store):
+            return (
+                [
+                    (cid, c.entries, c.data_bytes, c.by_fingerprint, c.payload)
+                    for cid, c in store.containers.items()
+                ],
+                store._open_entries,
+                store._open_bytes,
+                store._open_index,
+                store.open_chunks,
+            )
+
+        rng = random.Random(8)
+        batches = [
+            [],  # empty batch
+            [30, 30, 40],  # a seal landing exactly on container_size
+            [20, 150, 10],  # one chunk >= container_size
+            [100],
+            [],
+        ] + [[rng.randrange(1, 60) for _ in range(n)] for n in self._batch_sizes()]
+        loop, batched = ContainerStore(100), ContainerStore(100)
+        for sizes in batches:
+            fingerprints = [rng.randbytes(6) for _ in sizes]
+            sealed = [
+                cid
+                for cid in map(loop.append, fingerprints, sizes)
+                if cid is not None
+            ]
+            assert batched.extend(fingerprints, sizes) == sealed
+            assert state(batched) == state(loop)
+        assert loop.num_containers > 10
+        with pytest.raises(StorageError):
+            ContainerStore(100, keep_payload=True).extend([b"x"], [1])
