@@ -8,13 +8,21 @@ fingerprint prefetch effective.
 
 Containers optionally carry chunk payloads (the content-level system stores
 ciphertext bytes; the trace-driven prototype stores metadata only).
+
+A container is the unit of metadata, so it holds columns: a fingerprint
+list and a size list in append order. Writing a chunk appends one item to
+each (a metadata-only batch extends them with slices), so the write side
+allocates no per-chunk object and no per-chunk map slot; what the readers
+of a sealed container need — the fingerprint column for the index update
+and the S4 prefetch, (offset, size) for a content read,
+:class:`ContainerEntry` triples for inspection — is derived when read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from itertools import accumulate, repeat
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 from repro.common.errors import ConfigurationError, StorageError
@@ -29,34 +37,53 @@ class ContainerEntry(NamedTuple):
     offset: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Container:
-    """A sealed (immutable) container: entries plus optional payload bytes.
+    """A sealed (immutable) container: fingerprint and size columns plus
+    optional payload bytes.
 
-    ``data_bytes`` and the fingerprint → entry map are recorded once, by
-    the store that sealed it; a fingerprint occurs once per container.
+    ``data_bytes`` is recorded once, by the store that sealed it; a
+    fingerprint occurs once per container.
     """
 
     container_id: int
-    entries: list[ContainerEntry]
+    _fingerprints: list[bytes]
+    sizes: list[int]
     payload: bytes
     data_bytes: int
-    by_fingerprint: dict[bytes, ContainerEntry]
+    _positions: dict[bytes, tuple[int, int]] | None = field(default=None, init=False, compare=False)
 
     @property
     def num_chunks(self) -> int:
-        return len(self.entries)
+        return len(self._fingerprints)
 
     def fingerprints(self) -> list[bytes]:
-        return [entry.fingerprint for entry in self.entries]
+        """The fingerprint column in append order — the container's own
+        list, not a copy: read-only to every caller."""
+        return self._fingerprints
+
+    @property
+    def entries(self) -> list[ContainerEntry]:
+        """``(fingerprint, size, offset)`` of every chunk in append order,
+        built on each access: nothing on the write path keeps them."""
+        offsets = accumulate(self.sizes, initial=0)
+        return list(map(ContainerEntry, self._fingerprints, self.sizes, offsets))
 
     def read_chunk(self, fingerprint: bytes) -> bytes:
-        """Payload bytes for ``fingerprint`` (content-level containers)."""
-        entry = self.by_fingerprint.get(fingerprint)
-        if entry is None:
+        """Payload bytes for ``fingerprint`` (content-level containers).
+
+        The fingerprint → (offset, size) map is built on the first read,
+        so only containers that are read pay for it.
+        """
+        if self._positions is None:
+            offsets = accumulate(self.sizes, initial=0)
+            self._positions = dict(zip(self._fingerprints, zip(offsets, self.sizes)))
+        position = self._positions.get(fingerprint)
+        if position is None:
             raise StorageError(f"chunk {fingerprint.hex()} not in container")
-        data = self.payload[entry.offset : entry.offset + entry.size]
-        if len(data) != entry.size:
+        offset, size = position
+        data = self.payload[offset : offset + size]
+        if len(data) != size:
             raise StorageError("container payload truncated")
         return data
 
@@ -71,10 +98,14 @@ class ContainerStore:
         self.keep_payload = keep_payload
         self.containers: dict[int, Container] = {}
         self._next_id = 0
-        self._open_entries: list[ContainerEntry] = []
+        self._empty_open_container()
+
+    def _empty_open_container(self) -> None:
+        self._open_fingerprints: list[bytes] = []
+        self._open_sizes: list[int] = []
         self._open_payload: list[bytes] = []
         self._open_bytes = 0
-        self._open_index: dict[bytes, ContainerEntry] = {}
+        self._open_set: set[bytes] = set()
 
     # -- writing -------------------------------------------------------------
 
@@ -87,9 +118,9 @@ class ContainerStore:
             if len(data) != size:
                 raise StorageError("chunk data length disagrees with size")
             self._open_payload.append(data)
-        entry = ContainerEntry(fingerprint, size, self._open_bytes)
-        self._open_entries.append(entry)
-        self._open_index[fingerprint] = entry
+        self._open_fingerprints.append(fingerprint)
+        self._open_sizes.append(size)
+        self._open_set.add(fingerprint)
         self._open_bytes += size
         if self._open_bytes >= self.container_size:
             return self.flush()
@@ -101,7 +132,8 @@ class ContainerStore:
 
         The running sizes give every seal point at once: a run of chunks
         fills the open container up to the first chunk that takes it to
-        ``container_size``, and the next run starts on an empty one.
+        ``container_size``, and the next run starts on an empty one. Each
+        run extends the open columns with one slice.
         """
         if self.keep_payload and fingerprints:
             raise StorageError("payload-keeping store requires chunk data")
@@ -111,21 +143,10 @@ class ContainerStore:
         start, base, count = 0, 0, len(fingerprints)
         while start < count:
             end = min(count, bisect_left(totals, base + self.container_size, start + 1))
-            # tuple.__new__ builds each entry without the Python-level
-            # ``ContainerEntry.__new__`` frame.
-            entries = list(
-                map(
-                    tuple.__new__,
-                    repeat(ContainerEntry),
-                    zip(
-                        fingerprints[start:end],
-                        sizes[start:end],
-                        [total - base for total in totals[start:end]],
-                    ),
-                )
-            )
-            self._open_entries += entries
-            self._open_index.update(zip(fingerprints[start:end], entries))
+            run = fingerprints[start:end]
+            self._open_fingerprints += run
+            self._open_sizes += sizes[start:end]
+            self._open_set.update(run)
             self._open_bytes = totals[end] - base
             if self._open_bytes >= self.container_size:
                 sealed.append(self.flush())
@@ -135,21 +156,18 @@ class ContainerStore:
 
     def flush(self) -> int | None:
         """Seal the open container; returns its id, or None if empty."""
-        if not self._open_entries:
+        if not self._open_fingerprints:
             return None
         container = Container(
-            container_id=self._next_id,
-            entries=self._open_entries,
-            payload=b"".join(self._open_payload),
-            data_bytes=self._open_bytes,
-            by_fingerprint=self._open_index,
+            self._next_id,
+            self._open_fingerprints,
+            self._open_sizes,
+            b"".join(self._open_payload),
+            self._open_bytes,
         )
         self.containers[container.container_id] = container
         self._next_id += 1
-        self._open_entries = []
-        self._open_payload = []
-        self._open_bytes = 0
-        self._open_index = {}
+        self._empty_open_container()
         return container.container_id
 
     # -- reading -------------------------------------------------------------
@@ -158,7 +176,7 @@ class ContainerStore:
         """Whether the chunk is buffered but not yet sealed (duplicate
         suppression must consider these too, or back-to-back duplicates
         would be double-stored)."""
-        return fingerprint in self._open_index
+        return fingerprint in self._open_set
 
     def get(self, container_id: int) -> Container:
         try:
@@ -173,7 +191,7 @@ class ContainerStore:
     @property
     def open_chunks(self) -> int:
         """Chunks buffered in the open (unsealed) container."""
-        return len(self._open_entries)
+        return len(self._open_fingerprints)
 
     def stored_bytes(self) -> int:
         """Sealed plus buffered chunk bytes; O(containers)."""

@@ -24,7 +24,10 @@ over a whole upload in batches, each with the loop's exact outcome:
 probe, S4) and :meth:`DDFSEngine.ingest_unique_batch` (S2 as one Bloom
 test-and-set, one container extend). Every container seal — the loop's,
 the batch's, a backup boundary's, garbage collection's — writes the
-index through the same method.
+index through the same method, from the sealed container's fingerprint
+column: containers hold columns, not per-chunk entries (see
+:mod:`repro.storage.container`), so an update and an S4 prefetch read
+the container's own fingerprint list.
 
 The engine processes whole backups and emits one
 :class:`~repro.storage.metrics.BackupWriteReport` per backup — exactly the

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 
 from repro.common.errors import ConfigurationError, StorageError
 from repro.datasets.model import Backup
@@ -98,13 +99,11 @@ def collect_garbage(
     for container_id in sorted(store.containers):
         container = store.containers[container_id]
         report.containers_scanned += 1
-        live_entries = [
-            entry
-            for entry in container.entries
-            if tracker.is_live(entry.fingerprint)
-        ]
-        dead_entries = len(container.entries) - len(live_entries)
-        live_bytes = sum(entry.size for entry in live_entries)
+        fingerprints = container.fingerprints()
+        live = list(map(tracker.is_live, fingerprints))
+        live_fingerprints = list(compress(fingerprints, live))
+        live_sizes = list(compress(container.sizes, live))
+        live_bytes = sum(live_sizes)
         total_bytes = container.data_bytes
         if total_bytes == 0 or live_bytes / total_bytes >= live_ratio_threshold:
             continue
@@ -112,22 +111,18 @@ def collect_garbage(
         # cleared, so a future re-write of the same content must fall
         # through S3's index miss into the unique path instead of chasing
         # a reclaimed container.
-        for entry in container.entries:
-            if not tracker.is_live(entry.fingerprint):
-                engine.index.remove(entry.fingerprint)
+        for fingerprint, is_live in zip(fingerprints, live):
+            if not is_live:
+                engine.index.remove(fingerprint)
         # Copy-forward the survivors, then drop the container.
-        for entry in live_entries:
-            data = (
-                container.read_chunk(entry.fingerprint)
-                if store.keep_payload
-                else None
-            )
-            engine._index_sealed(store.append(entry.fingerprint, entry.size, data))
-            report.chunks_copied_forward += 1
-            report.bytes_copied_forward += entry.size
+        for fingerprint, size in zip(live_fingerprints, live_sizes):
+            data = container.read_chunk(fingerprint) if store.keep_payload else None
+            engine._index_sealed(store.append(fingerprint, size, data))
+        report.chunks_copied_forward += len(live_fingerprints)
+        report.bytes_copied_forward += live_bytes
         del store.containers[container_id]
         report.containers_reclaimed += 1
-        report.chunks_dead += dead_entries
+        report.chunks_dead += len(fingerprints) - len(live_fingerprints)
         report.bytes_reclaimed += total_bytes - live_bytes
     # Seal whatever copy-forward left open so the index stays complete.
     engine._index_sealed(store.flush())

@@ -145,3 +145,64 @@ class TestCollectGarbage:
         tracker.delete_backup("b1")
         report = collect_garbage(engine, tracker, live_ratio_threshold=0.5)
         assert report.containers_reclaimed == 0
+
+
+class TestPayloadStoreCollectGarbage:
+    """Copy-forward on a content-level (payload-keeping) engine."""
+
+    @staticmethod
+    def _data(token):
+        # 1, 2, 3 or 4 KiB by index: offsets differ from index * size, so
+        # a wrong (offset, size) in the read map shows.
+        size = 1024 * (1 + int(token[1:]) % 4)
+        return (token.encode() * size)[:size]
+
+    def _setup(self):
+        engine = DDFSEngine(
+            cache_budget_bytes=64 * 1024,
+            bloom_capacity=10_000,
+            container_size=4 * 4096,
+            keep_payload=True,
+        )
+        tracker = ReferenceTracker()
+        # b1 fills one container with x0..x6 and seals x7 alone; b2 keeps
+        # x0, x2, x4 and x6 live, so GC reclaims both.
+        tokens = [f"x{i}" for i in range(8)]
+        first = backup(tokens, [len(self._data(t)) for t in tokens], label="b1")
+        tokens = [f"x{i}" for i in range(0, 8, 2)] + [f"y{i}" for i in range(4)]
+        second = backup(tokens, [len(self._data(t)) for t in tokens], label="b2")
+        for stream in (first, second):
+            for fingerprint, size in zip(stream.fingerprints, stream.sizes):
+                engine.process_chunk(fingerprint, size, self._data(fingerprint.decode()))
+            engine.finish_backup()
+            tracker.register_backup(stream)
+        return engine, tracker
+
+    def test_survivors_read_back_from_their_new_containers(self):
+        engine, tracker = self._setup()
+        before = set(engine.containers.containers)
+        tracker.delete_backup("b1")
+        report = collect_garbage(engine, tracker, live_ratio_threshold=0.9)
+        assert report.chunks_copied_forward > 0
+        moved = 0
+        for token in [f"x{i}" for i in range(0, 8, 2)] + [f"y{i}" for i in range(4)]:
+            container_id = engine.index.container_of(token.encode())
+            moved += container_id not in before
+            container = engine.containers.get(container_id)
+            assert container.read_chunk(token.encode()) == self._data(token)
+        assert moved == report.chunks_copied_forward
+
+    def test_read_errors_survive_copy_forward(self):
+        engine, tracker = self._setup()
+        before = set(engine.containers.containers)
+        tracker.delete_backup("b1")
+        collect_garbage(engine, tracker, live_ratio_threshold=0.9)
+        (new_id,) = set(engine.containers.containers) - before
+        container = engine.containers.get(new_id)
+        with pytest.raises(StorageError, match="not in container"):
+            container.read_chunk(b"x5")  # dead, not copied forward
+        last = container.fingerprints()[-1]
+        container.payload = container.payload[:-1]
+        with pytest.raises(StorageError, match="container payload truncated"):
+            container.read_chunk(last)
+

@@ -1102,16 +1102,20 @@ class TestBatchKernels:
         from repro.common.errors import StorageError
         from repro.storage.container import ContainerStore
 
+        keys = []
+
         def state(store):
+            # Public views only: the sealed containers' columns and the
+            # entries built from them, then the open buffer as its readers
+            # see it.
             return (
                 [
-                    (cid, c.entries, c.data_bytes, c.by_fingerprint, c.payload)
+                    (cid, c.fingerprints(), c.entries, c.data_bytes, c.payload)
                     for cid, c in store.containers.items()
                 ],
-                store._open_entries,
-                store._open_bytes,
-                store._open_index,
                 store.open_chunks,
+                store.stored_bytes(),
+                [store.in_open_buffer(key) for key in keys],
             )
 
         rng = random.Random(8)
@@ -1125,6 +1129,7 @@ class TestBatchKernels:
         loop, batched = ContainerStore(100), ContainerStore(100)
         for sizes in batches:
             fingerprints = [rng.randbytes(6) for _ in sizes]
+            keys += fingerprints
             sealed = [
                 cid
                 for cid in map(loop.append, fingerprints, sizes)
@@ -1132,6 +1137,11 @@ class TestBatchKernels:
             ]
             assert batched.extend(fingerprints, sizes) == sealed
             assert state(batched) == state(loop)
+        # Seal the last open buffer so its columns are compared entry by
+        # entry through the sealed container's views.
+        assert loop.open_chunks > 0
+        assert batched.flush() == loop.flush()
+        assert state(batched) == state(loop)
         assert loop.num_containers > 10
         with pytest.raises(StorageError):
             ContainerStore(100, keep_payload=True).extend([b"x"], [1])

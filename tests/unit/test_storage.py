@@ -1,5 +1,7 @@
 """Tests for the storage substrate: containers, index, DDFS engine, recipes."""
 
+import gc
+
 import pytest
 
 from repro.common.errors import ConfigurationError, IntegrityError, StorageError
@@ -108,6 +110,30 @@ class TestContainerStore:
         assert store.stored_bytes() == 450
         del store.containers[0]  # what garbage collection does
         assert store.stored_bytes() == 240
+
+    @pytest.mark.parametrize("write", ["extend", "append"])
+    def test_write_side_allocates_per_container_not_per_chunk(self, write):
+        # A container holds columns: storing a metadata-only chunk adds an
+        # item to two lists and a set, no GC-tracked object of its own.
+        # The bound (16 per sealed container, plus slack) is an order of
+        # magnitude under one object per chunk.
+        fingerprints = [b"%08d" % i for i in range(10_000)]
+        sizes = [4096] * len(fingerprints)
+        store = ContainerStore(container_size=200 * 4096)
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            if write == "extend":
+                for start in range(0, len(fingerprints), 1000):
+                    store.extend(fingerprints[start : start + 1000], sizes[start : start + 1000])
+            else:
+                for fingerprint, size in zip(fingerprints, sizes):
+                    store.append(fingerprint, size)
+            grown = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert store.num_containers == 50 and store.open_chunks == 0
+        assert grown <= 16 * store.num_containers + 100, grown
 
 
 class TestFingerprintIndex:
